@@ -85,13 +85,36 @@ fn bench_block_pool(c: &mut Criterion) {
     g.finish();
 }
 
+/// The SEC layer's trajectory: the dispatched ChaCha20 kernel over the
+/// canonical 4 KiB block, and the SEC stage's buffer handling — copy the
+/// payload into a pooled block and cipher it in place, versus ciphering
+/// from the payload into the block in one sweep. Which kernel is dispatched
+/// is the host CPU's business (it is named in the label); the comparison
+/// of every kernel and the pre-dispatch scalar on one host is `cargo test
+/// --release -p ebs-crypto -- --ignored --nocapture kernel_throughput`.
 fn bench_crypto(c: &mut Criterion) {
     let mut g = c.benchmark_group("sec");
     g.throughput(Throughput::Bytes(4096));
     let eng = ebs_crypto::SecEngine::new([7; 32]);
-    g.bench_function("chacha20_4k_block", |b| {
-        let mut data = vec![0u8; 4096];
+    let mut data = vec![0u8; 4096];
+    g.bench_function(format!("chacha20_4k_block/{}", eng.kernel_name()), |b| {
         b.iter(|| eng.encrypt_block(1, 2, std::hint::black_box(&mut data)))
+    });
+    let pool = ebs_wire::BlockPool::new(4096, 64);
+    let payload = Bytes::from(vec![0x5Au8; 4096]);
+    g.bench_function("sec_stage_4k/copy_then_xor", |b| {
+        b.iter(|| {
+            let mut buf = pool.take_copy(std::hint::black_box(&payload));
+            eng.encrypt_block(1, 2, &mut buf);
+            buf.freeze().into_bytes()
+        })
+    });
+    g.bench_function("sec_stage_4k/single_sweep", |b| {
+        b.iter(|| {
+            let src = std::hint::black_box(&payload);
+            let buf = pool.take_with(src.len(), |dst| eng.encrypt_block_into(1, 2, src, dst));
+            buf.freeze().into_bytes()
+        })
     });
     g.finish();
 }

@@ -549,7 +549,7 @@ impl SegmentChecker {
         } else {
             SegmentVerdict::Corrupt
         };
-        self.xor_acc.iter_mut().for_each(|b| *b = 0);
+        self.xor_acc.fill(0);
         self.crc_acc = 0;
         self.blocks = 0;
         verdict
@@ -559,14 +559,24 @@ impl SegmentChecker {
 /// Per-block raw CRC as the FPGA's CRC module computes it. Shorter blocks
 /// are treated as zero-padded to `block_size` so that aggregation across
 /// mixed sizes stays consistent.
+///
+/// # Panics
+/// Panics if `block` is longer than `block_size`.
 pub fn block_crc_raw(block: &[u8], block_size: usize) -> u32 {
-    if block.len() == block_size {
-        crc32_raw(block)
-    } else {
-        let mut padded = vec![0u8; block_size];
-        padded[..block.len()].copy_from_slice(block);
-        crc32_raw(&padded)
-    }
+    assert!(block.len() <= block_size, "oversized block");
+    /// Padding is never materialised: the state is advanced over this
+    /// chunk as many times as it takes.
+    const ZEROS: [u8; 512] = [0; 512];
+    IEEE_RAW.with(|c| {
+        let mut state = c.update(c.start(), block);
+        let mut pad = block_size - block.len();
+        while pad > 0 {
+            let n = pad.min(ZEROS.len());
+            state = c.update(state, &ZEROS[..n]);
+            pad -= n;
+        }
+        c.finish(state)
+    })
 }
 
 #[cfg(test)]

@@ -315,16 +315,21 @@ impl Stage for SecStage {
         if !self.engine.is_enabled() || ctx.payload.is_empty() {
             return StageVerdict::Forward;
         }
-        // Cipher in place inside a pooled buffer: the old payload handle is
-        // released (recycling its block if this stage held the last clone)
-        // and the transformed block recycles in turn downstream.
-        let mut data = ebs_wire::pool::with_default_pool(|p| p.take_copy(&ctx.payload));
-        if self.decrypt {
-            self.engine
-                .decrypt_block(ctx.hdr.vd_id, ctx.hdr.block_addr, &mut data);
-        } else {
-            self.engine
-                .encrypt_block(ctx.hdr.vd_id, ctx.hdr.block_addr, &mut data);
+        // Cipher straight from the old payload into a pooled buffer, one
+        // pass over the block: the old payload handle is then released
+        // (recycling its block if this stage held the last clone) and the
+        // transformed block recycles in turn downstream.
+        let (engine, hdr, old) = (&self.engine, &ctx.hdr, &ctx.payload);
+        let data = ebs_wire::pool::with_default_pool(|p| {
+            p.take_with(old.len(), |new| {
+                if self.decrypt {
+                    engine.decrypt_block_into(hdr.vd_id, hdr.block_addr, old, new);
+                } else {
+                    engine.encrypt_block_into(hdr.vd_id, hdr.block_addr, old, new);
+                }
+            })
+        });
+        if !self.decrypt {
             ctx.hdr.flags |= ebs_wire::FLAG_ENCRYPTED;
         }
         ctx.payload = data.freeze().into_bytes();

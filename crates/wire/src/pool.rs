@@ -168,27 +168,31 @@ impl BlockPool {
         }
     }
 
-    /// A buffer initialised with a copy of `data`.
+    /// A `len`-byte buffer whose contents `fill` writes — for producing a
+    /// block from another one (cipher, copy-with-edit) in a single pass
+    /// instead of copy-then-transform.
     ///
-    /// If `data` is longer than the pool's block size the buffer is a
-    /// plain (unpooled) allocation — behaviour is identical, it just won't
+    /// `fill` is handed the buffer as the last user left it (recycled
+    /// blocks are not cleared) and must overwrite all of it.
+    ///
+    /// If `len` exceeds the pool's block size the buffer is a plain
+    /// (unpooled) allocation — behaviour is identical, it just won't
     /// recycle.
-    pub fn take_copy(&self, data: &[u8]) -> PooledBuf {
-        if data.len() > self.shared.block_size {
+    pub fn take_with(&self, len: usize, fill: impl FnOnce(&mut [u8])) -> PooledBuf {
+        let (mut buf, pool) = if len > self.shared.block_size {
             self.shared.dropped.fetch_add(1, Ordering::Relaxed);
-            return PooledBuf {
-                buf: data.to_vec().into_boxed_slice(),
-                len: data.len(),
-                pool: Weak::new(),
-            };
-        }
-        let (mut buf, _) = self.grab();
-        buf[..data.len()].copy_from_slice(data);
-        PooledBuf {
-            buf,
-            len: data.len(),
-            pool: Arc::downgrade(&self.shared),
-        }
+            (vec![0u8; len].into_boxed_slice(), Weak::new())
+        } else {
+            (self.grab().0, Arc::downgrade(&self.shared))
+        };
+        fill(&mut buf[..len]);
+        PooledBuf { buf, len, pool }
+    }
+
+    /// A buffer initialised with a copy of `data` (unpooled, like
+    /// [`BlockPool::take_with`], when `data` is longer than a block).
+    pub fn take_copy(&self, data: &[u8]) -> PooledBuf {
+        self.take_with(data.len(), |buf| buf.copy_from_slice(data))
     }
 }
 
@@ -476,6 +480,27 @@ mod tests {
         assert_eq!(&big[..4], &[7, 7, 7, 7]);
         drop(big);
         assert_eq!(pool.free_blocks(), 0, "oversized buffers do not recycle");
+    }
+
+    #[test]
+    fn take_with_fills_a_recycled_block_in_one_pass() {
+        let pool = BlockPool::new(8, 4);
+        drop(pool.take_copy(&[0xFF; 8])); // leave a dirty block behind
+        let src = [1u8, 2, 3, 4, 5];
+        let buf = pool.take_with(src.len(), |out| {
+            for (o, s) in out.iter_mut().zip(src) {
+                *o = s ^ 0x80;
+            }
+        });
+        assert_eq!(&buf[..], &[0x81, 0x82, 0x83, 0x84, 0x85]);
+        assert_eq!(pool.stats().hits, 1, "served from the free list");
+        drop(buf);
+        assert_eq!(pool.free_blocks(), 1, "and recycled again");
+        // Oversized: same contents, plain allocation.
+        let big = pool.take_with(20, |out| out.fill(7));
+        assert_eq!(&big[..], &[7; 20]);
+        drop(big);
+        assert_eq!(pool.free_blocks(), 1);
     }
 
     #[test]
