@@ -243,6 +243,67 @@ fn bench_transports(c: &mut Criterion) {
     g.finish();
 }
 
+/// LUNA's byte stream end to end: one write RPC from `RpcClient::call`
+/// through TCP segmentation, the peer's reassembly and frame decode to
+/// `RpcServer::poll_request`, and the empty response back — over a warm
+/// connection, so the number is the steady-state host cost per payload
+/// byte (no payload byte is copied; see DESIGN.md §7.8).
+fn bench_luna_rpc(c: &mut Criterion) {
+    let mut g = c.benchmark_group("luna_rpc");
+    for (name, len) in [("4k", 4 << 10), ("128k", 128 << 10)] {
+        let cfg = ebs_tcp::TcpConfig {
+            mss: 8960,
+            ..ebs_tcp::TcpConfig::default()
+        };
+        let mut client = ebs_luna::RpcClient::connect(cfg.clone());
+        let mut server = ebs_luna::RpcServer::listen(cfg);
+        let payload = Bytes::from(vec![0xA5u8; len]);
+        let mut now = SimTime::ZERO;
+        let mut rpc_id = 0u64;
+        // One RPC to completion (before any request exists this is just
+        // the handshake, with nothing to complete).
+        let mut roundtrip = |request: Option<ebs_wire::RpcFrame>| {
+            if let Some(req) = &request {
+                client.call(now, req);
+            }
+            loop {
+                let mut progressed = false;
+                while let Some(seg) = client.poll_segment(now) {
+                    now += ebs_sim::SimDuration::from_micros(4);
+                    server.on_segment(now, seg);
+                    progressed = true;
+                }
+                while let Some(req) = server.poll_request() {
+                    server.respond(&ebs_wire::RpcFrame {
+                        method: ebs_wire::RpcMethod::WriteResp,
+                        len: 0,
+                        payload: Bytes::new(),
+                        ..req
+                    });
+                }
+                while let Some(seg) = server.poll_segment(now) {
+                    now += ebs_sim::SimDuration::from_micros(4);
+                    client.on_segment(now, seg);
+                    progressed = true;
+                }
+                if !progressed {
+                    break;
+                }
+            }
+            client.poll_completion().map(|done| done.latency)
+        };
+        roundtrip(None);
+        g.throughput(Throughput::Bytes(len as u64));
+        g.bench_function(format!("roundtrip/{name}"), |b| {
+            b.iter(|| {
+                rpc_id += 1;
+                roundtrip(Some(ebs_luna::write_request(rpc_id, 1, 0, payload.clone())))
+            })
+        });
+    }
+    g.finish();
+}
+
 fn bench_pipeline(c: &mut Criterion) {
     let mut g = c.benchmark_group("fpga_pipeline");
     let mut seg = ebs_sa::SegmentTable::new(512);
@@ -670,6 +731,7 @@ criterion_group! {
         bench_wire,
         bench_tables,
         bench_transports,
+        bench_luna_rpc,
         bench_pipeline,
         bench_ecmp,
         bench_ecmp_route_cache,

@@ -5,9 +5,27 @@
 //! copied at each boundary (§3.2). This pool is a LUNA-flavoured front for
 //! the workspace-wide [`ebs_wire::BlockPool`]: it hands out writable
 //! buffers whose storage keeps recycling even after they are frozen into
-//! [`bytes::Bytes`] and shipped through the RPC layer — the freeze that
-//! used to leak a buffer out of the pool now rides the pooled storage all
-//! the way around the loop.
+//! [`bytes::Bytes`] and shipped through the RPC layer.
+//!
+//! Which boundaries are copy-free, exactly (pinned by
+//! `tests/alloc_free.rs`):
+//!
+//! * buffer → `Bytes` ([`PooledBuf::freeze`]): the storage moves, and
+//!   returns here when the last view drops;
+//! * `Bytes` → stream ([`crate::RpcClient::call`], `RpcServer::respond`):
+//!   the frame is queued as a 40-byte header view plus the payload handle;
+//! * stream → segments → stream (`ebs-tcp`): segmentation splits views,
+//!   a segment that straddles two writes carries a view of each,
+//!   retransmission and reassembly clone and reorder handles;
+//! * stream → frame (`ebs_wire::FrameDecoder`): the payload's
+//!   segment-sized views are rejoined into one slice of the sender's
+//!   buffer. Only views that are *not* adjacent in one storage — a peer
+//!   that built its payload from unrelated allocations — are gathered,
+//!   with a single exact-size copy.
+//!
+//! What still copies: [`BufferPool::take_copy`] (that is its job) and
+//! `RpcFrame::to_bytes`, which message transports that need one
+//! contiguous buffer (the RDMA baseline) still use.
 
 use ebs_wire::{BlockPool, PooledBuf};
 

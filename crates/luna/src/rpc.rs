@@ -6,12 +6,50 @@
 //! and lets the host answer them. Both delegate transport entirely to
 //! `ebs-tcp` — LUNA and kernel TCP differ only in the `StackCosts` the
 //! host charges around these calls.
+//!
+//! No payload byte is copied between [`RpcClient::call`] and
+//! [`RpcServer::poll_request`] (or back): a frame enters TCP as its
+//! 40-byte header view plus the caller's payload handle, segments carry
+//! views, and the decoder rejoins the payload's segment-sized views into
+//! one slice of the caller's buffer.
 
 use std::collections::VecDeque;
 
 use ebs_sim::{FxHashMap, SimDuration, SimTime};
 use ebs_tcp::{Segment, TcpConfig, TcpEngine};
 use ebs_wire::{FrameDecoder, RpcFrame, RpcMethod};
+
+/// Queue `frame` on the stream as two views: the encoded header, then the
+/// payload handle itself.
+fn send_frame(tcp: &mut TcpEngine, frame: &RpcFrame) {
+    tcp.send(frame.header());
+    tcp.send(frame.payload.clone());
+}
+
+/// Move the stream views `tcp` has in order into `dec` and hand every
+/// frame they complete to `sink`. A malformed frame is counted once: it
+/// poisons the decoder, which from then on drops the stream instead of
+/// buffering it.
+fn decode_stream(
+    tcp: &mut TcpEngine,
+    dec: &mut FrameDecoder,
+    decode_errors: &mut u64,
+    mut sink: impl FnMut(RpcFrame),
+) {
+    while let Some(view) = tcp.recv() {
+        dec.push(view);
+    }
+    loop {
+        match dec.next_frame() {
+            Ok(Some(frame)) => sink(frame),
+            Ok(None) => break,
+            Err(_) => {
+                *decode_errors += 1;
+                break;
+            }
+        }
+    }
+}
 
 /// Completion event from the client.
 #[derive(Debug)]
@@ -61,7 +99,8 @@ impl RpcClient {
         self.inflight.len()
     }
 
-    /// Malformed frames seen (should stay zero).
+    /// Malformed frames seen (should stay zero; the first one ends
+    /// decoding on this connection).
     pub fn decode_errors(&self) -> u64 {
         self.decode_errors
     }
@@ -73,13 +112,27 @@ impl RpcClient {
     pub fn call(&mut self, now: SimTime, frame: &RpcFrame) {
         let prev = self.inflight.insert(frame.rpc_id, now);
         assert!(prev.is_none(), "rpc id {} reused", frame.rpc_id);
-        self.tcp.send(frame.to_bytes());
+        send_frame(&mut self.tcp, frame);
     }
 
     /// Feed a segment from the wire.
     pub fn on_segment(&mut self, now: SimTime, seg: Segment) {
         self.tcp.on_segment(now, seg);
-        self.drain(now);
+        let (inflight, completions) = (&mut self.inflight, &mut self.completions);
+        decode_stream(
+            &mut self.tcp,
+            &mut self.dec,
+            &mut self.decode_errors,
+            |frame| {
+                if let Some(t0) = inflight.remove(&frame.rpc_id) {
+                    completions.push_back(RpcCompletion {
+                        rpc_id: frame.rpc_id,
+                        latency: now.saturating_since(t0),
+                        response: frame,
+                    });
+                }
+            },
+        );
     }
 
     /// Produce the next outgoing segment.
@@ -100,30 +153,6 @@ impl RpcClient {
     /// Drain the next completion.
     pub fn poll_completion(&mut self) -> Option<RpcCompletion> {
         self.completions.pop_front()
-    }
-
-    fn drain(&mut self, now: SimTime) {
-        while let Some(chunk) = self.tcp.recv() {
-            self.dec.extend(&chunk);
-        }
-        loop {
-            match self.dec.next_frame() {
-                Ok(Some(frame)) => {
-                    if let Some(t0) = self.inflight.remove(&frame.rpc_id) {
-                        self.completions.push_back(RpcCompletion {
-                            rpc_id: frame.rpc_id,
-                            latency: now.saturating_since(t0),
-                            response: frame,
-                        });
-                    }
-                }
-                Ok(None) => break,
-                Err(_) => {
-                    self.decode_errors += 1;
-                    break;
-                }
-            }
-        }
     }
 }
 
@@ -155,19 +184,13 @@ impl RpcServer {
     /// Feed a segment from the wire.
     pub fn on_segment(&mut self, now: SimTime, seg: Segment) {
         self.tcp.on_segment(now, seg);
-        while let Some(chunk) = self.tcp.recv() {
-            self.dec.extend(&chunk);
-        }
-        loop {
-            match self.dec.next_frame() {
-                Ok(Some(frame)) => self.requests.push_back(frame),
-                Ok(None) => break,
-                Err(_) => {
-                    self.decode_errors += 1;
-                    break;
-                }
-            }
-        }
+        let requests = &mut self.requests;
+        decode_stream(
+            &mut self.tcp,
+            &mut self.dec,
+            &mut self.decode_errors,
+            |frame| requests.push_back(frame),
+        );
     }
 
     /// Produce the next outgoing segment.
@@ -192,10 +215,11 @@ impl RpcServer {
 
     /// Send a response frame.
     pub fn respond(&mut self, frame: &RpcFrame) {
-        self.tcp.send(frame.to_bytes());
+        send_frame(&mut self.tcp, frame);
     }
 
-    /// Malformed frames seen.
+    /// Malformed frames seen (the first one ends decoding on this
+    /// connection).
     pub fn decode_errors(&self) -> u64 {
         self.decode_errors
     }
@@ -334,6 +358,71 @@ mod tests {
         assert_eq!(req.offset, 12288);
         assert_eq!(req.payload, payload);
         assert_eq!(s.decode_errors(), 0);
+    }
+
+    /// A peer that speaks TCP correctly but garbage above it: after the
+    /// handshake it sends a malformed length prefix and then `flood`
+    /// bytes. Generic over which RPC endpoint is the victim.
+    fn flood_after_bad_prefix(
+        mut peer: TcpEngine,
+        flood: usize,
+        mut victim_rx: impl FnMut(SimTime, Segment),
+        mut victim_tx: impl FnMut(SimTime) -> Option<Segment>,
+    ) {
+        let now = SimTime::ZERO;
+        let mut exchange = |peer: &mut TcpEngine| loop {
+            let mut progressed = false;
+            while let Some(seg) = peer.poll_segment(now) {
+                victim_rx(now, seg);
+                progressed = true;
+            }
+            while let Some(seg) = victim_tx(now) {
+                peer.on_segment(now, seg);
+                progressed = true;
+            }
+            if !progressed {
+                break;
+            }
+        };
+        exchange(&mut peer);
+        assert!(peer.is_established());
+        peer.send(Bytes::from(vec![0xFF; 4])); // announces a 4 GiB frame
+        for _ in 0..flood / 65536 {
+            peer.send(Bytes::from(vec![0xAB; 65536]));
+            exchange(&mut peer);
+        }
+        assert_eq!(peer.bytes_in_flight(), 0, "the flood was all delivered");
+    }
+
+    #[test]
+    fn malformed_prefix_poisons_the_server_instead_of_buffering() {
+        let s = std::cell::RefCell::new(RpcServer::listen(TcpConfig::default()));
+        flood_after_bad_prefix(
+            TcpEngine::connect(TcpConfig::default()),
+            10 << 20,
+            |now, seg| s.borrow_mut().on_segment(now, seg),
+            |now| s.borrow_mut().poll_segment(now),
+        );
+        let mut s = s.into_inner();
+        assert_eq!(s.decode_errors(), 1, "one bad frame is one error");
+        assert!(s.dec.is_poisoned());
+        assert_eq!(s.dec.pending(), 0, "10 MiB after the bad prefix: dropped");
+        assert!(s.poll_request().is_none());
+    }
+
+    #[test]
+    fn malformed_prefix_poisons_the_client_instead_of_buffering() {
+        let c = std::cell::RefCell::new(RpcClient::connect(TcpConfig::default()));
+        flood_after_bad_prefix(
+            TcpEngine::listen(TcpConfig::default()),
+            10 << 20,
+            |now, seg| c.borrow_mut().on_segment(now, seg),
+            |now| c.borrow_mut().poll_segment(now),
+        );
+        let mut c = c.into_inner();
+        assert_eq!(c.decode_errors(), 1, "one bad frame is one error");
+        assert_eq!(c.dec.pending(), 0, "10 MiB after the bad prefix: dropped");
+        assert!(c.poll_completion().is_none());
     }
 
     #[test]

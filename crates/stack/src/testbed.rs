@@ -1808,9 +1808,7 @@ impl Testbed {
                 qp.on_packet(now, qpkt);
                 let mut jobs = Vec::new();
                 while let Some(msg) = qp.poll_recv() {
-                    let mut dec = ebs_wire::FrameDecoder::new();
-                    dec.extend(&msg);
-                    if let Ok(Some(frame)) = dec.next_frame() {
+                    if let Ok(frame) = RpcFrame::decode(msg) {
                         jobs.push(frame);
                     }
                 }
@@ -2202,9 +2200,7 @@ impl Testbed {
                     let path = cfg.variant.pcie_path();
                     for qp in conns.values_mut() {
                         while let Some(msg) = qp.poll_recv() {
-                            let mut dec = ebs_wire::FrameDecoder::new();
-                            dec.extend(&msg);
-                            if let Ok(Some(frame)) = dec.next_frame() {
+                            if let Ok(frame) = RpcFrame::decode(msg) {
                                 let mut t =
                                     c.cpu.run(now, costs.cpu_per_rpc) + costs.crossing_latency;
                                 let bytes = frame.payload.len();

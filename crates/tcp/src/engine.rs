@@ -16,9 +16,9 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use ebs_sim::{SimDuration, SimTime};
-use ebs_wire::TcpFlags;
+use ebs_wire::{ByteChain, TcpFlags, ViewQueue};
 
 use crate::seq::unwrap_seq;
 
@@ -80,8 +80,10 @@ pub struct Segment {
     pub flags: TcpFlags,
     /// Advertised receive window.
     pub window: u32,
-    /// Payload.
-    pub payload: Bytes,
+    /// Payload: the stretch of the sender's stream this segment covers,
+    /// as the views the application queued (a segment that straddles two
+    /// writes carries a view of each — nothing is glued together).
+    pub payload: ByteChain,
 }
 
 impl Segment {
@@ -142,7 +144,7 @@ struct Inflight {
     len: VecDeque<u32>,
     sent_at: VecDeque<SimTime>,
     retransmitted: VecDeque<bool>,
-    payload: VecDeque<Bytes>,
+    payload: VecDeque<ByteChain>,
 }
 
 impl Inflight {
@@ -154,7 +156,7 @@ impl Inflight {
         self.off.front().copied()
     }
 
-    fn push(&mut self, off: u64, payload: Bytes, now: SimTime) {
+    fn push(&mut self, off: u64, payload: ByteChain, now: SimTime) {
         debug_assert!(self.off.back().is_none_or(|&b| b < off));
         self.off.push_back(off);
         self.len.push_back(payload.len() as u32);
@@ -165,7 +167,7 @@ impl Inflight {
 
     /// Mark the segment at stream offset `off` retransmitted and return
     /// a clone of its payload; `None` if it has since been acked away.
-    fn mark_retransmit(&mut self, off: u64, now: SimTime) -> Option<Bytes> {
+    fn mark_retransmit(&mut self, off: u64, now: SimTime) -> Option<ByteChain> {
         let i = self.off.partition_point(|&o| o < off);
         if self.off.get(i) != Some(&off) {
             return None;
@@ -229,8 +231,7 @@ pub struct TcpEngine {
 
     // --- send side (u64 unwrapped stream offsets) ---
     hot: FlowHot,
-    pending: VecDeque<Bytes>,
-    pending_bytes: usize,
+    pending: ViewQueue,
     inflight: Inflight,
     rtx_queue: BTreeSet<u64>,
     dupacks: u32,
@@ -241,10 +242,9 @@ pub struct TcpEngine {
 
     // --- receive side ---
     rcv_nxt: u64,
-    ooo: BTreeMap<u64, Bytes>,
+    ooo: BTreeMap<u64, ByteChain>,
     ooo_bytes: usize,
-    rx_ready: VecDeque<Bytes>,
-    rx_ready_bytes: usize,
+    rx_ready: ViewQueue,
 
     // --- timers / RTT ---
     rto: SimDuration,
@@ -282,8 +282,7 @@ impl TcpEngine {
                 srtt_ns: f64::NAN,
                 rttvar_ns: 0.0,
             },
-            pending: VecDeque::new(),
-            pending_bytes: 0,
+            pending: ViewQueue::new(),
             inflight: Inflight::default(),
             rtx_queue: BTreeSet::new(),
             dupacks: 0,
@@ -292,8 +291,7 @@ impl TcpEngine {
             rcv_nxt: 0,
             ooo: BTreeMap::new(),
             ooo_bytes: 0,
-            rx_ready: VecDeque::new(),
-            rx_ready_bytes: 0,
+            rx_ready: ViewQueue::new(),
             rto,
             rto_deadline: None,
             retries: 0,
@@ -357,29 +355,24 @@ impl TcpEngine {
 
     /// Bytes accepted from the app but not yet transmitted.
     pub fn pending_bytes(&self) -> usize {
-        self.pending_bytes
+        self.pending.len()
     }
 
     /// Queue application data for transmission.
     pub fn send(&mut self, data: Bytes) {
-        if data.is_empty() {
-            return;
-        }
-        self.pending_bytes += data.len();
-        self.pending.push_back(data);
+        self.pending.push(data);
     }
 
-    /// Drain the next chunk of in-order received stream bytes.
+    /// Drain the next view of in-order received stream bytes (the views
+    /// the peer's application queued, cut at segment boundaries).
     pub fn recv(&mut self) -> Option<Bytes> {
-        let b = self.rx_ready.pop_front()?;
-        self.rx_ready_bytes -= b.len();
-        Some(b)
+        self.rx_ready.pop()
     }
 
     fn advertised_window(&self) -> u32 {
         self.cfg
             .recv_window
-            .saturating_sub(self.rx_ready_bytes + self.ooo_bytes) as u32
+            .saturating_sub(self.rx_ready.len() + self.ooo_bytes) as u32
     }
 
     fn data_seq(&self, offset: u64) -> u32 {
@@ -463,7 +456,7 @@ impl TcpEngine {
                         ack: 0,
                         flags: TcpFlags::SYN,
                         window: self.advertised_window(),
-                        payload: Bytes::new(),
+                        payload: ByteChain::new(),
                     });
                 }
                 return None;
@@ -476,7 +469,7 @@ impl TcpEngine {
                         ack: self.irs.wrapping_add(1),
                         flags: TcpFlags::SYN | TcpFlags::ACK,
                         window: self.advertised_window(),
-                        payload: Bytes::new(),
+                        payload: ByteChain::new(),
                     });
                 }
                 return None;
@@ -539,31 +532,24 @@ impl TcpEngine {
                 ack: self.ack_seq(),
                 flags: TcpFlags::ACK,
                 window: self.advertised_window(),
-                payload: Bytes::new(),
+                payload: ByteChain::new(),
             });
         }
         None
     }
 
-    /// Pull up to `max` bytes off the pending queue as one payload.
-    fn carve(&mut self, max: usize) -> Bytes {
-        let mut out = BytesMut::with_capacity(max.min(self.pending_bytes));
-        while out.len() < max {
-            let Some(mut chunk) = self.pending.pop_front() else {
-                break;
-            };
-            let room = max - out.len();
-            if chunk.len() <= room {
-                self.pending_bytes -= chunk.len();
-                out.extend_from_slice(&chunk);
-            } else {
-                let head = chunk.split_to(room);
-                self.pending_bytes -= head.len();
-                out.extend_from_slice(&head);
-                self.pending.push_front(chunk);
-            }
+    /// Pull up to `max` bytes off the pending queue as one payload. The
+    /// cut falls wherever `max` says, regardless of where queued writes
+    /// begin and end; the payload is the views it crosses, split in O(1).
+    fn carve(&mut self, max: usize) -> ByteChain {
+        let mut out = ByteChain::new();
+        let mut room = max;
+        while room > 0 && !self.pending.is_empty() {
+            let view = self.pending.pop_up_to(room);
+            room -= view.len();
+            out.push(view);
         }
-        out.freeze()
+        out
     }
 
     /// Process an incoming segment.
@@ -714,18 +700,20 @@ impl TcpEngine {
                 }
             } else if off + len > self.rcv_nxt as i64 {
                 // Partial overlap: deliver the new tail.
-                let skip = (self.rcv_nxt as i64 - off) as usize;
-                self.deliver(seg.payload.slice(skip..));
+                let mut tail = seg.payload;
+                tail.advance((self.rcv_nxt as i64 - off) as usize);
+                self.deliver(tail);
                 self.drain_ooo();
             }
             // else: pure duplicate — just ack.
         }
     }
 
-    fn deliver(&mut self, data: Bytes) {
+    fn deliver(&mut self, data: ByteChain) {
         self.rcv_nxt += data.len() as u64;
-        self.rx_ready_bytes += data.len();
-        self.rx_ready.push_back(data);
+        for view in data {
+            self.rx_ready.push(view);
+        }
     }
 
     fn drain_ooo(&mut self) {
@@ -733,13 +721,13 @@ impl TcpEngine {
             if *entry.key() > self.rcv_nxt {
                 break;
             }
-            let (off, data) = entry.remove_entry();
+            let (off, mut data) = entry.remove_entry();
             self.ooo_bytes -= data.len();
             if off + data.len() as u64 <= self.rcv_nxt {
                 continue; // fully duplicate
             }
-            let skip = (self.rcv_nxt - off) as usize;
-            self.deliver(data.slice(skip..));
+            data.advance((self.rcv_nxt - off) as usize);
+            self.deliver(data);
         }
     }
 

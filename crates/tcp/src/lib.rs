@@ -155,6 +155,77 @@ mod tests {
     }
 
     #[test]
+    fn segments_carry_the_queued_views_without_copying() {
+        let (mut c, mut s) = pair();
+        run_lossless(
+            &mut c,
+            &mut s,
+            SimTime::ZERO,
+            SimDuration::from_micros(5),
+            50,
+        );
+        // Two writes, cut at the MSS regardless of the write boundary:
+        // 40 + 1420 | 1460 | 120 + (nothing more).
+        let hdr = Bytes::from(vec![1u8; 40]);
+        let body = Bytes::from((0..3000u32).map(|i| i as u8).collect::<Vec<_>>());
+        c.send(hdr.clone());
+        c.send(body.clone());
+        let now = SimTime::from_millis(1);
+        let mut shapes = Vec::new();
+        while let Some(seg) = c.poll_segment(now) {
+            for v in seg.payload.views() {
+                let src = if v.len() == 40 { &hdr } else { &body };
+                assert!(
+                    src.as_ptr_range().start <= v.as_ptr_range().start
+                        && v.as_ptr_range().end <= src.as_ptr_range().end,
+                    "a payload view must alias the application's buffer"
+                );
+            }
+            shapes.push(
+                seg.payload
+                    .views()
+                    .iter()
+                    .map(Bytes::len)
+                    .collect::<Vec<_>>(),
+            );
+            s.on_segment(now, seg);
+        }
+        assert_eq!(shapes, [vec![40, 1420], vec![1460], vec![120]]);
+        // The receiver hands the same views on, in order.
+        let mut got = Vec::new();
+        while let Some(v) = s.recv() {
+            got.push(v.len());
+        }
+        assert_eq!(got, [40, 1420, 1460, 120]);
+    }
+
+    #[test]
+    fn overlapping_multi_view_segment_delivers_only_the_new_tail() {
+        let (mut c, mut s) = pair();
+        run_lossless(
+            &mut c,
+            &mut s,
+            SimTime::ZERO,
+            SimDuration::from_micros(5),
+            50,
+        );
+        let now = SimTime::from_millis(1);
+        c.send(Bytes::from(vec![1u8; 100]));
+        let first = c.poll_segment(now).expect("100-byte segment");
+        s.on_segment(now, first.clone());
+        // A (forged) retransmission that re-covers those 100 bytes and
+        // continues past them, as three views.
+        let mut payload = first.payload.clone();
+        payload.push(Bytes::from(vec![2u8; 30]));
+        payload.push(Bytes::from(vec![3u8; 5]));
+        s.on_segment(now, Segment { payload, ..first });
+        let mut want = vec![1u8; 100];
+        want.extend([2u8; 30]);
+        want.extend([3u8; 5]);
+        assert_eq!(drain(&mut s), want);
+    }
+
+    #[test]
     fn lost_segment_recovers_via_fast_retransmit() {
         let (mut c, mut s) = pair();
         run_lossless(

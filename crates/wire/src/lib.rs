@@ -12,6 +12,10 @@
 //! * [`RpcFrame`] / [`FrameDecoder`] — LUNA's length-prefixed RPC framing
 //!   over a TCP byte stream, including the incremental reassembly that
 //!   SOLAR's design makes unnecessary;
+//! * [`ViewQueue`] / [`ByteChain`] — that byte stream carried as the views
+//!   it was written as: the stream at rest (send, receive and decode
+//!   queues) and a stretch cut out of it (a TCP segment's payload), so
+//!   segmentation and reassembly move handles instead of gathering bytes;
 //! * [`BlkDesc`] / [`BlkReqHdr`] / [`BlkUsedElem`] / [`PushdownHdr`] — the
 //!   virtio-blk-shaped guest frontend's ring structures and the
 //!   storage-function pushdown frame (see `docs/PROTOCOL.md`).
@@ -20,6 +24,7 @@
 #![deny(missing_docs)]
 
 pub mod blk;
+mod chain;
 mod ebs;
 mod int;
 mod ip;
@@ -33,6 +38,7 @@ pub use blk::{
     BLK_KNOWN_FEATURES, BLK_S_BADCRC, BLK_S_IOERR, BLK_S_OK, BLK_S_UNSUPP, DESC_F_DEV_WRITE,
     PD_FLAG_RESPONSE, PD_FLAG_RETRANSMIT,
 };
+pub use chain::{ByteChain, ViewQueue};
 pub use ebs::{EbsHeader, EbsOp, FLAG_ECN_ECHO, FLAG_ENCRYPTED, FLAG_INT_REQUEST, FLAG_RETRANSMIT};
 pub use int::{IntHop, IntStack, MAX_INT_HOPS};
 pub use ip::{internet_checksum, Ipv4Header, TcpFlags, TcpHeader, UdpHeader, WireError};

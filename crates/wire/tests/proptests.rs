@@ -1,12 +1,21 @@
 //! Property tests: every wire codec round-trips arbitrary field values,
 //! and decoders never panic on arbitrary bytes.
 
-use bytes::BytesMut;
+use bytes::{Bytes, BytesMut};
 use ebs_wire::{
-    EbsHeader, EbsOp, IntHop, IntStack, Ipv4Header, RpcFrame, RpcMethod, TcpFlags, TcpHeader,
-    UdpHeader,
+    EbsHeader, EbsOp, FrameDecoder, IntHop, IntStack, Ipv4Header, RpcFrame, RpcMethod, TcpFlags,
+    TcpHeader, UdpHeader,
 };
 use proptest::prelude::*;
+
+/// Resolve arbitrary cut points into sorted, distinct bounds `0..=len`.
+fn bounds(cuts: &[prop::sample::Index], len: usize) -> Vec<usize> {
+    let mut b: Vec<usize> = cuts.iter().map(|c| c.index(len + 1)).collect();
+    b.extend([0, len]);
+    b.sort_unstable();
+    b.dedup();
+    b
+}
 
 fn op_strategy() -> impl Strategy<Value = EbsOp> {
     prop::sample::select(vec![
@@ -122,9 +131,109 @@ proptest! {
             len: payload.len() as u32,
             payload: bytes::Bytes::from(payload),
         };
-        let mut dec = ebs_wire::FrameDecoder::new();
-        dec.extend(&frame.to_bytes());
-        prop_assert_eq!(dec.next_frame().unwrap().unwrap(), frame);
+        let mut dec = FrameDecoder::new();
+        dec.push(frame.to_bytes());
+        prop_assert_eq!(dec.next_frame().unwrap().unwrap(), frame.clone());
+        prop_assert_eq!(RpcFrame::decode(frame.to_bytes()).unwrap(), frame);
+    }
+
+    /// However the stream is cut into views — slices of one buffer (what
+    /// TCP delivers for a payload it segmented; the decoder rejoins them)
+    /// or unrelated allocations (it gathers them) — feeding the views
+    /// through `push` yields exactly the frames a contiguous decode does.
+    #[test]
+    fn frame_stream_decodes_the_same_under_any_chunking(
+        specs in proptest::collection::vec(
+            (method_strategy(), any::<u64>(), proptest::collection::vec(any::<u8>(), 0..600)),
+            1..5,
+        ),
+        cuts in proptest::collection::vec(any::<prop::sample::Index>(), 0..12),
+        foreign in any::<bool>(),
+    ) {
+        let frames: Vec<RpcFrame> = specs
+            .into_iter()
+            .map(|(method, rpc_id, payload)| RpcFrame {
+                rpc_id,
+                method,
+                vd_id: rpc_id ^ 0x55,
+                offset: rpc_id.rotate_left(7),
+                len: payload.len() as u32,
+                payload: Bytes::from(payload),
+            })
+            .collect();
+        let mut stream = Vec::new();
+        for f in &frames {
+            f.encode(&mut stream);
+        }
+        let stream = Bytes::from(stream);
+
+        let mut contiguous = FrameDecoder::new();
+        contiguous.push(stream.clone());
+        let mut want = Vec::new();
+        while let Some(f) = contiguous.next_frame().unwrap() {
+            want.push(f);
+        }
+        prop_assert_eq!(&want, &frames);
+
+        let mut dec = FrameDecoder::new();
+        let mut got = Vec::new();
+        for w in bounds(&cuts, stream.len()).windows(2) {
+            dec.push(if foreign {
+                Bytes::copy_from_slice(&stream[w[0]..w[1]])
+            } else {
+                stream.slice(w[0]..w[1])
+            });
+            while let Some(f) = dec.next_frame().unwrap() {
+                got.push(f);
+            }
+        }
+        prop_assert_eq!(got, frames);
+        prop_assert_eq!(dec.pending(), 0);
+    }
+
+    /// `Bytes::try_unsplit`: a view joins the view that follows it in the
+    /// same storage (or an empty side) and then reads as the
+    /// concatenation; anything else comes back as `Err` with both sides
+    /// exactly as they were.
+    #[test]
+    fn try_unsplit_laws(
+        data in proptest::collection::vec(any::<u8>(), 0..200),
+        a in any::<prop::sample::Index>(),
+        b in any::<prop::sample::Index>(),
+        c in any::<prop::sample::Index>(),
+        d in any::<prop::sample::Index>(),
+        adjacent in any::<bool>(),
+        foreign in any::<bool>(),
+    ) {
+        let whole = Bytes::from(data);
+        let n = whole.len() + 1;
+        let mut l = [a.index(n), b.index(n)];
+        l.sort_unstable();
+        let (lo, mid) = (l[0], l[1]);
+        let mut r = [c.index(n), d.index(n)];
+        r.sort_unstable();
+        let (from, to) = if adjacent { (mid, r[1].max(mid)) } else { (r[0], r[1]) };
+        let left = whole.slice(lo..mid);
+        let right = if foreign {
+            Bytes::copy_from_slice(&whole[from..to])
+        } else {
+            whole.slice(from..to)
+        };
+        let joins = left.is_empty() || right.is_empty() || (!foreign && from == mid);
+
+        let mut joined = left.clone();
+        match joined.try_unsplit(right.clone()) {
+            Ok(()) => {
+                prop_assert!(joins, "joined views that are not adjacent in one storage");
+                let concat: Vec<u8> = left.iter().chain(right.iter()).copied().collect();
+                prop_assert_eq!(joined, concat);
+            }
+            Err(back) => {
+                prop_assert!(!joins, "refused an adjacent view of the same storage");
+                prop_assert_eq!(back.as_ptr_range(), right.as_ptr_range());
+                prop_assert_eq!(joined.as_ptr_range(), left.as_ptr_range());
+            }
+        }
     }
 
     /// Decoders never panic on garbage (they return errors instead).
@@ -135,8 +244,9 @@ proptest! {
         let _ = TcpHeader::decode(&mut &junk[..]);
         let _ = UdpHeader::decode(&mut &junk[..]);
         let _ = IntStack::decode(&mut &junk[..]);
-        let mut dec = ebs_wire::FrameDecoder::new();
-        dec.extend(&junk);
+        let _ = RpcFrame::decode(Bytes::copy_from_slice(&junk));
+        let mut dec = FrameDecoder::new();
+        dec.push(Bytes::copy_from_slice(&junk));
         let _ = dec.next_frame();
     }
 
