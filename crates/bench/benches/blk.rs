@@ -12,59 +12,6 @@
 //!   JSON reports are byte-identical (seed-replay determinism across
 //!   every placement) before writing anything.
 
-/// Zero out every `"...wall_s": <number>` value: wall-clock legitimately
-/// differs between replays; everything else must match byte-for-byte.
-fn strip_wall(json: &str) -> String {
-    let mut out = String::with_capacity(json.len());
-    let mut rest = json;
-    while let Some(i) = rest.find("wall_s\": ") {
-        let val_start = i + "wall_s\": ".len();
-        out.push_str(&rest[..val_start]);
-        out.push('0');
-        let tail = &rest[val_start..];
-        let end = tail
-            .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-            .unwrap_or(tail.len());
-        rest = &tail[end..];
-    }
-    out.push_str(rest);
-    out
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick" || a == "--test");
-    let replay_check = args.iter().any(|a| a == "--replay-check");
-
-    if replay_check {
-        let a = ebs_bench::blk::run_blk_report(true).to_json();
-        let b = ebs_bench::blk::run_blk_report(true).to_json();
-        assert_eq!(
-            strip_wall(&a),
-            strip_wall(&b),
-            "blk matrix replay diverged: the same seeds must reproduce identical metrics"
-        );
-        eprintln!("blk replay check OK");
-    }
-
-    let report = ebs_bench::blk::run_blk_report(quick);
-    let mut rendered = String::new();
-    for exp in &report.experiments {
-        let r = exp.output.render();
-        println!("{r}");
-        rendered.push_str(&r);
-    }
-    let json = report.to_json();
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_BLK.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-    let table_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/blk-table.txt");
-    let _ = std::fs::create_dir_all(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target"));
-    match std::fs::write(table_path, &rendered) {
-        Ok(()) => eprintln!("wrote {table_path}"),
-        Err(e) => eprintln!("could not write {table_path}: {e}"),
-    }
-    eprintln!("blk matrix done in {:.1}s", report.total_wall_s);
+    ebs_bench::suite_main("blk", "BENCH_BLK.json", ebs_bench::blk::run_blk_report);
 }

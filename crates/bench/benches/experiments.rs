@@ -67,25 +67,9 @@ fn main() {
     if args.iter().any(|a| a == "--profile") {
         profile_cells(quick);
     }
-    let report = ebs_bench::run_report(quick, !serial);
-    for exp in &report.experiments {
-        println!("{}", exp.output.render());
-    }
-    let json = report.to_json();
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_RESULTS.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-    eprintln!(
-        "all experiments regenerated in {:.1}s ({} harness)",
-        report.total_wall_s,
-        if report.parallel {
-            "parallel"
-        } else {
-            "serial"
-        }
-    );
+    ebs_bench::suite_main("experiments", "BENCH_RESULTS.json", |quick| {
+        ebs_bench::run_report(quick, !serial)
+    });
     // Diagnostic artifacts (Perfetto trace + metrics snapshot) from a
     // representative SOLAR run — separate from BENCH_RESULTS.json so the
     // headline metrics stay byte-identical with observability off.

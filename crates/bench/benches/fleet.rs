@@ -56,15 +56,7 @@ fn main() {
         return;
     }
 
-    let report = ebs_bench::fleet::run_fleet_report(threads);
-    for exp in &report.experiments {
-        println!("{}", exp.output.render());
-    }
-    let json = report.to_json();
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_FLEET.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-    eprintln!("fleet suite done in {:.1}s", report.total_wall_s);
+    ebs_bench::suite_main("fleet", "BENCH_FLEET.json", |_quick| {
+        ebs_bench::fleet::run_fleet_report(threads)
+    });
 }

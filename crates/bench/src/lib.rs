@@ -129,6 +129,59 @@ impl RunReport {
     }
 }
 
+/// Zero out every `"...wall_s": <number>` value: wall-clock legitimately
+/// differs between replays; everything else must match byte-for-byte.
+fn strip_wall(json: &str) -> String {
+    let mut parts = json.split("wall_s\": ");
+    let mut out = parts.next().unwrap_or_default().to_string();
+    for rest in parts {
+        out.push_str("wall_s\": 0");
+        out.push_str(rest.trim_start_matches(|c: char| c.is_ascii_digit() || c == '.' || c == '-'));
+    }
+    out
+}
+
+/// The body every suite bench main (`experiments`, `fleet`, `cc`, `blk`)
+/// shares: run `run(quick)`, print each experiment's tables, and write
+/// the report to `<repo root>/<json_file>` plus the rendered tables to
+/// `target/<name>-table.txt`. Reads two flags from the process
+/// arguments: `--quick` (or the harness's `--test`) selects the CI-sized
+/// run, and `--replay-check` first runs the quick suite twice and asserts
+/// the two JSON reports are byte-identical modulo `wall_s` (seed-replay
+/// determinism) before anything is written.
+pub fn suite_main(name: &str, json_file: &str, run: impl Fn(bool) -> RunReport) {
+    let args: Vec<String> = std::env::args().collect();
+    let quick = args.iter().any(|a| a == "--quick" || a == "--test");
+    if args.iter().any(|a| a == "--replay-check") {
+        assert_eq!(
+            strip_wall(&run(true).to_json()),
+            strip_wall(&run(true).to_json()),
+            "{name} replay diverged: the same seeds must reproduce identical metrics"
+        );
+        eprintln!("{name} replay check OK");
+    }
+
+    let report = run(quick);
+    let mut rendered = String::new();
+    for exp in &report.experiments {
+        let r = exp.output.render();
+        println!("{r}");
+        rendered.push_str(&r);
+    }
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let _ = std::fs::create_dir_all(format!("{root}/target"));
+    for (path, body) in [
+        (format!("{root}/{json_file}"), report.to_json()),
+        (format!("{root}/target/{name}-table.txt"), rendered),
+    ] {
+        match std::fs::write(&path, body) {
+            Ok(()) => eprintln!("wrote {path}"),
+            Err(e) => eprintln!("could not write {path}: {e}"),
+        }
+    }
+    eprintln!("{name} suite done in {:.1}s", report.total_wall_s);
+}
+
 fn timed(f: impl FnOnce() -> (ExperimentOutput, Vec<(String, f64)>)) -> ExperimentReport {
     let t = Instant::now();
     let (output, metrics) = f();

@@ -18,8 +18,11 @@
 //!   `docs/FAILURES.md` at the repository root for the full fault
 //!   catalogue with paper cross-references.
 //! * [`run_schedule`] — drives a schedule through an
-//!   [`ebs_stack::Testbed`] and checks the **invariant oracles**: no I/O
-//!   lost or duplicated, submit/complete counter conservation (QoS table
+//!   [`ebs_stack::Testbed`] (as the one-shard case of
+//!   [`run_schedule_sharded`], which replays the same schedule across an
+//!   [`ebs_stack::ShardedTestbed`]) and checks the **invariant
+//!   oracles**: no I/O lost or duplicated, submit/complete counter
+//!   conservation (QoS table
 //!   vs traces vs obs journal spans), every I/O completes within a
 //!   configurable recovery deadline once faults heal (Table 2's
 //!   "unanswered ≥ 1 s" predicate generalized), event-queue quiescence

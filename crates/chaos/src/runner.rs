@@ -1,12 +1,18 @@
-//! Drive one [`Schedule`] through a fresh [`Testbed`] and evaluate the
-//! invariant oracles at quiesce.
+//! Drive one [`Schedule`] through a fresh [`ShardedTestbed`] and
+//! evaluate the invariant oracles at quiesce.
 //!
-//! The runner is deterministic end to end: the testbed is seeded with
-//! the schedule's seed, fault events translate to testbed events at
-//! fixed instants, the workload detaches at the horizon, and the sim
-//! drains until `Schedule::quiesce_at`. Everything the caller might want
-//! to compare across replays (verdicts, metrics snapshot, schedule JSON)
-//! is captured as canonical strings.
+//! There is one runner. The flat testbed is its one-shard case: a
+//! one-shard fleet *is* the template [`Testbed`] (same config, same seed,
+//! no window barrier), so [`run_schedule`] is [`run_schedule_sharded`]
+//! with one shard and `crates/chaos/tests/flat_golden.rs` pins its
+//! outcomes to the ones the former flat runner body produced.
+//!
+//! The runner is deterministic end to end: shard 0 is seeded with the
+//! schedule's seed, fault events translate to testbed events at fixed
+//! instants, the workload detaches at the horizon, and the sim drains
+//! until `Schedule::quiesce_at`. Everything the caller might want to
+//! compare across replays (verdicts, metrics snapshot, schedule JSON) is
+//! captured as canonical strings.
 
 use bytes::Bytes;
 use ebs_cc::CcAlgo;
@@ -52,16 +58,19 @@ pub struct ChaosOutcome {
     pub corrupt_caught: u64,
     /// Invariant breaches (empty = the run certified recovery).
     pub violations: Vec<Violation>,
-    /// Blk-frontend counters at quiesce, when the schedule armed the
-    /// pushdown envelope (`None` otherwise, and under the fleet runner).
+    /// Blk-frontend counters at quiesce (shard 0 hosts the frontend),
+    /// when the schedule armed the pushdown envelope; `None` otherwise.
     pub blk: Option<BlkCounters>,
-    /// Canonical metrics snapshot (empty JSON object with obs off).
+    /// The replay-comparable metrics string: the canonical obs metrics
+    /// snapshot for a one-shard run (empty JSON object with obs off), the
+    /// fleet digest for a multi-shard one.
     pub metrics_json: String,
-    /// Chrome trace of the run, captured only for violating runs with
-    /// observability on (it is large).
+    /// Chrome trace of the run (every shard's journal, in shard order),
+    /// captured only for violating runs with observability on (it is
+    /// large).
     pub trace_json: Option<String>,
-    /// `explain_slowest`-style hop diagnosis of the slowest I/O,
-    /// captured for violating runs with observability on.
+    /// `explain_slowest`-style hop diagnosis of the slowest I/O in any
+    /// shard, captured for violating runs with observability on.
     pub diagnosis: Option<String>,
 }
 
@@ -149,25 +158,11 @@ fn incast_events(schedule: &Schedule) -> Vec<ebs_workload::IoEvent> {
     evs
 }
 
-/// Layer the incast/microburst traffic over the fio workload (flat
-/// runner). Events start at the same 1 ms mark fio attaches at.
-fn inject_incast(tb: &mut Testbed, schedule: &Schedule, t0: SimTime) {
-    let start = t0 + SimDuration::from_millis(1);
-    for e in incast_events(schedule) {
-        let compute = e.compute as usize % schedule.n_compute.max(1);
-        tb.schedule_io(
-            start + SimDuration::from_micros(e.at_us),
-            compute,
-            adversarial_req(&e, compute),
-        );
-    }
-}
-
-/// Mount the pushdown-enabled blk frontend on compute 0 and spread the
-/// envelope's filtered range scans evenly across the workload window.
-/// Pure config transfer plus arithmetic — no RNG draw, so arming the
-/// envelope shifts no other randomness.
-fn inject_blk(tb: &mut Testbed, schedule: &Schedule, t0: SimTime) {
+/// Mount the pushdown-enabled blk frontend on shard 0's compute 0 and
+/// spread the envelope's filtered range scans evenly from `start` across
+/// the workload window. Pure config transfer plus arithmetic — no RNG draw, so arming
+/// the envelope shifts no other randomness.
+fn inject_blk(tb: &mut Testbed, schedule: &Schedule, start: SimTime) {
     let Some(b) = &schedule.blk else {
         return;
     };
@@ -183,7 +178,6 @@ fn inject_blk(tb: &mut Testbed, schedule: &Schedule, t0: SimTime) {
         mask: 0x0F,
         value: 0x07,
     });
-    let start = t0 + SimDuration::from_millis(1);
     let span_ns = schedule
         .horizon
         .as_nanos()
@@ -237,250 +231,27 @@ fn blk_oracles(
     Some(c)
 }
 
-fn resolve_device(tb: &Testbed, tier: DeviceTier, index: usize) -> Option<DeviceId> {
+/// The fabric device a tier fault lands on: shard `device_index %
+/// n_shards`, resolved within that shard's fabric (`None` when the shard
+/// has no device of that tier).
+fn tier_target(
+    fleet: &mut ShardedTestbed,
+    tier: DeviceTier,
+    device_index: usize,
+) -> Option<(&mut Testbed, DeviceId)> {
+    let n = fleet.shards();
+    let tb = fleet.shard_mut(device_index % n);
     let kind = match tier {
         DeviceTier::Tor => ebs_net::DeviceKind::Tor,
         DeviceTier::Spine => ebs_net::DeviceKind::Spine,
     };
     let devices = tb.fabric().topology().devices_of_kind(kind);
-    if devices.is_empty() {
-        None
-    } else {
-        Some(devices[index % devices.len()])
-    }
-}
-
-/// Run `schedule` to quiesce and evaluate every oracle. Deterministic:
-/// equal schedules produce byte-identical outcomes.
-pub fn run_schedule(schedule: &Schedule) -> ChaosOutcome {
-    let mut cfg = TestbedConfig::small(schedule.variant, schedule.n_compute, schedule.n_storage);
-    cfg.seed = schedule.seed;
-    apply_cc_knobs(&mut cfg, schedule);
-    let mut tb = Testbed::new(cfg);
-    let t0 = SimTime::ZERO;
-    inject_incast(&mut tb, schedule, t0);
-    inject_blk(&mut tb, schedule, t0);
-
-    for compute in 0..schedule.n_compute {
-        tb.attach_fio(
-            t0 + SimDuration::from_millis(1),
-            compute,
-            FioConfig {
-                depth: schedule.fio_depth,
-                bytes: schedule.io_bytes,
-                read_fraction: schedule.read_fraction,
-            },
-        );
-    }
-
-    let mut violations = Vec::new();
-    let mut corrupt_planted = 0u64;
-    let mut corrupt_caught = 0u64;
-    for (i, f) in schedule.faults.iter().enumerate() {
-        let at = t0 + f.at;
-        let heal_at = at + f.kind.heal_after();
-        match &f.kind {
-            FaultKind::FailStop {
-                tier, device_index, ..
-            } => {
-                if let Some(dev) = resolve_device(&tb, *tier, *device_index) {
-                    tb.schedule_failure(at, dev, FailureMode::FailStop);
-                    tb.schedule_heal(heal_at, dev);
-                }
-            }
-            FaultKind::Reboot {
-                tier, device_index, ..
-            } => {
-                if let Some(dev) = resolve_device(&tb, *tier, *device_index) {
-                    tb.schedule_failure_with(at, dev, FailureMode::FailStop, REBOOT_CONVERGENCE);
-                    tb.schedule_heal(heal_at, dev);
-                }
-            }
-            FaultKind::Blackhole {
-                tier,
-                device_index,
-                fraction,
-                salt,
-                ..
-            } => {
-                if let Some(dev) = resolve_device(&tb, *tier, *device_index) {
-                    tb.schedule_failure(
-                        at,
-                        dev,
-                        FailureMode::Blackhole {
-                            fraction: *fraction,
-                            salt: *salt,
-                        },
-                    );
-                    tb.schedule_heal(heal_at, dev);
-                }
-            }
-            FaultKind::RandomLoss {
-                tier,
-                device_index,
-                rate,
-                ..
-            } => {
-                if let Some(dev) = resolve_device(&tb, *tier, *device_index) {
-                    tb.schedule_failure(at, dev, FailureMode::RandomLoss { rate: *rate });
-                    tb.schedule_heal(heal_at, dev);
-                }
-            }
-            FaultKind::QosThrottle {
-                compute,
-                iops,
-                mbps,
-                ..
-            } => {
-                let compute = compute % schedule.n_compute.max(1);
-                tb.schedule_qos(at, compute, throttle_spec(*iops, *mbps));
-                tb.schedule_qos(heal_at, compute, QosSpec::unlimited());
-            }
-            FaultKind::StorageSlowdown {
-                storage, factor, ..
-            } => {
-                let storage = storage % schedule.n_storage.max(1);
-                tb.schedule_storage_degrade(at, storage, *factor);
-                tb.schedule_storage_degrade(heal_at, storage, 1.0);
-            }
-            FaultKind::PcieStall { compute, extra, .. } => {
-                let compute = compute % schedule.n_compute.max(1);
-                tb.schedule_pcie_stall(at, compute, *extra);
-                tb.schedule_pcie_stall(heal_at, compute, SimDuration::ZERO);
-            }
-            FaultKind::BitFlip { rate, blocks } => {
-                // Side campaign: bit flips perturb *data*, not timing, so
-                // they run against the CRC pipeline directly (exactly the
-                // §4.7 data path) without disturbing the testbed's clock.
-                let (planted, caught) =
-                    bit_flip_campaign(schedule.seed, i as u64, *rate, *blocks, &mut violations);
-                corrupt_planted += planted;
-                corrupt_caught += caught;
-            }
-        }
-    }
-
-    tb.schedule_stop_fio(t0 + schedule.horizon);
-    tb.run_until(t0 + schedule.quiesce_at());
-
-    // --- oracles ---------------------------------------------------------
-    let last_heal = t0 + schedule.last_heal();
-    check_traces(
-        tb.traces(),
-        last_heal,
-        schedule.recovery_deadline,
-        &mut violations,
-    );
-
-    let submitted = tb.traces().len() as u64;
-    let completed = tb.traces().iter().filter(|t| t.completed.is_some()).count() as u64;
-    let admitted: u64 = (0..schedule.n_compute).map(|c| tb.qos_stats(c).0).sum();
-    let completed_ctr: u64 = (0..schedule.n_compute)
-        .map(|c| tb.compute_progress(c).0)
-        .sum();
-    conserve(
-        "qos_admitted == traces",
-        submitted,
-        admitted,
-        &mut violations,
-    );
-    conserve(
-        "completed counters == completed traces",
-        completed,
-        completed_ctr,
-        &mut violations,
-    );
-    conserve(
-        "outstanding == submitted - completed",
-        submitted - completed,
-        tb.outstanding_ios() as u64,
-        &mut violations,
-    );
-    if ebs_obs::ENABLED && tb.journal().dropped() == 0 {
-        let mut submits = 0u64;
-        let mut io_spans = 0u64;
-        for ev in tb.journal().events() {
-            if ev.track != ebs_stack::diag::IO_TRACK {
-                continue;
-            }
-            match ev.kind {
-                ebs_obs::EventKind::Instant { name: "submit", .. } => submits += 1,
-                ebs_obs::EventKind::Span { .. } => io_spans += 1,
-                _ => {}
-            }
-        }
-        conserve(
-            "journal submits == traces",
-            submitted,
-            submits,
-            &mut violations,
-        );
-        conserve(
-            "journal io spans == completed traces",
-            completed,
-            io_spans,
-            &mut violations,
-        );
-    }
-
-    let outstanding = tb.outstanding_ios() as u64;
-    let queue_len = tb.queue_len() as u64;
-    if outstanding > 0 || queue_len > schedule.max_idle_queue as u64 {
-        violations.push(Violation::NotQuiescent {
-            outstanding,
-            queue_len,
-            limit: schedule.max_idle_queue as u64,
-        });
-    }
-
-    // CC oracles, armed only under the incast envelope: bounded queue
-    // occupancy and no livelock.
-    if let Some(inc) = &schedule.incast {
-        let max_q = tb.fabric().max_queue_bytes() as u64;
-        if max_q > inc.max_queue_bytes as u64 {
-            violations.push(Violation::QueueBound {
-                max_queue_bytes: max_q,
-                limit: inc.max_queue_bytes as u64,
-            });
-        }
-        if submitted > 0 && completed == 0 {
-            violations.push(Violation::Livelock {
-                submitted,
-                completed,
-            });
-        }
-    }
-
-    let blk = blk_oracles(&tb, schedule, &mut violations);
-
-    tb.sample_obs();
-    let metrics_json = ebs_obs::metrics_snapshot(tb.metrics());
-    let (trace_json, diagnosis) = if !violations.is_empty() && ebs_obs::ENABLED {
-        (
-            Some(ebs_obs::chrome_trace(tb.journal())),
-            tb.explain_slowest_io().map(|e| e.render()),
-        )
-    } else {
-        (None, None)
-    };
-
-    ChaosOutcome {
-        seed: schedule.seed,
-        submitted,
-        completed,
-        corrupt_planted,
-        corrupt_caught,
-        violations,
-        blk,
-        metrics_json,
-        trace_json,
-        diagnosis,
-    }
+    let dev = *devices.get((device_index / n) % devices.len().max(1))?;
+    Some((tb, dev))
 }
 
 /// Map a flat server index onto the shard that owns it: `(shard, local
-/// index)`. The global index wraps modulo the fleet total, mirroring the
-/// flat runner's `index % n` normalization.
+/// index)`. The global index wraps modulo the fleet total.
 fn locate(counts: &[usize], global: usize) -> (usize, usize) {
     let total: usize = counts.iter().sum();
     let mut g = global % total.max(1);
@@ -493,17 +264,24 @@ fn locate(counts: &[usize], global: usize) -> (usize, usize) {
     (0, 0)
 }
 
-/// Replay `schedule` through the sharded fleet engine: the same fault
-/// timeline split across `n_shards` pod-group shards run under the
-/// window barrier with `threads` workers. The mapping from the flat
-/// schedule to the fleet is fixed — tier faults land in shard
-/// `device_index % n_shards` (resolved within that shard's fabric),
-/// compute/storage-indexed faults map their global index onto the
-/// owning shard's local slot, and fio attaches to every compute of
-/// every shard. Cross-shard replication stays off so the quiescence
-/// oracle keeps its meaning (no open-loop background traffic). The blk
-/// pushdown envelope is a flat-runner feature — the fleet replay ignores
-/// it (outcome `blk` stays `None`).
+/// Run `schedule` to quiesce on the flat testbed and evaluate every
+/// oracle: the one-shard, one-thread case of [`run_schedule_sharded`].
+/// Deterministic: equal schedules produce byte-identical outcomes.
+pub fn run_schedule(schedule: &Schedule) -> ChaosOutcome {
+    run_schedule_sharded(schedule, 1, 1)
+}
+
+/// Run `schedule` to quiesce on a fleet of `n_shards` pod-group shards
+/// under the window barrier with `threads` workers, and evaluate every
+/// oracle. The mapping from the flat schedule to the fleet is fixed —
+/// tier faults land in shard `device_index % n_shards` (resolved within
+/// that shard's fabric), compute/storage-indexed faults and incast
+/// traffic map their global index onto the owning shard's local slot,
+/// fio attaches to every compute of every shard, and the blk pushdown
+/// envelope mounts on shard 0. Cross-shard replication stays off so the
+/// quiescence oracle keeps its meaning (no open-loop background
+/// traffic). Per-I/O oracles run per shard; conserved quantities are
+/// summed across shards.
 ///
 /// Deterministic for any `threads` value: the replay tests assert the
 /// verdicts and the fleet digest are byte-identical across thread
@@ -525,8 +303,8 @@ pub fn run_schedule_sharded(schedule: &Schedule, n_shards: u32, threads: usize) 
     let computes: Vec<usize> = (0..n).map(|s| fleet.shard(s).config().n_compute).collect();
     let storages: Vec<usize> = (0..n).map(|s| fleet.shard(s).config().n_storage).collect();
 
-    // Incast traffic maps each flat compute index onto the owning
-    // shard's local slot, mirroring the fault mapping below.
+    // Workload: incast/microburst traffic, blk pushdown scans and fio all
+    // start at the same 1 ms mark.
     let start = t0 + SimDuration::from_millis(1);
     for e in incast_events(schedule) {
         let (s, local) = locate(&computes, e.compute as usize);
@@ -536,12 +314,11 @@ pub fn run_schedule_sharded(schedule: &Schedule, n_shards: u32, threads: usize) 
             adversarial_req(&e, local),
         );
     }
-
-    for s in 0..n {
-        let tb = fleet.shard_mut(s);
-        for compute in 0..tb.config().n_compute {
-            tb.attach_fio(
-                t0 + SimDuration::from_millis(1),
+    inject_blk(fleet.shard_mut(0), schedule, start);
+    for (s, &n_compute) in computes.iter().enumerate() {
+        for compute in 0..n_compute {
+            fleet.shard_mut(s).attach_fio(
+                start,
                 compute,
                 FioConfig {
                     depth: schedule.fio_depth,
@@ -562,8 +339,7 @@ pub fn run_schedule_sharded(schedule: &Schedule, n_shards: u32, threads: usize) 
             FaultKind::FailStop {
                 tier, device_index, ..
             } => {
-                let tb = fleet.shard_mut(device_index % n);
-                if let Some(dev) = resolve_device(tb, *tier, device_index / n.max(1)) {
+                if let Some((tb, dev)) = tier_target(&mut fleet, *tier, *device_index) {
                     tb.schedule_failure(at, dev, FailureMode::FailStop);
                     tb.schedule_heal(heal_at, dev);
                 }
@@ -571,8 +347,7 @@ pub fn run_schedule_sharded(schedule: &Schedule, n_shards: u32, threads: usize) 
             FaultKind::Reboot {
                 tier, device_index, ..
             } => {
-                let tb = fleet.shard_mut(device_index % n);
-                if let Some(dev) = resolve_device(tb, *tier, device_index / n.max(1)) {
+                if let Some((tb, dev)) = tier_target(&mut fleet, *tier, *device_index) {
                     tb.schedule_failure_with(at, dev, FailureMode::FailStop, REBOOT_CONVERGENCE);
                     tb.schedule_heal(heal_at, dev);
                 }
@@ -584,8 +359,7 @@ pub fn run_schedule_sharded(schedule: &Schedule, n_shards: u32, threads: usize) 
                 salt,
                 ..
             } => {
-                let tb = fleet.shard_mut(device_index % n);
-                if let Some(dev) = resolve_device(tb, *tier, device_index / n.max(1)) {
+                if let Some((tb, dev)) = tier_target(&mut fleet, *tier, *device_index) {
                     tb.schedule_failure(
                         at,
                         dev,
@@ -603,8 +377,7 @@ pub fn run_schedule_sharded(schedule: &Schedule, n_shards: u32, threads: usize) 
                 rate,
                 ..
             } => {
-                let tb = fleet.shard_mut(device_index % n);
-                if let Some(dev) = resolve_device(tb, *tier, device_index / n.max(1)) {
+                if let Some((tb, dev)) = tier_target(&mut fleet, *tier, *device_index) {
                     tb.schedule_failure(at, dev, FailureMode::RandomLoss { rate: *rate });
                     tb.schedule_heal(heal_at, dev);
                 }
@@ -635,6 +408,9 @@ pub fn run_schedule_sharded(schedule: &Schedule, n_shards: u32, threads: usize) 
                 tb.schedule_pcie_stall(heal_at, local, SimDuration::ZERO);
             }
             FaultKind::BitFlip { rate, blocks } => {
+                // Side campaign: bit flips perturb *data*, not timing, so
+                // they run against the CRC pipeline directly (exactly the
+                // §4.7 data path) without disturbing the testbed's clock.
                 let (planted, caught) =
                     bit_flip_campaign(schedule.seed, i as u64, *rate, *blocks, &mut violations);
                 corrupt_planted += planted;
@@ -653,10 +429,13 @@ pub fn run_schedule_sharded(schedule: &Schedule, n_shards: u32, threads: usize) 
     let mut submitted = 0u64;
     let mut completed = 0u64;
     let mut admitted = 0u64;
-    let mut completed_ctr = 0u64;
     let mut outstanding = 0u64;
     let mut queue_len = 0u64;
-    for s in 0..n {
+    let mut journal_dropped = 0u64;
+    let mut submits = 0u64;
+    let mut io_spans = 0u64;
+    let mut max_q = 0u64;
+    for (s, &n_compute) in computes.iter().enumerate() {
         let tb = fleet.shard(s);
         check_traces(
             tb.traces(),
@@ -666,14 +445,21 @@ pub fn run_schedule_sharded(schedule: &Schedule, n_shards: u32, threads: usize) 
         );
         submitted += tb.traces().len() as u64;
         completed += tb.traces().iter().filter(|t| t.completed.is_some()).count() as u64;
-        admitted += (0..tb.config().n_compute)
-            .map(|c| tb.qos_stats(c).0)
-            .sum::<u64>();
-        completed_ctr += (0..tb.config().n_compute)
-            .map(|c| tb.compute_progress(c).0)
-            .sum::<u64>();
+        admitted += (0..n_compute).map(|c| tb.qos_stats(c).0).sum::<u64>();
         outstanding += tb.outstanding_ios() as u64;
         queue_len += tb.queue_len() as u64;
+        journal_dropped += tb.journal().dropped();
+        for ev in tb.journal().events() {
+            if ev.track != ebs_stack::diag::IO_TRACK {
+                continue;
+            }
+            match ev.kind {
+                ebs_obs::EventKind::Instant { name: "submit", .. } => submits += 1,
+                ebs_obs::EventKind::Span { .. } => io_spans += 1,
+                _ => {}
+            }
+        }
+        max_q = max_q.max(tb.fabric().max_queue_bytes() as u64);
     }
     conserve(
         "qos_admitted == traces",
@@ -684,7 +470,7 @@ pub fn run_schedule_sharded(schedule: &Schedule, n_shards: u32, threads: usize) 
     conserve(
         "completed counters == completed traces",
         completed,
-        completed_ctr,
+        fleet.total_progress().0,
         &mut violations,
     );
     conserve(
@@ -693,21 +479,7 @@ pub fn run_schedule_sharded(schedule: &Schedule, n_shards: u32, threads: usize) 
         outstanding,
         &mut violations,
     );
-    if ebs_obs::ENABLED && (0..n).all(|s| fleet.shard(s).journal().dropped() == 0) {
-        let mut submits = 0u64;
-        let mut io_spans = 0u64;
-        for s in 0..n {
-            for ev in fleet.shard(s).journal().events() {
-                if ev.track != ebs_stack::diag::IO_TRACK {
-                    continue;
-                }
-                match ev.kind {
-                    ebs_obs::EventKind::Instant { name: "submit", .. } => submits += 1,
-                    ebs_obs::EventKind::Span { .. } => io_spans += 1,
-                    _ => {}
-                }
-            }
-        }
+    if ebs_obs::ENABLED && journal_dropped == 0 {
         conserve(
             "journal submits == traces",
             submitted,
@@ -733,13 +505,10 @@ pub fn run_schedule_sharded(schedule: &Schedule, n_shards: u32, threads: usize) 
         });
     }
 
-    // CC oracles under the incast envelope: the bound applies to the
-    // worst egress queue across every shard's fabric.
+    // CC oracles, armed only under the incast envelope: bounded queue
+    // occupancy (the worst egress queue across every shard's fabric) and
+    // no livelock.
     if let Some(inc) = &schedule.incast {
-        let max_q = (0..n)
-            .map(|s| fleet.shard(s).fabric().max_queue_bytes() as u64)
-            .max()
-            .unwrap_or(0);
         if max_q > inc.max_queue_bytes as u64 {
             violations.push(Violation::QueueBound {
                 max_queue_bytes: max_q,
@@ -754,11 +523,31 @@ pub fn run_schedule_sharded(schedule: &Schedule, n_shards: u32, threads: usize) 
         }
     }
 
-    // The fleet digest is the replay-comparable metrics string for the
-    // sharded engine: per-shard digests at the committed window edge plus
-    // the exchange totals. Trace/diagnosis capture stays with the flat
-    // runner, which the shrinker uses.
-    let metrics_json = fleet.metrics_digest();
+    let blk = blk_oracles(fleet.shard(0), schedule, &mut violations);
+
+    // The replay-comparable metrics string: the lone shard's obs snapshot
+    // for the flat testbed; for a real fleet, the fleet digest (per-shard
+    // digests at the committed window edge plus the exchange totals).
+    let metrics_json = if n == 1 {
+        let tb = fleet.shard_mut(0);
+        tb.sample_obs();
+        ebs_obs::metrics_snapshot(tb.metrics())
+    } else {
+        fleet.metrics_digest()
+    };
+    let (trace_json, diagnosis) = if !violations.is_empty() && ebs_obs::ENABLED {
+        // I/O ids are per shard, so the slowest I/O is explained from its
+        // own shard's journal (ties: the lowest shard wins).
+        let slowest = (0..n)
+            .filter_map(|s| fleet.shard(s).explain_slowest_io())
+            .reduce(|a, b| if b.total > a.total { b } else { a });
+        (
+            Some(ebs_obs::chrome_trace(&fleet.merged_journal())),
+            slowest.map(|e| e.render()),
+        )
+    } else {
+        (None, None)
+    };
 
     ChaosOutcome {
         seed: schedule.seed,
@@ -767,10 +556,10 @@ pub fn run_schedule_sharded(schedule: &Schedule, n_shards: u32, threads: usize) 
         corrupt_planted,
         corrupt_caught,
         violations,
-        blk: None,
+        blk,
         metrics_json,
-        trace_json: None,
-        diagnosis: None,
+        trace_json,
+        diagnosis,
     }
 }
 

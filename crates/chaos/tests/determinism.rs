@@ -65,6 +65,11 @@ fn chaos_seed_replays_through_the_sharded_engine() {
                 serial.metrics_json, threaded.metrics_json,
                 "2-thread fleet digest diverged, seed {seed}"
             );
+            // The flat runner is the one-shard fleet.
+            let flat = run_schedule(&sched);
+            let one_shard = run_schedule_sharded(&sched, 1, 1);
+            assert_eq!(flat.verdicts_json(), one_shard.verdicts_json());
+            assert_eq!(flat.metrics_json, one_shard.metrics_json);
         }
     }
 }

@@ -52,10 +52,10 @@ pub struct ReplicationConfig {
 /// sharding/execution knobs.
 #[derive(Debug, Clone)]
 pub struct ShardedTestbedConfig {
-    /// Template carrying the fleet-wide totals (`n_compute`, `n_storage`)
-    /// and every model knob. Each shard rebuilds its own right-sized
-    /// fabric with [`TestbedConfig::small`]; the template's `fabric` and
-    /// `gateway` fields are ignored.
+    /// Template every shard is cloned from, carrying the fleet-wide
+    /// totals. Per shard only `n_compute`, `n_storage`, `fabric` (rebuilt
+    /// right-sized by [`TestbedConfig::small`]), `gateway` and `seed` are
+    /// overridden.
     pub base: TestbedConfig,
     /// Number of shards to split the fleet into.
     pub n_shards: u32,
@@ -164,28 +164,16 @@ impl ShardedTestbed {
         let mut shards = Vec::with_capacity(n);
         let mut boundary_latency = SimDuration::ZERO;
         for (i, slice) in plan.shards.iter().enumerate() {
-            let mut c = TestbedConfig::small(
-                cfg.base.variant,
-                slice.computes as usize,
-                slice.storages as usize,
-            );
-            // Carry every model knob from the template; only the fabric
-            // geometry is per-shard.
-            c.compute_cores = cfg.base.compute_cores;
-            c.routing_convergence = cfg.base.routing_convergence;
-            c.vd_segments = cfg.base.vd_segments;
-            c.qos = cfg.base.qos;
-            c.ssd = cfg.base.ssd;
-            c.bn = cfg.base.bn;
-            c.solar = cfg.base.solar.clone();
-            c.pcie = cfg.base.pcie;
-            c.sa_enabled = cfg.base.sa_enabled;
-            c.vds_per_compute = cfg.base.vds_per_compute;
+            // Per-shard overrides: n_compute, n_storage, fabric, seed, gateway.
+            let mut c = cfg.base.clone();
+            c.n_compute = slice.computes as usize;
+            c.n_storage = slice.storages as usize;
+            c.fabric = TestbedConfig::small(c.variant, c.n_compute, c.n_storage).fabric;
             // Distinct workloads per shard; shard 0 keeps the template
             // seed so a 1-shard fleet replays the legacy testbed exactly.
             c.seed = cfg.base.seed.wrapping_add(i as u64);
-            if replicate.is_some() {
-                c.gateway = true;
+            c.gateway = replicate.is_some();
+            if c.gateway {
                 // The gateway needs a spare server slot.
                 while fabric_slots(&c) <= c.n_compute + c.n_storage {
                     c.fabric.pods_per_dc += 1;
@@ -355,14 +343,26 @@ impl ShardedTestbed {
     /// the parallel path, one shard at a time in shard order.
     fn run_serial(&mut self, horizon: SimTime) {
         let n = self.shards.len();
+        // A lone shard has no boundary to exchange across, so nothing
+        // bounds its window: it runs to the horizon in one step, and its
+        // clock parks on its last event exactly as a standalone
+        // `Testbed`'s does — a one-shard fleet *is* its template testbed,
+        // clock-dependent gauges included.
+        let lone = n == 1;
         let mut staged: Vec<Vec<RemoteMsg>> = vec![Vec::new(); n];
         let t_worker = crate::wallclock::now();
         while self.now < horizon {
-            let edge = (self.now + self.window).min(horizon);
+            let edge = if lone {
+                horizon
+            } else {
+                (self.now + self.window).min(horizon)
+            };
             for (i, tb) in self.shards.iter_mut().enumerate() {
                 let t0 = crate::wallclock::now();
                 tb.run_until(edge);
-                tb.advance_clock_to(edge);
+                if !lone {
+                    tb.advance_clock_to(edge);
+                }
                 for m in tb.take_remote_outbox() {
                     self.stats[i].sent += 1;
                     staged[leg_dst(&m)].push(m);
@@ -430,7 +430,7 @@ impl ShardedTestbed {
                             break;
                         }
                         let e = SimTime::from_nanos(e);
-                        for (i, tb, st) in set.iter_mut() {
+                        for (_, tb, st) in set.iter_mut() {
                             let t0 = crate::wallclock::now();
                             tb.run_until(e);
                             tb.advance_clock_to(e);
@@ -444,7 +444,6 @@ impl ShardedTestbed {
                             let d = t0.elapsed().as_nanos() as u64;
                             st.busy_ns += d;
                             ws.busy_ns += d;
-                            let _ = i;
                         }
                         let b1 = crate::wallclock::now();
                         barrier.wait(); // all outboxes staged
@@ -521,19 +520,18 @@ mod tests {
     use crate::{FioConfig, Variant};
     use ebs_net::{DeviceKind, FailureMode};
 
+    /// The determinism fixture's light fio load.
+    const LIGHT: FioConfig = FioConfig {
+        depth: 2,
+        bytes: 4096,
+        read_fraction: 0.5,
+    };
+
     /// The 4-pod determinism fixture: fio load on every compute, one
     /// ToR blackhole incident per engine.
-    fn load(tb: &mut Testbed) {
+    fn load(tb: &mut Testbed, fio: FioConfig) {
         for c in 0..tb.config().n_compute {
-            tb.attach_fio(
-                SimTime::from_millis(1),
-                c,
-                FioConfig {
-                    depth: 2,
-                    bytes: 4096,
-                    read_fraction: 0.5,
-                },
-            );
+            tb.attach_fio(SimTime::from_millis(1), c, fio);
         }
         let tor = tb.fabric().topology().devices_of_kind(DeviceKind::Tor)[0];
         tb.schedule_failure(
@@ -549,20 +547,48 @@ mod tests {
     #[test]
     fn one_shard_fleet_replays_the_legacy_testbed_byte_for_byte() {
         let horizon = SimTime::from_millis(20);
+        // The stock template under the light load, then one template per
+        // congestion knob a shard must inherit — fabric ECN marking under
+        // SOLAR + DCQCN, the RDMA baseline's DCQCN controller, Swift in
+        // LUNA's TCP — under a load deep enough to build the queues and
+        // windows those knobs act on.
+        let heavy = FioConfig {
+            depth: 8,
+            bytes: 65536,
+            read_fraction: 0.5,
+        };
+        let mut solar_ecn = TestbedConfig::small(Variant::Solar, 8, 8);
+        solar_ecn.ecn.enabled = true;
+        solar_ecn.solar.cc = ebs_cc::CcAlgo::Dcqcn;
+        let mut rdma_dcqcn = TestbedConfig::small(Variant::Rdma, 8, 8);
+        rdma_dcqcn.ecn.enabled = true;
+        rdma_dcqcn.rdma.dcqcn = Some(ebs_cc::DcqcnConfig::default());
+        let mut luna_swift = TestbedConfig::small(Variant::Luna, 8, 8);
+        luna_swift.tcp_swift = Some(ebs_cc::SwiftConfig::default());
+        let cases = [
+            (TestbedConfig::small(Variant::Solar, 8, 8), LIGHT),
+            (solar_ecn, heavy),
+            (rdma_dcqcn, heavy),
+            (luna_swift, heavy),
+        ];
+        for (base, fio) in cases {
+            let mut legacy = Testbed::new(base.clone());
+            load(&mut legacy, fio);
+            legacy.run_until(horizon);
 
-        let mut legacy = Testbed::new(TestbedConfig::small(Variant::Solar, 8, 8));
-        load(&mut legacy);
-        legacy.run_until(horizon);
+            let mut cfg = ShardedTestbedConfig::new(base.variant, 8, 8, 1);
+            cfg.base = base;
+            let mut fleet = ShardedTestbed::new(cfg);
+            load(fleet.shard_mut(0), fio);
+            fleet.run_until(horizon);
 
-        let mut fleet = ShardedTestbed::new(ShardedTestbedConfig::new(Variant::Solar, 8, 8, 1));
-        load(fleet.shard_mut(0));
-        fleet.run_until(horizon);
-
-        assert_eq!(
-            legacy.metrics_digest(horizon),
-            fleet.shard(0).metrics_digest(horizon),
-            "windowed single-shard run must equal the one-shot legacy run"
-        );
+            assert_eq!(
+                legacy.metrics_digest(horizon),
+                fleet.shard(0).metrics_digest(horizon),
+                "single-shard {} fleet must equal the legacy run of its template",
+                fleet.shard(0).config().variant.label()
+            );
+        }
     }
 
     fn four_pod_fleet(threads: usize) -> ShardedTestbed {
@@ -575,7 +601,7 @@ mod tests {
         });
         let mut fleet = ShardedTestbed::new(cfg);
         for s in 0..fleet.shards() {
-            load(fleet.shard_mut(s));
+            load(fleet.shard_mut(s), LIGHT);
         }
         fleet.run_until(SimTime::from_millis(20));
         fleet

@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 
 use bytes::Bytes;
-use ebs_luna::{RpcClient, RpcServer, StackCosts};
+use ebs_luna::{read_request, write_request, RpcClient, RpcServer, StackCosts};
 use ebs_net::{
     ClosConfig, DeviceId, Fabric, FabricConfig, FabricPacket, FailureMode, FlowLabel, NetEvent,
     Topology,
@@ -258,14 +258,12 @@ impl TestbedConfig {
     /// A small default testbed for `variant`: fabric sized to fit the
     /// servers, generous VDs, no QoS throttling.
     pub fn small(variant: Variant, n_compute: usize, n_storage: usize) -> Self {
-        let total = n_compute + n_storage;
         let servers_per_tor = 4;
         // Compute and storage clusters live in separate pods (Fig. 1), so
         // FN traffic genuinely crosses the spine/core tiers.
         let compute_tors = n_compute.div_ceil(servers_per_tor).max(2) as u32;
         let storage_tors = n_storage.div_ceil(servers_per_tor).max(2) as u32;
         let tors = compute_tors + storage_tors;
-        let _ = total;
         let pods = tors.div_ceil(2).max(2);
         let mut fabric = ClosConfig::testbed(pods, 2, servers_per_tor as u32);
         // Production servers attach to a ToR *pair* (§3.3); SOLAR's
@@ -1431,7 +1429,7 @@ impl Testbed {
                 len,
                 trace_idx,
             } => self.blk_local_done(now, compute, queue, desc, status, len, trace_idx),
-            Event::BlkRetx { compute, req_id } => self.blk_retx(now, compute, req_id),
+            Event::BlkRetx { compute, req_id } => self.blk_send_parts(now, compute, req_id, true),
         }
     }
 
@@ -1641,6 +1639,20 @@ impl Testbed {
             c.next_rpc_id += 1;
             c.rpc_to_io.insert(rpc_id, (io_id, sub.blocks.len() as u32));
             let storage = sub.block_server;
+            let bytes = sub.blocks.len() * BLOCK_SIZE as usize;
+            // The frame the TCP and RDMA transports both carry.
+            let rpc_frame = || {
+                let offset = sub.blocks[0] * BLOCK_SIZE as u64;
+                match kind {
+                    // Shared zero region: the simulator only cares about
+                    // payload *length*, so every frame views one immutable
+                    // zero slab (no per-RPC allocation).
+                    IoKind::Write => {
+                        write_request(rpc_id, vd_id, offset, ebs_wire::pool::zero_payload(bytes))
+                    }
+                    IoKind::Read => read_request(rpc_id, vd_id, offset, bytes as u32),
+                }
+            };
             match &mut c.transport {
                 ComputeTransport::Tcp { costs, conns } => {
                     let conn = conns.entry(storage).or_insert_with(|| {
@@ -1651,36 +1663,13 @@ impl Testbed {
                             ..TcpConfig::default()
                         })
                     });
-                    let bytes = sub.blocks.len() * BLOCK_SIZE as usize;
-                    let frame = match kind {
-                        IoKind::Write => RpcFrame {
-                            rpc_id,
-                            method: RpcMethod::Write,
-                            vd_id,
-                            offset: sub.blocks[0] * BLOCK_SIZE as u64,
-                            len: bytes as u32,
-                            // Shared zero region: the simulator only
-                            // cares about payload *length*, so every frame
-                            // views one immutable zero slab (no per-RPC
-                            // allocation).
-                            payload: ebs_wire::pool::zero_payload(bytes),
-                        },
-                        IoKind::Read => RpcFrame {
-                            rpc_id,
-                            method: RpcMethod::Read,
-                            vd_id,
-                            offset: sub.blocks[0] * BLOCK_SIZE as u64,
-                            len: bytes as u32,
-                            payload: Bytes::new(),
-                        },
-                    };
                     // Stack cost: CPU for the tx side plus crossing latency.
                     let cpu_cost = costs.cpu_for_rpc(bytes);
                     let t =
                         c.cpu.run(now, cpu_cost) + costs.crossing_latency.saturating_sub(cpu_cost);
                     // The engine is sans-io: submission is immediate; the
                     // latency shows up by delaying the pump via a timer.
-                    conn.call(t.max(now), &frame);
+                    conn.call(t.max(now), &rpc_frame());
                     bump_timer(
                         &mut c.timer_at,
                         &mut self.q,
@@ -1692,25 +1681,8 @@ impl Testbed {
                     let conn = conns
                         .entry(storage)
                         .or_insert_with(|| RdmaQp::new(self.cfg.rdma.clone()));
-                    let bytes = sub.blocks.len() * BLOCK_SIZE as usize;
-                    let frame = RpcFrame {
-                        rpc_id,
-                        method: if kind == IoKind::Write {
-                            RpcMethod::Write
-                        } else {
-                            RpcMethod::Read
-                        },
-                        vd_id,
-                        offset: sub.blocks[0] * BLOCK_SIZE as u64,
-                        len: bytes as u32,
-                        payload: if kind == IoKind::Write {
-                            ebs_wire::pool::zero_payload(bytes)
-                        } else {
-                            Bytes::new()
-                        },
-                    };
                     let t = c.cpu.run(now, costs.cpu_per_rpc) + costs.crossing_latency;
-                    conn.post_send(frame.to_bytes());
+                    conn.post_send(rpc_frame().to_bytes());
                     bump_timer(
                         &mut c.timer_at,
                         &mut self.q,

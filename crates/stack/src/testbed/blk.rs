@@ -425,14 +425,13 @@ impl Testbed {
     pub(crate) fn blk_guest(&mut self, now: SimTime, compute: usize, queue: usize, req: BlkReq) {
         // Stage 1 under one destructured borrow: ring accept + pop +
         // classification. The two tails that need `&mut self` methods
-        // (guest_io, send_fabric) run after it ends.
+        // (guest_io, blk_send_parts) run after it ends.
         let mut guest_read: Option<(IoRequest, usize, u16, BlkReq, usize)> = None;
-        let mut remote: Option<(u64, Vec<(FlowLabel, Msg)>)> = None;
+        let mut remote: Option<u64> = None;
         {
             let Testbed {
                 blk,
                 computes,
-                storages,
                 journal,
                 q,
                 ..
@@ -554,8 +553,7 @@ impl Testbed {
                         };
                         guest_read = Some((io, queue, desc, req, trace_idx));
                     } else {
-                        // One part per (segment, block server) run; each is
-                        // one small self-contained frame.
+                        // One part per (segment, block server) run.
                         let subs = match ebs_sa::split_range(
                             &computes[compute].seg_table,
                             req.vd_id,
@@ -567,70 +565,32 @@ impl Testbed {
                         };
                         let req_id = st.next_req_id;
                         st.next_req_id += 1;
-                        let cdev = computes[compute].device;
-                        let mut sends = Vec::with_capacity(subs.len());
-                        let mut parts = Vec::with_capacity(subs.len());
-                        for (pi, sub) in subs.iter().enumerate() {
-                            let hdr = PushdownHdr {
-                                version: PushdownHdr::VERSION,
-                                op: func.op,
-                                placement,
-                                flags: 0,
-                                req_id,
-                                vd_id: req.vd_id,
-                                first_block: sub.blocks[0],
-                                block_count: sub.blocks.len() as u32,
-                                pred_offset: func.pred.offset,
-                                pred_mask: func.pred.mask,
-                                pred_value: func.pred.value,
-                                group_k: func.group_k,
-                                status: 0,
-                                part: pi as u16,
-                                blocks_out: 0,
-                                result_crc: 0,
-                            };
-                            let sdev = storages[sub.block_server as usize].device;
-                            sends.push((
-                                FlowLabel {
-                                    src: cdev,
-                                    dst: sdev,
-                                    src_port: 30_000 + (req_id & 0x3FF) as u16,
-                                    dst_port: 9200,
-                                    proto: 17,
-                                },
-                                Msg::Pushdown(PushdownMsg {
-                                    compute: compute as u32,
-                                    storage: sub.block_server,
-                                    hdr,
-                                }),
-                            ));
-                            parts.push(PdPart {
+                        let parts: Vec<PdPart> = subs
+                            .iter()
+                            .map(|sub| PdPart {
                                 storage: sub.block_server,
                                 first_block: sub.blocks[0],
                                 count: sub.blocks.len() as u32,
                                 done: false,
-                            });
-                        }
-                        st.counters.parts_sent += parts.len() as u64;
-                        st.pd_map.insert(
-                            req_id,
-                            PendingPd {
-                                compute,
-                                queue,
-                                desc,
-                                func,
-                                placement,
-                                vd_id: req.vd_id,
-                                first_block: req.first_block,
-                                block_count: req.blocks,
-                                parts,
-                                parts_done: 0,
-                                agg_crc: 0,
-                                blocks_out: 0,
-                                trace_idx,
-                            },
-                        );
-                        remote = Some((req_id, sends));
+                            })
+                            .collect();
+                        let pd = PendingPd {
+                            compute,
+                            queue,
+                            desc,
+                            func,
+                            placement,
+                            vd_id: req.vd_id,
+                            first_block: req.first_block,
+                            block_count: req.blocks,
+                            parts,
+                            parts_done: 0,
+                            agg_crc: 0,
+                            blocks_out: 0,
+                            trace_idx,
+                        };
+                        st.pd_map.insert(req_id, pd);
+                        remote = Some(req_id);
                     }
                 }
             }
@@ -649,12 +609,8 @@ impl Testbed {
                 );
             }
         }
-        if let Some((req_id, sends)) = remote {
-            for (flow, msg) in sends {
-                self.send_fabric(now, flow, PD_REQ_BYTES, None, msg);
-            }
-            self.q
-                .schedule_at(now + PD_RTO, Event::BlkRetx { compute, req_id });
+        if let Some(req_id) = remote {
+            self.blk_send_parts(now, compute, req_id, false);
         }
     }
 
@@ -847,7 +803,6 @@ impl Testbed {
             if !ok {
                 st.counters.crc_failures += 1;
             }
-            let _ = finished.placement;
             st.complete(
                 journal,
                 at,
@@ -861,10 +816,12 @@ impl Testbed {
         }
     }
 
-    /// RTO fired for pushdown `req_id`: resend every part still missing
-    /// and rearm. Idempotent on both sides — the storage server serves
-    /// duplicates blindly, the client drops duplicate responses.
-    pub(crate) fn blk_retx(&mut self, now: SimTime, compute: usize, req_id: u64) {
+    /// Send every part of pushdown `req_id` still missing and arm its
+    /// RTO: the first transmission (`retx == false`, nothing done yet) and
+    /// every RTO round after it. Idempotent on both sides — the storage
+    /// server serves duplicates blindly, the client drops duplicate
+    /// responses.
+    pub(crate) fn blk_send_parts(&mut self, now: SimTime, compute: usize, req_id: u64, retx: bool) {
         let mut sends: Vec<(FlowLabel, Msg)> = Vec::new();
         {
             let Testbed {
@@ -877,16 +834,25 @@ impl Testbed {
             let Some(p) = st.pd_map.get(&req_id) else {
                 return; // completed; the timer dies here
             };
-            let cdev = computes[p.compute].device;
+            let (flags, src_port) = if retx {
+                // A fresh source port per retransmit round so the flow
+                // re-hashes around a dead path (the SOLAR path-remap
+                // trick at the pushdown layer).
+                let salt = req_id.wrapping_add(now.as_nanos());
+                (PD_FLAG_RETRANSMIT, 31_000 + (salt & 0x3FF) as u16)
+            } else {
+                (0, 30_000 + (req_id & 0x3FF) as u16)
+            };
             for (pi, part) in p.parts.iter().enumerate() {
                 if part.done {
                     continue;
                 }
+                // One small self-contained frame per part.
                 let hdr = PushdownHdr {
                     version: PushdownHdr::VERSION,
                     op: p.func.op,
                     placement: p.placement,
-                    flags: PD_FLAG_RETRANSMIT,
+                    flags,
                     req_id,
                     vd_id: p.vd_id,
                     first_block: part.first_block,
@@ -902,12 +868,9 @@ impl Testbed {
                 };
                 sends.push((
                     FlowLabel {
-                        src: cdev,
+                        src: computes[p.compute].device,
                         dst: storages[part.storage as usize].device,
-                        // A fresh source port per retransmit round so the
-                        // flow re-hashes around a dead path (the SOLAR
-                        // path-remap trick at the pushdown layer).
-                        src_port: 31_000 + (req_id.wrapping_add(now.as_nanos()) & 0x3FF) as u16,
+                        src_port,
                         dst_port: 9200,
                         proto: 17,
                     },
@@ -918,7 +881,11 @@ impl Testbed {
                     }),
                 ));
             }
-            st.counters.retransmits += sends.len() as u64;
+            if retx {
+                st.counters.retransmits += sends.len() as u64;
+            } else {
+                st.counters.parts_sent += sends.len() as u64;
+            }
         }
         for (flow, msg) in sends {
             self.send_fabric(now, flow, PD_REQ_BYTES, None, msg);

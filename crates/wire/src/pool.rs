@@ -449,6 +449,16 @@ mod tests {
         let stats = pool.stats();
         assert_eq!(stats.misses, 1, "one cold allocation, then reuse");
         assert_eq!(stats.hits, 99);
+
+        // A queue depth of 8: eight live buffers cost eight allocations
+        // in the first round and none after.
+        let pool = BlockPool::new(4096, 64);
+        for _ in 0..100 {
+            let live: Vec<_> = (0..8).map(|_| pool.take()).collect();
+            drop(live);
+        }
+        let stats = pool.stats();
+        assert_eq!((stats.misses, stats.hits), (8, 99 * 8));
     }
 
     #[test]
@@ -461,6 +471,11 @@ mod tests {
         let clean = pool.take_zeroed();
         assert!(clean.iter().all(|&b| b == 0));
         assert_eq!(clean.len(), 64);
+        drop(clean);
+        // A plain `take` of the same recycled block starts empty.
+        let empty = pool.take();
+        assert!(empty.is_empty());
+        assert!(empty.capacity() >= 64);
     }
 
     #[test]
