@@ -1,8 +1,8 @@
 //! `cargo bench -p ebs-bench --bench blk` runs the pushdown placement
 //! matrix (see [`ebs_bench::blk`]) and writes `BENCH_BLK.json` at the
-//! repository root — same schema as `BENCH_RESULTS.json`, gated by the
-//! same `scripts/bench_compare.py` tolerances — plus the rendered table
-//! at `target/blk-table.txt` for the CI artifact upload.
+//! repository root — same schema as `BENCH_RESULTS.json`, gated
+//! the same way (regenerate, then `git diff --exit-code`) — plus the
+//! rendered table at `target/blk-table.txt` for the CI artifact upload.
 //!
 //! Flags:
 //! * `--quick` (or the harness's `--test` flag) runs the CI-sized cells;

@@ -1,8 +1,8 @@
 //! `cargo bench -p ebs-bench --bench cc` runs the congestion-control
 //! comparison matrix (see [`ebs_bench::cc`]) and writes `BENCH_CC.json`
 //! at the repository root — same schema as `BENCH_RESULTS.json`, gated
-//! by the same `scripts/bench_compare.py` tolerances — plus the rendered
-//! table at `target/cc-table.txt` for the CI artifact upload.
+//! the same way (regenerate, then `git diff --exit-code`) — plus the
+//! rendered table at `target/cc-table.txt` for the CI artifact upload.
 //!
 //! Flags:
 //! * `--quick` (or the harness's `--test` flag) runs the CI-sized cells;

@@ -21,7 +21,7 @@
 //!   --benches`.
 //!
 //! Any violating seed is shrunk to a minimal repro and written to
-//! `target/chaos-repro-<seed>.json` (plus `-trace.json` with obs on).
+//! `target/chaos-repro-<seed>.json` plus `-trace.json`.
 
 use std::time::Instant;
 

@@ -27,7 +27,6 @@ use ebs_stack::blk::{BlkReq, Predicate, StorageFn};
 use ebs_stack::{BlkMountConfig, Testbed, TestbedConfig, Variant};
 use ebs_stats::{f1, TextTable};
 use ebs_wire::PushdownPlacement;
-use std::time::Instant;
 
 use crate::output::ExperimentOutput;
 use crate::{ExperimentReport, RunReport};
@@ -139,7 +138,6 @@ pub fn blk_cell(
 /// The full matrix: 3 placements × 3 storage functions, each cell an
 /// independent deterministic simulation on a scoped thread.
 pub fn blk_matrix(quick: bool) -> ExperimentReport {
-    let t0 = Instant::now();
     let (requests, blocks) = if quick { (24, 128) } else { (96, 256) };
     let funcs = functions();
     let cells: Vec<(&'static str, PushdownPlacement, BlkCell)> = std::thread::scope(|s| {
@@ -202,18 +200,13 @@ pub fn blk_matrix(quick: bool) -> ExperimentReport {
             ],
         },
         metrics,
-        wall_s: t0.elapsed().as_secs_f64(),
     }
 }
 
 /// The whole `BENCH_BLK.json` report.
 pub fn run_blk_report(quick: bool) -> RunReport {
-    let t0 = Instant::now();
-    let experiments = vec![blk_matrix(quick)];
     RunReport {
         quick,
-        parallel: true,
-        total_wall_s: t0.elapsed().as_secs_f64(),
-        experiments,
+        experiments: vec![blk_matrix(quick)],
     }
 }

@@ -23,7 +23,6 @@ use ebs_sim::{SimDuration, SimTime};
 use ebs_stack::{Testbed, TestbedConfig, Variant};
 use ebs_stats::{f1, TextTable};
 use ebs_workload::adversarial::{self, AdversarialConfig};
-use std::time::Instant;
 
 use crate::output::ExperimentOutput;
 use crate::{ExperimentReport, RunReport};
@@ -117,7 +116,6 @@ pub fn cc_cell(algo: CcAlgo, events: &[ebs_workload::IoEvent], duration_us: u64)
 /// The full matrix: 4 algorithms × 4 adversarial workloads, each cell an
 /// independent simulation run on a scoped thread.
 pub fn cc_matrix(quick: bool) -> ExperimentReport {
-    let t0 = Instant::now();
     let adv = AdversarialConfig {
         n_compute: N_COMPUTE as u32,
         duration_us: if quick { 2_000 } else { 8_000 },
@@ -178,18 +176,13 @@ pub fn cc_matrix(quick: bool) -> ExperimentReport {
             ],
         },
         metrics,
-        wall_s: t0.elapsed().as_secs_f64(),
     }
 }
 
 /// The whole `BENCH_CC.json` report.
 pub fn run_cc_report(quick: bool) -> RunReport {
-    let t0 = Instant::now();
-    let experiments = vec![cc_matrix(quick)];
     RunReport {
         quick,
-        parallel: true,
-        total_wall_s: t0.elapsed().as_secs_f64(),
-        experiments,
+        experiments: vec![cc_matrix(quick)],
     }
 }

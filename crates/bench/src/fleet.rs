@@ -1,10 +1,10 @@
 //! Fleet-scale experiments on the sharded engine: run a region's worth
 //! of pods through [`ShardedTestbed`] and measure what the flat testbed
 //! cannot reach — ≥10K compute servers and ≥1M virtual disks in one
-//! deterministic simulation, plus the structural speedup sharding buys.
+//! deterministic simulation.
 //!
-//! Three experiments, written to `BENCH_FLEET.json` with the same schema
-//! as `BENCH_RESULTS.json` (so `scripts/bench_compare.py` gates both):
+//! Two experiments, written to `BENCH_FLEET.json` with the same schema
+//! as `BENCH_RESULTS.json`:
 //!
 //! * `fleet_smoke` — a 4-shard fleet with cross-shard replication and a
 //!   ToR blackhole; re-runs the window sequence on 2 worker threads and
@@ -13,19 +13,10 @@
 //!   1,064,960 virtual disks under an open-loop probe workload; one
 //!   blackhole per fabric tier (ToR, spine) lands in separate shards and
 //!   the Fig. 8-style hung-VM blast radius is read per tier.
-//! * `fleet_speedup` — the same server count and workload run as one
-//!   flat shard vs four shards (both serial, the honest 1-core
-//!   comparison): partitioning alone must buy ≥2× wall clock, because
-//!   the flat run interleaves the whole region's events in timestamp
-//!   order while each shard window revisits a quarter-size working set
-//!   that the cache hierarchy can hold.
 //!
-//! Wall-derived numbers (occupancy, stall shares, the raw speedup
-//! ratio) go into the experiment *notes*, never into gated metrics —
-//! only the binary `speedup_ge_2x` verdict is gated, with the 2× bar
-//! leaving margin over scheduler noise.
-
-use std::time::Instant;
+//! Every metric is a simulation counter. What the engine costs in host
+//! time (thread scaling, barrier stall, shard occupancy) is measured by
+//! the `fleet_2w` workload of `benchmark/`.
 
 use ebs_sim::{SimDuration, SimTime};
 use ebs_stack::{ReplicationConfig, ShardedTestbed, ShardedTestbedConfig, Variant};
@@ -64,54 +55,6 @@ fn blackhole(fleet: &mut ShardedTestbed, s: usize, kind: ebs_net::DeviceKind, at
     tb.schedule_heal(at + SimDuration::from_millis(20), dev);
 }
 
-/// Summarize the wall-clock execution shares: per-shard occupancy spread
-/// and per-worker barrier-stall share. Informational only (notes).
-fn execution_notes(fleet: &ShardedTestbed) -> Vec<String> {
-    let mut busy: Vec<u64> = fleet.shard_stats().iter().map(|s| s.busy_ns).collect();
-    busy.sort_unstable();
-    let total: u64 = busy.iter().sum::<u64>().max(1);
-    let share = |ns: u64| ns as f64 / total as f64 * 100.0;
-    let mut notes = vec![format!(
-        "shard occupancy share min/median/max = {:.2}%/{:.2}%/{:.2}% of {} busy-ms across {} shards",
-        share(busy[0]),
-        share(busy[busy.len() / 2]),
-        share(busy[busy.len() - 1]),
-        total / 1_000_000,
-        busy.len()
-    )];
-    for (w, ws) in fleet.worker_stats().iter().enumerate() {
-        let wall = (ws.busy_ns + ws.stall_ns).max(1);
-        notes.push(format!(
-            "worker {w}: busy {}ms, barrier-stall {}ms ({:.1}% stalled) over {} windows",
-            ws.busy_ns / 1_000_000,
-            ws.stall_ns / 1_000_000,
-            ws.stall_ns as f64 / wall as f64 * 100.0,
-            ws.windows
-        ));
-    }
-    notes
-}
-
-/// Print the per-shard occupancy table to stderr (`--profile`).
-pub fn profile_shards(fleet: &ShardedTestbed) {
-    let total: u64 = fleet
-        .shard_stats()
-        .iter()
-        .map(|s| s.busy_ns)
-        .sum::<u64>()
-        .max(1);
-    eprintln!("per-shard occupancy ({} shards):", fleet.shards());
-    for (i, st) in fleet.shard_stats().iter().enumerate() {
-        eprintln!(
-            "  shard {i:4}: busy {:8}us ({:5.2}%)  sent {:6}  received {:6}",
-            st.busy_ns / 1000,
-            st.busy_ns as f64 / total as f64 * 100.0,
-            st.sent,
-            st.received
-        );
-    }
-}
-
 /// The 4-shard smoke fleet: replication + probes + a ToR blackhole, run
 /// serially and on 2 threads; the two digests must be byte-identical.
 fn build_smoke(threads: usize) -> ShardedTestbed {
@@ -135,17 +78,9 @@ fn build_smoke(threads: usize) -> ShardedTestbed {
     fleet
 }
 
-/// Build and run the smoke fleet serially, for `--profile`'s per-shard
-/// occupancy table.
-pub fn profile_smoke_fleet() -> ShardedTestbed {
-    build_smoke(1)
-}
-
-/// `fleet_smoke`: the CI-speed cell. Gated metrics are all exact
-/// (deterministic simulation counters plus the binary determinism
-/// verdict), so the 1% drift gate means "behaviour changed".
+/// `fleet_smoke`: the CI-speed cell. Metrics are deterministic
+/// simulation counters plus the binary determinism verdict.
 pub fn fleet_smoke() -> ExperimentReport {
-    let t = Instant::now();
     let serial = build_smoke(1);
     let threaded = build_smoke(2);
     let determinism_ok = serial.metrics_digest() == threaded.metrics_digest();
@@ -172,10 +107,11 @@ pub fn fleet_smoke() -> ExperimentReport {
             tb.hung_vms_at(serial.now(), HUNG_AFTER).to_string(),
         ]);
     }
-    let mut notes = execution_notes(&serial);
-    if !determinism_ok {
-        notes.push("DETERMINISM VIOLATION: 2-thread digest diverged from serial".to_string());
-    }
+    let notes = if determinism_ok {
+        Vec::new()
+    } else {
+        vec!["DETERMINISM VIOLATION: 2-thread digest diverged from serial".to_string()]
+    };
     let metrics = vec![
         ("completed_ios".to_string(), ios as f64),
         ("completed_mib".to_string(), bytes as f64 / (1 << 20) as f64),
@@ -196,7 +132,6 @@ pub fn fleet_smoke() -> ExperimentReport {
             notes,
         },
         metrics,
-        wall_s: t.elapsed().as_secs_f64(),
     }
 }
 
@@ -207,7 +142,6 @@ pub fn fleet_smoke() -> ExperimentReport {
 /// isolation means each tier's hung-VM blast radius is read cleanly
 /// from its own shard.
 pub fn fleet_10k(threads: usize) -> ExperimentReport {
-    let t = Instant::now();
     const SHARDS: u32 = 256;
     const VDS_PER_COMPUTE: u64 = 104;
     let mut cfg = ShardedTestbedConfig::new(Variant::Solar, 10_240, 3_072, SHARDS);
@@ -260,13 +194,6 @@ pub fn fleet_10k(threads: usize) -> ExperimentReport {
     tiers.row(["tor", &tor_hung.to_string()]);
     tiers.row(["spine", &spine_hung.to_string()]);
 
-    let mut notes = execution_notes(&fleet);
-    notes.push(
-        "core/dc_router tiers are not blackholed here: the shard fabric ends at its core tier \
-         and the inter-shard boundary is latency-only, so their blast radius needs the Fig. 8 \
-         incident model (fig8), not the fleet engine"
-            .to_string(),
-    );
     let metrics = vec![
         ("compute_servers".to_string(), n_computes as f64),
         ("virtual_disks".to_string(), n_volumes as f64),
@@ -287,186 +214,17 @@ pub fn fleet_10k(threads: usize) -> ExperimentReport {
                 ("fleet totals".into(), table),
                 ("blast radius".into(), tiers),
             ],
-            notes,
+            notes: Vec::new(),
         },
         metrics,
-        wall_s: t.elapsed().as_secs_f64(),
-    }
-}
-
-/// Servers in the speedup cells: large enough that the flat region's hot
-/// state (fabric queues, route cache, per-compute transports, event
-/// heap) outgrows the cache hierarchy. Below ~2K servers both cells fit
-/// and the speedup collapses to ~1.05×; at this size the flat cell pays
-/// ~3× more per event purely in locality, and the cell doubles as the
-/// ≥10K-compute-server completion proof.
-const SPEEDUP_COMPUTES: usize = 12_288;
-const SPEEDUP_STORAGES: usize = 3_072;
-
-/// One `fleet_speedup` cell: `n_shards` over the same 15,360 servers and
-/// probe workload. Returns (wall seconds, completed I/Os, events).
-pub fn speedup_cell(n_shards: u32) -> (f64, u64, u64) {
-    let mut cfg =
-        ShardedTestbedConfig::new(Variant::Solar, SPEEDUP_COMPUTES, SPEEDUP_STORAGES, n_shards);
-    cfg.base.vds_per_compute = 4;
-    cfg.threads = 1;
-    let mut fleet = ShardedTestbed::new(cfg);
-    attach_probes(&mut fleet, SimDuration::from_millis(1), 4096);
-    let t = Instant::now();
-    fleet.run_until(SimTime::from_millis(18));
-    let wall = t.elapsed().as_secs_f64();
-    let events = (0..fleet.shards())
-        .map(|s| fleet.shard(s).events_processed())
-        .sum();
-    (wall, fleet.total_progress().0, events)
-}
-
-/// Entry point for the bench binary's `--cell N` child mode: run one
-/// speedup cell and print a line the parent can parse. Kept here so the
-/// cell construction can't drift between parent and child.
-pub fn speedup_cell_main(n_shards: u32) {
-    let (wall, ios, events) = speedup_cell(n_shards);
-    println!("cell-result: wall_s={wall:.6} ios={ios} events={events}");
-}
-
-/// Run one speedup cell in a fresh child process (re-exec of the bench
-/// binary with `--cell N`) and parse its result line. `None` if the
-/// spawn or the parse fails — the caller falls back to in-process.
-fn speedup_cell_fresh(n_shards: u32) -> Option<(f64, u64, u64)> {
-    let exe = std::env::current_exe().ok()?;
-    let out = std::process::Command::new(exe)
-        .args(["--cell", &n_shards.to_string()])
-        .output()
-        .ok()?;
-    if !out.status.success() {
-        return None;
-    }
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let line = stdout.lines().find(|l| l.starts_with("cell-result:"))?;
-    let mut wall = None;
-    let mut ios = None;
-    let mut events = None;
-    for field in line.split_whitespace() {
-        if let Some(v) = field.strip_prefix("wall_s=") {
-            wall = v.parse().ok();
-        } else if let Some(v) = field.strip_prefix("ios=") {
-            ios = v.parse().ok();
-        } else if let Some(v) = field.strip_prefix("events=") {
-            events = v.parse().ok();
-        }
-    }
-    Some((wall?, ios?, events?))
-}
-
-/// Best-of-N fresh-process measurement of one cell. Sim counters are
-/// deterministic (identical across repeats); the min wall is the
-/// least-interference estimate of the cell's cost.
-fn speedup_cell_best(n_shards: u32, attempts: u32) -> Option<(f64, u64, u64)> {
-    let mut best: Option<(f64, u64, u64)> = None;
-    for _ in 0..attempts {
-        let r = speedup_cell_fresh(n_shards)?;
-        best = Some(match best {
-            Some(b) if b.0 <= r.0 => b,
-            _ => r,
-        });
-    }
-    best
-}
-
-/// `fleet_speedup`: one flat shard vs four shards, both serial on one
-/// core — the structural win of partitioning (smaller fabrics, smaller
-/// route caches, shallower event heaps), separate from thread scaling.
-/// Only the binary ≥2× verdict is gated; raw walls go to notes.
-///
-/// Each cell is measured in a fresh child process, best of two runs:
-/// the flat cell's wall is sensitive to inherited process state (after
-/// `fleet_10k` frees gigabytes, allocator page reuse was measured to
-/// speed the flat run ~2× and collapse the ratio), so in-process
-/// sequencing would compare the cells under unequal conditions.
-pub fn fleet_speedup() -> ExperimentReport {
-    let t = Instant::now();
-    let fresh = speedup_cell_best(1, 2).zip(speedup_cell_best(4, 2));
-    let isolated = fresh.is_some();
-    let ((flat_wall, flat_ios, flat_events), (shard_wall, shard_ios, shard_events)) = fresh
-        .unwrap_or_else(|| {
-            // Re-exec unavailable (unusual harness); measure in-process.
-            (speedup_cell(1), speedup_cell(4))
-        });
-    let speedup = flat_wall / shard_wall.max(1e-9);
-
-    let mut table = TextTable::new(["cell", "wall (s)", "completed I/Os", "events"]);
-    table.row([
-        "1 shard (flat)".to_string(),
-        format!("{flat_wall:.2}"),
-        flat_ios.to_string(),
-        flat_events.to_string(),
-    ]);
-    table.row([
-        "4 shards (serial)".to_string(),
-        format!("{shard_wall:.2}"),
-        shard_ios.to_string(),
-        shard_events.to_string(),
-    ]);
-    let notes = vec![
-        format!(
-            "serial 4-shard speedup over flat: {speedup:.2}x ({flat_wall:.2}s -> \
-             {shard_wall:.2}s, {:.0} -> {:.0} ns/event, same {} servers and probe workload)",
-            flat_wall * 1e9 / flat_events.max(1) as f64,
-            shard_wall * 1e9 / shard_events.max(1) as f64,
-            SPEEDUP_COMPUTES + SPEEDUP_STORAGES
-        ),
-        "the win is working-set locality: the flat run interleaves the whole region's events \
-         in timestamp order while each shard window revisits a quarter-size hot set; \
-         route-churn amplification (reboot cycles forcing fabric-wide route-cache \
-         invalidation) was hypothesized to dominate but measured ~0"
-            .to_string(),
-        "both cells run on one worker thread: this isolates the partitioning win from thread \
-         scaling, which a single-core host cannot demonstrate (the parallel executor's \
-         byte-identical results are asserted by fleet_smoke and the ebs-stack tests instead)"
-            .to_string(),
-        if isolated {
-            "methodology: each cell measured in a fresh child process (best of 2) so allocator \
-             and page-reuse state from earlier suite experiments cannot leak into the \
-             comparison — in-process sequencing after the 10k fleet was measured to speed the \
-             flat cell ~2x and understate the partitioning win"
-                .to_string()
-        } else {
-            "methodology: fresh-process isolation unavailable (re-exec failed); cells measured \
-             in-process — the flat wall may be understated by inherited allocator state"
-                .to_string()
-        },
-    ];
-    let metrics = vec![
-        (
-            "speedup_ge_2x".to_string(),
-            if speedup >= 2.0 { 1.0 } else { 0.0 },
-        ),
-        ("compute_servers".to_string(), SPEEDUP_COMPUTES as f64),
-        ("flat_completed_ios".to_string(), flat_ios as f64),
-        ("sharded_completed_ios".to_string(), shard_ios as f64),
-    ];
-    ExperimentReport {
-        output: ExperimentOutput {
-            id: "fleet_speedup",
-            title: "partitioning speedup: 15,360 servers flat vs 4 shards, one core".into(),
-            tables: vec![("cells".into(), table)],
-            notes,
-        },
-        metrics,
-        wall_s: t.elapsed().as_secs_f64(),
     }
 }
 
 /// The full fleet suite in `BENCH_FLEET.json` order. `threads` feeds the
-/// 10k fleet's executor (metrics are thread-count-independent; only
-/// wall-clock changes).
+/// 10k fleet's executor (metrics are thread-count-independent).
 pub fn run_fleet_report(threads: usize) -> RunReport {
-    let t0 = Instant::now();
-    let experiments = vec![fleet_smoke(), fleet_10k(threads), fleet_speedup()];
     RunReport {
         quick: false,
-        parallel: threads > 1,
-        total_wall_s: t0.elapsed().as_secs_f64(),
-        experiments,
+        experiments: vec![fleet_smoke(), fleet_10k(threads)],
     }
 }

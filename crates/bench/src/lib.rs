@@ -17,15 +17,20 @@
 //!
 //! Every experiment (and every inner sweep point of fig6/fig14/fig15/tab2)
 //! is an independent simulation with its own seed, so [`run_report`] runs
-//! them on scoped threads and joins the results back in paper order. The
-//! rendered output is byte-identical to a serial run — determinism comes
-//! from per-run seeds, never from execution order. `fig7` is derived from
-//! fig6 + fig14 numbers and is computed after both join.
+//! them on scoped threads and joins the results back in paper order.
+//! Determinism comes from per-run seeds, never from execution order.
+//! `fig7` is derived from fig6 + fig14 numbers and is computed after both
+//! join.
+//!
+//! # No host time
+//!
+//! A [`RunReport`] holds simulation output only, so a `BENCH_*.json` file
+//! is a pure function of the source tree: regenerate it in place and
+//! `git diff --exit-code` is the regression gate. Host-time measurement
+//! lives in `benchmark/` (see `benchmark/README.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-use std::time::Instant;
 
 pub mod ablations;
 pub mod blk;
@@ -40,25 +45,25 @@ pub mod reliability;
 
 pub use output::ExperimentOutput;
 
-/// One experiment's output plus its measured cost and headline numbers.
+/// One experiment's output plus its headline numbers.
 pub struct ExperimentReport {
     /// The rendered figure/table.
     pub output: ExperimentOutput,
-    /// Wall-clock seconds this experiment took (its own thread's time).
-    pub wall_s: f64,
-    /// Headline numbers for `BENCH_RESULTS.json` (name → value).
+    /// Headline numbers for the suite's `BENCH_*.json` (name → value).
     pub metrics: Vec<(String, f64)>,
 }
 
-/// A full harness run: every experiment in paper order plus wall-clock
-/// accounting, serializable to `BENCH_RESULTS.json`.
+impl From<(ExperimentOutput, Vec<(String, f64)>)> for ExperimentReport {
+    fn from((output, metrics): (ExperimentOutput, Vec<(String, f64)>)) -> Self {
+        ExperimentReport { output, metrics }
+    }
+}
+
+/// A full suite run: every experiment in paper order, serializable to
+/// the suite's `BENCH_*.json`.
 pub struct RunReport {
     /// Quick (CI) sizes or full paper sizes.
     pub quick: bool,
-    /// Whether the multi-threaded harness was used.
-    pub parallel: bool,
-    /// End-to-end wall-clock seconds for the whole suite.
-    pub total_wall_s: f64,
     /// Per-experiment reports, paper order.
     pub experiments: Vec<ExperimentReport>,
 }
@@ -77,17 +82,11 @@ impl RunReport {
         let mut s = String::new();
         s.push_str("{\n");
         s.push_str(&format!("  \"quick\": {},\n", self.quick));
-        s.push_str(&format!("  \"parallel\": {},\n", self.parallel));
-        s.push_str(&format!(
-            "  \"total_wall_s\": {},\n",
-            num(self.total_wall_s)
-        ));
         s.push_str("  \"experiments\": [\n");
         for (i, e) in self.experiments.iter().enumerate() {
             s.push_str(&format!(
-                "    {{\"id\": \"{}\", \"wall_s\": {}, \"metrics\": {{",
-                e.output.id,
-                num(e.wall_s)
+                "    {{\"id\": \"{}\", \"metrics\": {{",
+                e.output.id
             ));
             for (j, (k, v)) in e.metrics.iter().enumerate() {
                 if j > 0 {
@@ -96,9 +95,6 @@ impl RunReport {
                 s.push_str(&format!("\"{}\": {}", k, num(*v)));
             }
             s.push('}');
-            // Notes are informational context (wall-derived shares,
-            // substitutions) — bench_compare renders them but never
-            // gates on them.
             if !e.output.notes.is_empty() {
                 s.push_str(", \"notes\": [");
                 for (j, n) in e.output.notes.iter().enumerate() {
@@ -129,33 +125,24 @@ impl RunReport {
     }
 }
 
-/// Zero out every `"...wall_s": <number>` value: wall-clock legitimately
-/// differs between replays; everything else must match byte-for-byte.
-fn strip_wall(json: &str) -> String {
-    let mut parts = json.split("wall_s\": ");
-    let mut out = parts.next().unwrap_or_default().to_string();
-    for rest in parts {
-        out.push_str("wall_s\": 0");
-        out.push_str(rest.trim_start_matches(|c: char| c.is_ascii_digit() || c == '.' || c == '-'));
-    }
-    out
-}
-
 /// The body every suite bench main (`experiments`, `fleet`, `cc`, `blk`)
 /// shares: run `run(quick)`, print each experiment's tables, and write
 /// the report to `<repo root>/<json_file>` plus the rendered tables to
 /// `target/<name>-table.txt`. Reads two flags from the process
 /// arguments: `--quick` (or the harness's `--test`) selects the CI-sized
 /// run, and `--replay-check` first runs the quick suite twice and asserts
-/// the two JSON reports are byte-identical modulo `wall_s` (seed-replay
-/// determinism) before anything is written.
+/// the two JSON reports are byte-identical (seed-replay determinism)
+/// before anything is written.
+///
+/// Exits non-zero when the JSON cannot be written: the regression gate
+/// diffs that file, and a stale one would pass it vacuously.
 pub fn suite_main(name: &str, json_file: &str, run: impl Fn(bool) -> RunReport) {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick" || a == "--test");
     if args.iter().any(|a| a == "--replay-check") {
         assert_eq!(
-            strip_wall(&run(true).to_json()),
-            strip_wall(&run(true).to_json()),
+            run(true).to_json(),
+            run(true).to_json(),
             "{name} replay diverged: the same seeds must reproduce identical metrics"
         );
         eprintln!("{name} replay check OK");
@@ -169,26 +156,18 @@ pub fn suite_main(name: &str, json_file: &str, run: impl Fn(bool) -> RunReport) 
         rendered.push_str(&r);
     }
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let _ = std::fs::create_dir_all(format!("{root}/target"));
-    for (path, body) in [
-        (format!("{root}/{json_file}"), report.to_json()),
-        (format!("{root}/target/{name}-table.txt"), rendered),
-    ] {
-        match std::fs::write(&path, body) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
+    let json_path = format!("{root}/{json_file}");
+    if let Err(e) = std::fs::write(&json_path, report.to_json()) {
+        eprintln!("could not write {json_path}: {e}");
+        std::process::exit(1);
     }
-    eprintln!("{name} suite done in {:.1}s", report.total_wall_s);
-}
-
-fn timed(f: impl FnOnce() -> (ExperimentOutput, Vec<(String, f64)>)) -> ExperimentReport {
-    let t = Instant::now();
-    let (output, metrics) = f();
-    ExperimentReport {
-        output,
-        metrics,
-        wall_s: t.elapsed().as_secs_f64(),
+    eprintln!("wrote {json_path}");
+    // The rendered tables are a convenience copy (CI artifact): best effort.
+    let table_path = format!("{root}/target/{name}-table.txt");
+    let _ = std::fs::create_dir_all(format!("{root}/target"));
+    match std::fs::write(&table_path, rendered) {
+        Ok(()) => eprintln!("wrote {table_path}"),
+        Err(e) => eprintln!("could not write {table_path}: {e}"),
     }
 }
 
@@ -203,23 +182,16 @@ fn variant_key(v: ebs_stack::Variant) -> &'static str {
 }
 
 fn exp_fig6(quick: bool) -> (ExperimentReport, performance::Fig6Numbers) {
-    let t = Instant::now();
     let (output, nums) = performance::fig6(quick);
     let mut metrics = Vec::new();
     for (i, key) in ["kernel", "luna", "solar"].iter().enumerate() {
         metrics.push((format!("{key}_write_median_us"), nums.write_median_us[i]));
         metrics.push((format!("{key}_read_median_us"), nums.read_median_us[i]));
     }
-    let report = ExperimentReport {
-        output,
-        metrics,
-        wall_s: t.elapsed().as_secs_f64(),
-    };
-    (report, nums)
+    (ExperimentReport { output, metrics }, nums)
 }
 
 fn exp_fig14(quick: bool) -> (ExperimentReport, performance::Fig14Numbers) {
-    let t = Instant::now();
     let (output, nums) = performance::fig14(quick);
     let mut metrics = Vec::new();
     for &(v, c, mbps) in &nums.throughput {
@@ -228,16 +200,10 @@ fn exp_fig14(quick: bool) -> (ExperimentReport, performance::Fig14Numbers) {
     for &(v, c, iops) in &nums.iops {
         metrics.push((format!("{}_{}core_iops", variant_key(v), c), iops));
     }
-    let report = ExperimentReport {
-        output,
-        metrics,
-        wall_s: t.elapsed().as_secs_f64(),
-    };
-    (report, nums)
+    (ExperimentReport { output, metrics }, nums)
 }
 
 fn exp_fig15(quick: bool) -> ExperimentReport {
-    let t = Instant::now();
     let (output, nums) = performance::fig15(quick);
     let mut metrics = Vec::new();
     for &(v, heavy, median, p99) in &nums.points {
@@ -245,15 +211,10 @@ fn exp_fig15(quick: bool) -> ExperimentReport {
         metrics.push((format!("{}_{load}_median_us", variant_key(v)), median));
         metrics.push((format!("{}_{load}_p99_us", variant_key(v)), p99));
     }
-    ExperimentReport {
-        output,
-        metrics,
-        wall_s: t.elapsed().as_secs_f64(),
-    }
+    ExperimentReport { output, metrics }
 }
 
 fn exp_tab2(quick: bool) -> ExperimentReport {
-    let t = Instant::now();
     let counts = reliability::tab2_counts(&reliability::Scenario::ALL, quick);
     let mut metrics = Vec::new();
     let mut luna_total = 0usize;
@@ -269,7 +230,6 @@ fn exp_tab2(quick: bool) -> ExperimentReport {
         // render from the counts we already have.
         output: reliability::tab2_render(&counts, quick),
         metrics,
-        wall_s: t.elapsed().as_secs_f64(),
     }
 }
 
@@ -277,7 +237,6 @@ fn exp_fig7(
     fig6: &performance::Fig6Numbers,
     fig14: &performance::Fig14Numbers,
 ) -> ExperimentReport {
-    let t = Instant::now();
     let (k, l, s) = performance::stack_perfs(fig6, fig14);
     let metrics = vec![
         ("kernel_weighted_us".to_string(), k.latency_us),
@@ -288,75 +247,48 @@ fn exp_fig7(
     ExperimentReport {
         output: characterization::fig7(k, l, s),
         metrics,
-        wall_s: t.elapsed().as_secs_f64(),
     }
 }
 
-/// Run every experiment, timing each; `parallel` selects the scoped-thread
-/// harness (the output is byte-identical either way).
-pub fn run_report(quick: bool, parallel: bool) -> RunReport {
-    let t0 = Instant::now();
-    let mut experiments: Vec<ExperimentReport> = Vec::with_capacity(12);
-    let (fig6_nums, fig14_nums);
-    if parallel {
-        (experiments, fig6_nums, fig14_nums) = std::thread::scope(|s| {
-            let fig3 = s.spawn(|| timed(characterization::fig3));
-            let fig4 = s.spawn(|| timed(characterization::fig4));
-            let fig5 = s.spawn(|| timed(characterization::fig5));
-            let fig6 = s.spawn(move || exp_fig6(quick));
-            let tab1 = s.spawn(move || timed(|| performance::tab1(quick)));
-            let fig8 = s.spawn(|| timed(characterization::fig8));
-            let fig11 = s.spawn(|| timed(hardware::fig11));
-            let fig14 = s.spawn(move || exp_fig14(quick));
-            let fig15 = s.spawn(move || exp_fig15(quick));
-            let tab2 = s.spawn(move || exp_tab2(quick));
-            let tab3 = s.spawn(|| timed(|| (hardware::tab3(), vec![])));
-            let mut out = Vec::with_capacity(12);
-            out.push(fig3.join().expect("fig3 panicked"));
-            out.push(fig4.join().expect("fig4 panicked"));
-            out.push(fig5.join().expect("fig5 panicked"));
-            let (fig6_r, f6) = fig6.join().expect("fig6 panicked");
-            out.push(fig6_r);
-            out.push(tab1.join().expect("tab1 panicked"));
-            out.push(fig8.join().expect("fig8 panicked"));
-            out.push(fig11.join().expect("fig11 panicked"));
-            let (fig14_r, f14) = fig14.join().expect("fig14 panicked");
-            out.push(fig14_r);
-            out.push(fig15.join().expect("fig15 panicked"));
-            out.push(tab2.join().expect("tab2 panicked"));
-            out.push(tab3.join().expect("tab3 panicked"));
-            (out, f6, f14)
-        });
-    } else {
-        experiments.push(timed(characterization::fig3));
-        experiments.push(timed(characterization::fig4));
-        experiments.push(timed(characterization::fig5));
-        let (fig6_r, f6) = exp_fig6(quick);
-        experiments.push(fig6_r);
-        experiments.push(timed(|| performance::tab1(quick)));
-        experiments.push(timed(characterization::fig8));
-        experiments.push(timed(hardware::fig11));
-        let (fig14_r, f14) = exp_fig14(quick);
-        experiments.push(fig14_r);
-        experiments.push(exp_fig15(quick));
-        experiments.push(exp_tab2(quick));
-        experiments.push(timed(|| (hardware::tab3(), vec![])));
-        fig6_nums = f6;
-        fig14_nums = f14;
-    }
+/// Run every experiment, each on its own scoped thread, and join the
+/// reports back in paper order.
+pub fn run_report(quick: bool) -> RunReport {
+    let (mut experiments, fig6_nums, fig14_nums) = std::thread::scope(|s| {
+        let fig3 = s.spawn(|| characterization::fig3().into());
+        let fig4 = s.spawn(|| characterization::fig4().into());
+        let fig5 = s.spawn(|| characterization::fig5().into());
+        let fig6 = s.spawn(move || exp_fig6(quick));
+        let tab1 = s.spawn(move || performance::tab1(quick).into());
+        let fig8 = s.spawn(|| characterization::fig8().into());
+        let fig11 = s.spawn(|| hardware::fig11().into());
+        let fig14 = s.spawn(move || exp_fig14(quick));
+        let fig15 = s.spawn(move || exp_fig15(quick));
+        let tab2 = s.spawn(move || exp_tab2(quick));
+        let tab3 = s.spawn(|| (hardware::tab3(), vec![]).into());
+        let mut out: Vec<ExperimentReport> = Vec::with_capacity(12);
+        out.push(fig3.join().expect("fig3 panicked"));
+        out.push(fig4.join().expect("fig4 panicked"));
+        out.push(fig5.join().expect("fig5 panicked"));
+        let (fig6_r, f6) = fig6.join().expect("fig6 panicked");
+        out.push(fig6_r);
+        out.push(tab1.join().expect("tab1 panicked"));
+        out.push(fig8.join().expect("fig8 panicked"));
+        out.push(fig11.join().expect("fig11 panicked"));
+        let (fig14_r, f14) = fig14.join().expect("fig14 panicked");
+        out.push(fig14_r);
+        out.push(fig15.join().expect("fig15 panicked"));
+        out.push(tab2.join().expect("tab2 panicked"));
+        out.push(tab3.join().expect("tab3 panicked"));
+        (out, f6, f14)
+    });
     experiments.push(exp_fig7(&fig6_nums, &fig14_nums));
-    RunReport {
-        quick,
-        parallel,
-        total_wall_s: t0.elapsed().as_secs_f64(),
-        experiments,
-    }
+    RunReport { quick, experiments }
 }
 
-/// Run every experiment in paper order (parallel harness), returning just
-/// the printable outputs.
+/// Run every experiment in paper order, returning just the printable
+/// outputs.
 pub fn run_all(quick: bool) -> Vec<ExperimentOutput> {
-    run_report(quick, true)
+    run_report(quick)
         .experiments
         .into_iter()
         .map(|e| e.output)

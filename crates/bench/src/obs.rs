@@ -2,9 +2,7 @@
 //! trace and a flat metrics snapshot from a representative SOLAR run.
 //!
 //! The exported trace is a *diagnostic* artifact, deliberately separate
-//! from `BENCH_RESULTS.json`: the headline metrics there stay
-//! byte-identical whether or not observability is compiled in, while
-//! these exports are empty shells in the compiled-out configuration.
+//! from `BENCH_RESULTS.json`.
 
 use ebs_sim::SimTime;
 use ebs_stack::{FioConfig, Testbed, TestbedConfig, Variant};
@@ -51,7 +49,6 @@ mod tests {
         assert_eq!(s1, s2);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn export_carries_real_content() {
         let (trace, metrics, slowest) = export_solar_run(true);
@@ -78,12 +75,8 @@ mod tests {
         tb.run_until(SimTime::from_millis(10));
         let from_traces = ebs_stack::Breakdown::collect(tb.traces(), IoKind::Read, 4096);
         let from_journal = ebs_stack::Breakdown::from_journal(tb.journal(), IoKind::Read, 4096);
-        if ebs_obs::ENABLED {
-            assert_eq!(from_traces.total.count(), from_journal.total.count());
-            assert_eq!(from_traces.at(0.5), from_journal.at(0.5));
-        } else {
-            assert_eq!(from_journal.total.count(), 0);
-            assert!(from_traces.total.count() > 0);
-        }
+        assert!(from_traces.total.count() > 0);
+        assert_eq!(from_traces.total.count(), from_journal.total.count());
+        assert_eq!(from_traces.at(0.5), from_journal.at(0.5));
     }
 }

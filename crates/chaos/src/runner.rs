@@ -62,15 +62,13 @@ pub struct ChaosOutcome {
     /// when the schedule armed the pushdown envelope; `None` otherwise.
     pub blk: Option<BlkCounters>,
     /// The replay-comparable metrics string: the canonical obs metrics
-    /// snapshot for a one-shard run (empty JSON object with obs off), the
-    /// fleet digest for a multi-shard one.
+    /// snapshot for a one-shard run, the fleet digest for a multi-shard one.
     pub metrics_json: String,
     /// Chrome trace of the run (every shard's journal, in shard order),
-    /// captured only for violating runs with observability on (it is
-    /// large).
+    /// captured only for violating runs (it is large).
     pub trace_json: Option<String>,
     /// `explain_slowest`-style hop diagnosis of the slowest I/O in any
-    /// shard, captured for violating runs with observability on.
+    /// shard, captured for violating runs.
     pub diagnosis: Option<String>,
 }
 
@@ -479,7 +477,7 @@ pub fn run_schedule_sharded(schedule: &Schedule, n_shards: u32, threads: usize) 
         outstanding,
         &mut violations,
     );
-    if ebs_obs::ENABLED && journal_dropped == 0 {
+    if journal_dropped == 0 {
         conserve(
             "journal submits == traces",
             submitted,
@@ -535,7 +533,7 @@ pub fn run_schedule_sharded(schedule: &Schedule, n_shards: u32, threads: usize) 
     } else {
         fleet.metrics_digest()
     };
-    let (trace_json, diagnosis) = if !violations.is_empty() && ebs_obs::ENABLED {
+    let (trace_json, diagnosis) = if !violations.is_empty() {
         // I/O ids are per shard, so the slowest I/O is explained from its
         // own shard's journal (ties: the lowest shard wins).
         let slowest = (0..n)

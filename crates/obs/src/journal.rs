@@ -93,13 +93,9 @@ impl Journal {
         }
     }
 
-    /// Append an event, evicting the oldest when full. No-op (and fully
-    /// optimized out) when the crate is built without `enabled`.
+    /// Append an event, evicting the oldest when full.
     #[inline]
     pub fn record(&mut self, at: SimTime, track: &'static str, kind: EventKind) {
-        if !crate::ENABLED {
-            return;
-        }
         if self.buf.len() == self.cap {
             self.buf.pop_front();
             self.dropped += 1;
@@ -188,16 +184,15 @@ mod tests {
     }
 
     #[test]
-    fn api_is_callable_in_both_configurations() {
+    fn every_event_kind_records() {
         let mut j = Journal::with_capacity(4);
         j.span("sa", "sa", 1, t(10), t(12));
         j.instant(t(10), "io", "io.submit", 1, 0);
         j.counter(t(11), "net", "queued_bytes", 4096);
-        assert_eq!(j.len() == 3, crate::ENABLED);
+        assert_eq!(j.len(), 3);
         assert_eq!(j.capacity(), 4);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn ring_evicts_oldest_and_counts_drops() {
         let mut j = Journal::with_capacity(2);
@@ -216,7 +211,6 @@ mod tests {
         assert_eq!(ids, vec![3, 4], "oldest evicted first");
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn span_clamps_negative_durations() {
         let mut j = Journal::new();
@@ -235,7 +229,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn clear_keeps_capacity() {
         let mut j = Journal::with_capacity(8);

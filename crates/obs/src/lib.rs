@@ -24,14 +24,11 @@
 //! byte-identical journals, registries and exports. `ebs-lint` enforces the
 //! sans-io and determinism tiers on this crate like on the protocol crates.
 //!
-//! ## Zero-cost disable
+//! ## Observation never perturbs behaviour
 //!
 //! Hosts own the journal and registry (sans-io discipline: engines are
-//! *sampled*, they never write ambient state). Building this crate without
-//! the `enabled` feature (on by default) turns every recording method into
-//! an inlined empty body behind [`ENABLED`]; none of the call sites in the
-//! hosts or the `Sample` impls need cfg-gating, and the simulation output
-//! is identical either way — observation never perturbs behaviour.
+//! *sampled*, they never write ambient state), so recording changes no
+//! simulation output.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -46,10 +43,10 @@ pub use metrics::{MetricValue, Metrics};
 
 use ebs_sim::SimTime;
 
-/// True when the `enabled` feature compiled the instrumentation in. When
-/// false every recording entry point is an inlined no-op and exports are
-/// empty; hosts may branch on this to skip sampling loops entirely.
-pub const ENABLED: bool = cfg!(feature = "enabled");
+/// Instrumentation is always compiled in. Nothing in the workspace
+/// branches on this; it stays because `benchmark/` records it in the
+/// stamp of every results file.
+pub const ENABLED: bool = true;
 
 /// Implemented by components whose state a host scrapes into a [`Metrics`]
 /// registry. The component never holds a registry itself — the host owns

@@ -24,8 +24,7 @@ type Key = (&'static str, &'static str);
 
 /// Registry of counters, gauges and histograms. Hosts own one (or more)
 /// and pass it to [`Sample`](crate::Sample) impls; see the sampling
-/// convention there. All recording is a no-op without the `enabled`
-/// feature.
+/// convention there.
 #[derive(Debug, Default)]
 pub struct Metrics {
     map: BTreeMap<Key, MetricValue>,
@@ -41,9 +40,6 @@ impl Metrics {
     /// key previously holding another metric type is replaced.
     #[inline]
     pub fn counter_add(&mut self, component: &'static str, name: &'static str, delta: u64) {
-        if !crate::ENABLED {
-            return;
-        }
         match self
             .map
             .entry((component, name))
@@ -57,9 +53,6 @@ impl Metrics {
     /// Set gauge `component/name` to `value` (last write wins).
     #[inline]
     pub fn gauge_set(&mut self, component: &'static str, name: &'static str, value: f64) {
-        if !crate::ENABLED {
-            return;
-        }
         self.map
             .insert((component, name), MetricValue::Gauge(value));
     }
@@ -67,9 +60,6 @@ impl Metrics {
     /// Record one observation into histogram `component/name`.
     #[inline]
     pub fn observe(&mut self, component: &'static str, name: &'static str, value: u64) {
-        if !crate::ENABLED {
-            return;
-        }
         match self
             .map
             .entry((component, name))
@@ -134,15 +124,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn api_is_callable_in_both_configurations() {
+    fn every_metric_type_registers() {
         let mut m = Metrics::new();
         m.counter_add("net", "drops", 3);
         m.gauge_set("sim", "queue_len", 7.0);
         m.observe("solar", "srtt_ns", 45_000);
-        assert_eq!(m.is_empty(), !crate::ENABLED);
+        assert_eq!(m.len(), 3);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn counters_accumulate_and_read_back() {
         let mut m = Metrics::new();
@@ -152,7 +141,6 @@ mod tests {
         assert_eq!(m.counter("net", "absent"), 0);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn gauges_last_write_wins() {
         let mut m = Metrics::new();
@@ -161,7 +149,6 @@ mod tests {
         assert_eq!(m.gauge("dpu.cpu", "utilization"), Some(0.75));
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn histograms_record_observations() {
         let mut m = Metrics::new();
@@ -174,7 +161,6 @@ mod tests {
         assert_eq!(h.max(), 30);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn iteration_order_is_deterministic() {
         let mut m = Metrics::new();
@@ -185,7 +171,6 @@ mod tests {
         assert_eq!(keys, vec![("a", "x"), ("a", "y"), ("z", "b")]);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn type_mismatch_replaces_without_panicking() {
         let mut m = Metrics::new();

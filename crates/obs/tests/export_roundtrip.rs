@@ -4,8 +4,6 @@
 //! Perfetto relies on. The workspace vendors no serde, so the validator
 //! is a ~100-line recursive-descent parser kept here with the test.
 
-#![cfg(feature = "enabled")]
-
 use ebs_obs::export::{chrome_trace, metrics_snapshot};
 use ebs_obs::{Journal, Metrics};
 use ebs_sim::SimTime;

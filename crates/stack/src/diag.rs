@@ -81,8 +81,7 @@ impl IoExplanation {
 }
 
 /// Reconstruct the timeline of the slowest completed I/O recorded in
-/// `journal`. Returns `None` when the journal holds no completed I/O
-/// (including the compiled-out configuration, where it is always empty).
+/// `journal`. Returns `None` when the journal holds no completed I/O.
 pub fn explain_slowest(journal: &Journal) -> Option<IoExplanation> {
     // The slowest completed I/O = the `io`-track span with the largest
     // duration (ties: the earliest recorded wins, keeping this stable).
@@ -143,7 +142,6 @@ mod tests {
         assert!(explain_slowest(&j).is_none());
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn picks_the_slowest_and_orders_hops() {
         let mut j = Journal::new();

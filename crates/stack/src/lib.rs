@@ -164,7 +164,6 @@ mod tests {
         assert!(cores > 0.1, "kernel stack burns CPU: {cores}");
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn journal_breakdown_matches_iotrace_exactly() {
         use ebs_obs::EventKind;
@@ -224,7 +223,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn explain_slowest_matches_trace() {
         let mut tb = Testbed::new(TestbedConfig::small(Variant::Luna, 1, 3));
@@ -262,7 +260,6 @@ mod tests {
         assert!(e.render().contains("slowest io"));
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn sample_obs_populates_every_layer() {
         let mut tb = Testbed::new(TestbedConfig::small(Variant::Solar, 1, 3));

@@ -770,7 +770,7 @@ impl Testbed {
         &self.traces
     }
 
-    /// The observability journal (empty when compiled out).
+    /// The observability journal.
     pub fn journal(&self) -> &Journal {
         &self.journal
     }
@@ -783,11 +783,8 @@ impl Testbed {
     /// Refresh the metrics registry from every instrumented component.
     /// The registry is cleared first, so gauges/histograms reflect *now*
     /// and counters are totals-since-construction (the [`Sample`]
-    /// convention); a no-op when observability is compiled out.
+    /// convention).
     pub fn sample_obs(&mut self) {
-        if !ebs_obs::ENABLED {
-            return;
-        }
         let now = self.q.now();
         self.metrics.clear();
         self.fabric.sample_into(now, &mut self.metrics);
@@ -1580,17 +1577,15 @@ impl Testbed {
         };
 
         let trace_idx = self.traces.len();
-        if ebs_obs::ENABLED {
-            // arg encodes `bytes << 1 | is_write` (journal args are plain
-            // u64s; the consumers in `diag` decode this).
-            self.journal.instant(
-                now,
-                crate::diag::IO_TRACK,
-                "submit",
-                trace_idx as u64,
-                ((io.len as u64) << 1) | u64::from(io.kind == IoKind::Write),
-            );
-        }
+        // arg encodes `bytes << 1 | is_write` (journal args are plain
+        // u64s; the consumers in `diag` decode this).
+        self.journal.instant(
+            now,
+            crate::diag::IO_TRACK,
+            "submit",
+            trace_idx as u64,
+            ((io.len as u64) << 1) | u64::from(io.kind == IoKind::Write),
+        );
         self.traces.push(IoTrace {
             compute,
             kind: io.kind,
@@ -2286,36 +2281,34 @@ impl Testbed {
             trace.fn_ = transport_total
                 .saturating_sub(trace.bn)
                 .saturating_sub(trace.ssd);
-            if ebs_obs::ENABLED {
-                // Tile the I/O's interval with its component spans, in the
-                // same attribution order the stacked bars use (QoS → SA →
-                // FN → BN → SSD → completion-side SA). Durations match the
-                // IoTrace fields exactly, so `Breakdown::from_journal`
-                // reproduces `Breakdown::collect` bit for bit.
-                let id = p.trace_idx as u64;
-                let name = match trace.kind {
-                    IoKind::Write => "write",
-                    IoKind::Read => "read",
-                };
-                let start = trace.submitted + trace.qos_delay;
-                if trace.qos_delay > SimDuration::ZERO {
-                    self.journal
-                        .span("sa.qos", name, id, trace.submitted, start);
-                }
-                self.journal.span("sa", name, id, start, p.sa_ready);
-                let t1 = p.sa_ready + trace.fn_;
-                let t2 = t1 + trace.bn;
-                let t3 = t2 + trace.ssd;
-                self.journal.span("fn", name, id, p.sa_ready, t1);
-                self.journal.span("bn", name, id, t1, t2);
-                self.journal.span("ssd", name, id, t2, t3);
-                if p.done_at > t3 {
-                    // Completion-side SA work (SOLAR's doorbell path).
-                    self.journal.span("sa", name, id, t3, p.done_at);
-                }
+            // Tile the I/O's interval with its component spans, in the
+            // same attribution order the stacked bars use (QoS → SA →
+            // FN → BN → SSD → completion-side SA). Durations match the
+            // IoTrace fields exactly, so `Breakdown::from_journal`
+            // reproduces `Breakdown::collect` bit for bit.
+            let id = p.trace_idx as u64;
+            let name = match trace.kind {
+                IoKind::Write => "write",
+                IoKind::Read => "read",
+            };
+            let start = trace.submitted + trace.qos_delay;
+            if trace.qos_delay > SimDuration::ZERO {
                 self.journal
-                    .span(crate::diag::IO_TRACK, name, id, start, p.done_at);
+                    .span("sa.qos", name, id, trace.submitted, start);
             }
+            self.journal.span("sa", name, id, start, p.sa_ready);
+            let t1 = p.sa_ready + trace.fn_;
+            let t2 = t1 + trace.bn;
+            let t3 = t2 + trace.ssd;
+            self.journal.span("fn", name, id, p.sa_ready, t1);
+            self.journal.span("bn", name, id, t1, t2);
+            self.journal.span("ssd", name, id, t2, t3);
+            if p.done_at > t3 {
+                // Completion-side SA work (SOLAR's doorbell path).
+                self.journal.span("sa", name, id, t3, p.done_at);
+            }
+            self.journal
+                .span(crate::diag::IO_TRACK, name, id, start, p.done_at);
             c.completed_ios += 1;
             c.completed_bytes += trace.bytes as u64;
             // Closed loop: only fio-originated completions resubmit, so

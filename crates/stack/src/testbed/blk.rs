@@ -266,9 +266,7 @@ impl BlkState {
         tr.completed = Some(at);
         tr.status = status;
         tr.blocks_out = len / ebs_sa::BLOCK_SIZE;
-        if ebs_obs::ENABLED {
-            journal.span("blk", tr.label, trace_idx as u64, tr.submitted, at);
-        }
+        journal.span("blk", tr.label, trace_idx as u64, tr.submitted, at);
     }
 }
 
@@ -446,9 +444,7 @@ impl Testbed {
             let vq = mount.dev.queue_mut(queue).expect("clamped queue index");
             if vq.submit(req).is_err() {
                 st.counters.rejected += 1;
-                if ebs_obs::ENABLED {
-                    journal.instant(now, "blk", "ring_full", queue as u64, 0);
-                }
+                journal.instant(now, "blk", "ring_full", queue as u64, 0);
                 return;
             }
             st.counters.accepted += 1;

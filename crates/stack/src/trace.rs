@@ -103,8 +103,8 @@ impl Breakdown {
     /// observability journal instead of the [`IoTrace`] records. The
     /// testbed emits spans that tile each completed I/O (see
     /// [`crate::diag`]), so per-I/O component sums here equal the trace
-    /// fields exactly; on a compiled-out or empty journal every histogram
-    /// is simply empty.
+    /// fields exactly; on an empty journal every histogram is simply
+    /// empty.
     pub fn from_journal(journal: &ebs_obs::Journal, kind: IoKind, bytes: u32) -> Self {
         use ebs_obs::EventKind;
         use std::collections::BTreeMap;
