@@ -3,8 +3,8 @@
 //! The domain-free substrate every other crate in this workspace runs on:
 //!
 //! * [`SimTime`] / [`SimDuration`] — a nanosecond virtual clock;
-//! * [`EventQueue`] — a deterministic timestamped event heap with stable
-//!   tie-breaking and cancellation, plus the [`Scheduler`] trait and
+//! * [`EventQueue`] — a deterministic timer-wheel event queue with FIFO
+//!   tie-breaking, plus the [`Scheduler`] trait and
 //!   [`MapScheduler`] adapter that let subsystems schedule their own event
 //!   types inside a composed world;
 //! * [`Bandwidth`] — exact byte↔wire-time conversion for links, PCIe and
@@ -33,7 +33,7 @@ pub mod rng;
 mod time;
 
 pub use fxmap::{FxHashMap, FxHashSet, FxHasher};
-pub use queue::{EventId, EventQueue, MapScheduler, Scheduler};
+pub use queue::{EventQueue, MapScheduler, Scheduler};
 pub use rate::Bandwidth;
 pub use resource::{Channel, FifoResource};
 pub use time::{SimDuration, SimTime};

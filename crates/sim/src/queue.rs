@@ -6,80 +6,65 @@
 //! the event loop and component state, and keeps this crate free of domain
 //! knowledge.
 //!
-//! Determinism: ties in time are broken by a monotonically increasing
-//! sequence number, so two runs with the same inputs pop events in exactly
-//! the same order.
+//! Determinism: events pop in `(at, seq)` order, where `seq` is a
+//! monotonically increasing sequence number assigned at scheduling time,
+//! so ties in time are FIFO and two runs with the same inputs pop events
+//! in exactly the same order.
 //!
 //! # Structure
 //!
-//! Events live in a generation-indexed slab; the ordering structures hold
-//! lightweight keys `(at, seq, slot, generation)`:
+//! Events live in a free-list slab; the ordering structures hold 24-byte
+//! keys `(at, seq, slot)`:
 //!
 //! * a **timer wheel** of [`WHEEL_SLOTS`] buckets, each covering
-//!   2^[`SLOT_NS_SHIFT`] ns (≈33 µs; the wheel spans ≈34 ms — beyond the
-//!   longest transport RTO), holding near-future events unsorted;
-//! * an **active heap** with the events of the bucket currently being
-//!   drained (plus anything scheduled directly into the already-activated
-//!   past of the window), ordered by `(at, seq)`;
-//! * an **overflow heap** for events beyond the wheel horizon, re-anchored
-//!   into the wheel when the near future empties out.
+//!   2^[`SLOT_NS_SHIFT`] ns (256 ns — narrower than almost every hop in the
+//!   model, so a follow-up event lands in a *later* bucket; the wheel
+//!   spans ≈131 µs), holding near-future keys unsorted;
+//! * the **run**: the bucket being drained, sorted once when it is
+//!   activated and consumed by index;
+//! * a small **late heap** for keys scheduled into the already-activated
+//!   past of the window (in practice: into the bucket being drained);
+//! * an **overflow heap** for keys beyond the wheel horizon (timers),
+//!   migrated into the wheel as the window slides over them.
 //!
-//! This makes `schedule_*` amortized O(1) for near-future events (a `Vec`
-//! push) and `pop` a small-heap operation, instead of O(log n) on one big
-//! heap for both. Cancellation frees the slab slot immediately and bumps
-//! its generation — the queued key becomes *stale* and is skipped when its
-//! time comes. Cancelling an event that already fired is a pure no-op
-//! (the generation no longer matches), so no tombstone state can ever
-//! accumulate across fire/cancel races.
+//! `schedule_*` is a `Vec` push for near-future events, and peek/pop is
+//! O(1): the smaller of the run's head and the late heap's top.
 //!
 //! The wheel window slides only after a bucket is drained and spans
 //! exactly [`WHEEL_SLOTS`] buckets, so two distinct in-window bucket
 //! numbers can never share a ring index: buckets never mix "rounds" and
-//! activation is a straight drain, no per-key round filtering.
+//! activation takes the whole bucket, no per-key round filtering.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::time::{SimDuration, SimTime};
 
-/// Buckets in the timer wheel (power of two). Sized with
-/// [`SLOT_NS_SHIFT`] so the window spans ≈33 ms — beyond the longest
-/// transport RTO, keeping timer churn out of the overflow heap.
-const WHEEL_SLOTS: usize = 1024;
-/// log2 of the nanoseconds each bucket covers (2^15 ≈ 33 µs). Measured
-/// tradeoff: finer buckets (e.g. 2^12) shrink the active heap but add a
-/// bucket-activation step per 4 µs of simulated time, and on the
-/// experiment workloads the extra `advance()` churn costs more than the
-/// smaller heap saves (~208 vs ~183 ns/event on the Table 2 Solar cell).
-const SLOT_NS_SHIFT: u32 = 15;
+/// Buckets in the timer wheel (power of two). With [`SLOT_NS_SHIFT`] the
+/// window spans ≈131 µs: every fabric hop, serialisation and host-stack
+/// delay lands in the wheel; only timers (under 1 % of schedules on the
+/// flat benchmark cells) go through the overflow heap.
+const WHEEL_SLOTS: usize = 512;
+/// log2 of the nanoseconds each bucket covers (2^8 = 256 ns). Sized from
+/// counted traffic (DESIGN.md §7.1, §7.10): hops in the model take 10 ns
+/// to 2 µs, so at this width about three schedules in four land in a
+/// bucket that has not been activated yet and cost one `Vec` push plus a
+/// share of one small sort. Buckets wider than a hop defeat the wheel: at
+/// 2^15 ns over 90 % of schedules land in the bucket being drained, i.e.
+/// on a heap. Measured alternatives — 2^7, 2^9, 2^10 ns × 256, 512, 2048
+/// slots — were all 0–16 % slower end to end.
+const SLOT_NS_SHIFT: u32 = 8;
 /// Words in the bucket-occupancy bitset.
 const WHEEL_WORDS: usize = WHEEL_SLOTS / 64;
 
-/// Identifies a scheduled event, for cancellation. Encodes a slab slot and
-/// the slot's generation at scheduling time, so a stale id (event fired or
-/// already cancelled) can never alias a newer event reusing the slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventId(u64);
-
-impl EventId {
-    fn new(slot: u32, generation: u32) -> Self {
-        EventId(((generation as u64) << 32) | slot as u64)
-    }
-    fn slot(self) -> u32 {
-        self.0 as u32
-    }
-    fn generation(self) -> u32 {
-        (self.0 >> 32) as u32
-    }
-}
-
 /// Ordering key for a scheduled event; the payload stays in the slab.
-#[derive(Debug, Clone, Copy)]
+/// Derived ordering is `(at, seq)` — `seq` is unique, so `slot` never
+/// decides.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Key {
     at: SimTime,
     seq: u64,
     slot: u32,
-    generation: u32,
 }
 
 impl Key {
@@ -89,61 +74,38 @@ impl Key {
     }
 }
 
-impl PartialEq for Key {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Key {}
-impl PartialOrd for Key {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Key {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest event pops first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-struct SlabSlot<E> {
-    generation: u32,
-    event: Option<E>,
-}
-
 /// A deterministic priority queue of timestamped events.
 pub struct EventQueue<E> {
-    /// Event storage; `Key`s and `EventId`s index into it by (slot, gen).
-    slab: Vec<SlabSlot<E>>,
+    /// Event storage, indexed by [`Key::slot`]; `None` slots are on `free`.
+    slab: Vec<Option<E>>,
     free: Vec<u32>,
     /// Near-future buckets (unsorted). Bucket `b` maps to ring index
-    /// `b % WHEEL_SLOTS`; drained buckets keep their capacity, so steady
-    /// state scheduling is allocation-free.
-    wheel: Vec<Vec<Key>>,
+    /// `b % WHEEL_SLOTS`; activation swaps the bucket with the spent run,
+    /// so capacity circulates and steady-state scheduling is
+    /// allocation-free.
+    wheel: Box<[Vec<Key>; WHEEL_SLOTS]>,
     /// One bit per non-empty ring slot, for O(1)-ish bucket scans.
     occupied: [u64; WHEEL_WORDS],
-    /// Keys in buckets (live + stale), to skip scans when the wheel is dry.
+    /// Keys in buckets, to skip scans when the wheel is dry.
     wheel_keys: usize,
-    /// Events of already-activated buckets, ordered by `(at, seq)`.
-    active: BinaryHeap<Key>,
-    /// Events beyond the wheel horizon.
-    overflow: BinaryHeap<Key>,
-    /// Every bucket `< activated` has been drained into `active`; the
+    /// The most recently activated bucket, sorted by `(at, seq)`;
+    /// `run[run_head..]` is still pending.
+    run: Vec<Key>,
+    run_head: usize,
+    /// Keys scheduled into buckets `< activated` (min-heap).
+    late: BinaryHeap<Reverse<Key>>,
+    /// Keys beyond the wheel horizon (min-heap).
+    overflow: BinaryHeap<Reverse<Key>>,
+    /// Every bucket `< activated` has been moved out of the wheel; the
     /// wheel window is `[activated, activated + WHEEL_SLOTS)`.
     activated: u64,
     seq: u64,
     now: SimTime,
     popped: u64,
-    /// Keys in any ordering structure (live + stale).
+    /// Keys in any ordering structure.
     queued: usize,
     /// High-water mark of `queued` (occupancy telemetry).
     max_queued: usize,
-    /// Stale keys (cancelled while queued) awaiting skip.
-    tombstones: usize,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -158,10 +120,12 @@ impl<E> EventQueue<E> {
         EventQueue {
             slab: Vec::new(),
             free: Vec::new(),
-            wheel: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
+            wheel: Box::new(std::array::from_fn(|_| Vec::new())),
             occupied: [0; WHEEL_WORDS],
             wheel_keys: 0,
-            active: BinaryHeap::new(),
+            run: Vec::new(),
+            run_head: 0,
+            late: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
             activated: 0,
             seq: 0,
@@ -169,7 +133,6 @@ impl<E> EventQueue<E> {
             popped: 0,
             queued: 0,
             max_queued: 0,
-            tombstones: 0,
         }
     }
 
@@ -184,8 +147,7 @@ impl<E> EventQueue<E> {
         self.popped
     }
 
-    /// Number of events still queued (including cancelled entries whose
-    /// keys have not been skipped yet).
+    /// Number of events still queued.
     pub fn len(&self) -> usize {
         self.queued
     }
@@ -200,67 +162,36 @@ impl<E> EventQueue<E> {
         self.seq
     }
 
-    /// Largest simultaneous occupancy seen (including stale keys) — the
-    /// queue-depth telemetry the observability layer samples.
+    /// Largest simultaneous occupancy seen — the queue-depth telemetry the
+    /// observability layer samples.
     pub fn max_queued(&self) -> usize {
         self.max_queued
     }
 
-    /// Cancelled-but-still-queued keys. Each is a fixed-size key (not a
-    /// retained event payload — that is dropped at cancellation) and is
-    /// reclaimed no later than when its timestamp is reached. Cancelling
-    /// an already-fired event contributes nothing here.
-    pub fn tombstone_count(&self) -> usize {
-        self.tombstones
-    }
-
-    /// Slab slots ever allocated (diagnostics: bounded by the peak number
-    /// of simultaneously scheduled events, not by throughput).
-    pub fn arena_slots(&self) -> usize {
-        self.slab.len()
-    }
-
-    fn alloc(&mut self, event: E) -> (u32, u32) {
+    fn alloc(&mut self, event: E) -> u32 {
         if let Some(slot) = self.free.pop() {
-            let s = &mut self.slab[slot as usize];
-            debug_assert!(s.event.is_none());
-            s.event = Some(event);
-            (slot, s.generation)
+            debug_assert!(self.slab[slot as usize].is_none());
+            self.slab[slot as usize] = Some(event);
+            slot
         } else {
             // lint: allow(panic_discipline) — hard capacity ceiling: 2^32 simultaneously scheduled events exceeds any simulated workload by orders of magnitude, and there is no sane degraded mode
             let slot = u32::try_from(self.slab.len()).expect("slab overflow");
-            self.slab.push(SlabSlot {
-                generation: 0,
-                event: Some(event),
-            });
-            (slot, 0)
+            self.slab.push(Some(event));
+            slot
         }
-    }
-
-    /// Take the event out of (slot, generation) if still live, freeing the
-    /// slot. Returns `None` for stale keys/ids.
-    fn take(&mut self, slot: u32, generation: u32) -> Option<E> {
-        let s = &mut self.slab[slot as usize];
-        if s.generation != generation {
-            return None;
-        }
-        let ev = s.event.take()?;
-        s.generation = s.generation.wrapping_add(1);
-        self.free.push(slot);
-        Some(ev)
     }
 
     fn place(&mut self, key: Key) {
         let b = key.bucket();
         if b < self.activated {
-            self.active.push(key);
+            self.late.push(Reverse(key));
         } else if b < self.activated + WHEEL_SLOTS as u64 {
             let idx = b as usize & (WHEEL_SLOTS - 1);
             self.wheel[idx].push(key);
             self.occupied[idx / 64] |= 1 << (idx % 64);
             self.wheel_keys += 1;
         } else {
-            self.overflow.push(key);
+            self.overflow.push(Reverse(key));
         }
     }
 
@@ -269,35 +200,19 @@ impl<E> EventQueue<E> {
     /// # Panics
     /// Panics in debug builds if `at` is in the past: the simulator never
     /// rewinds its clock.
-    pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventId {
+    pub fn schedule_at(&mut self, at: SimTime, event: E) {
         debug_assert!(at >= self.now, "scheduling into the past");
         let seq = self.seq;
         self.seq += 1;
-        let (slot, generation) = self.alloc(event);
+        let slot = self.alloc(event);
         self.queued += 1;
         self.max_queued = self.max_queued.max(self.queued);
-        self.place(Key {
-            at,
-            seq,
-            slot,
-            generation,
-        });
-        EventId::new(slot, generation)
+        self.place(Key { at, seq, slot });
     }
 
     /// Schedule `event` to fire `after` from the current time.
-    pub fn schedule_after(&mut self, after: SimDuration, event: E) -> EventId {
+    pub fn schedule_after(&mut self, after: SimDuration, event: E) {
         self.schedule_at(self.now + after, event)
-    }
-
-    /// Cancel a previously scheduled event. O(1): the slab slot is freed
-    /// (dropping the event payload) and its generation bumped, turning the
-    /// queued key stale. Cancelling an event that has already fired (or
-    /// was already cancelled) is a no-op.
-    pub fn cancel(&mut self, id: EventId) {
-        if self.take(id.slot(), id.generation()).is_some() {
-            self.tombstones += 1;
-        }
     }
 
     /// First occupied bucket in the window, if any. Word-wise bitset scan;
@@ -321,15 +236,16 @@ impl<E> EventQueue<E> {
         None
     }
 
-    /// Feed the active heap from the wheel or the overflow heap. Returns
-    /// `false` when no events remain anywhere.
+    /// Activate the next occupied bucket as the new run. Only called with
+    /// the run spent and the late heap empty. Returns `false` when no
+    /// events remain anywhere.
     fn advance(&mut self) -> bool {
         if self.wheel_keys == 0 {
             match self.overflow.peek() {
                 // Wheel dry: jump the window straight to the earliest far
                 // event (its bucket is ≥ `activated` by the overflow
                 // invariant, but be defensive about it).
-                Some(top) => self.activated = self.activated.max(top.bucket()),
+                Some(Reverse(top)) => self.activated = self.activated.max(top.bucket()),
                 None => return false,
             }
         }
@@ -340,8 +256,8 @@ impl<E> EventQueue<E> {
         // monotone between re-anchors), so this is amortized O(log n)
         // per event.
         let horizon = self.activated + WHEEL_SLOTS as u64;
-        while self.overflow.peek().is_some_and(|k| k.bucket() < horizon) {
-            let Some(k) = self.overflow.pop() else { break };
+        while let Some(&Reverse(k)) = self.overflow.peek().filter(|k| k.0.bucket() < horizon) {
+            self.overflow.pop();
             self.place(k);
         }
         let b = self
@@ -349,119 +265,72 @@ impl<E> EventQueue<E> {
             // lint: allow(panic_discipline) — wheel invariant (wheel_keys > 0 ⇒ an occupied bucket within the window), model-checked by tests/queue_model.rs; losing events silently would corrupt every downstream result
             .expect("advance with keys but no occupied bucket");
         let idx = b as usize & (WHEEL_SLOTS - 1);
-        self.wheel_keys -= self.wheel[idx].len();
-        // drain(..) keeps the bucket's capacity for reuse.
-        let bucket = &mut self.wheel[idx];
-        for key in bucket.drain(..) {
-            self.active.push(key);
-        }
+        self.run.clear();
+        self.run_head = 0;
+        std::mem::swap(&mut self.run, &mut self.wheel[idx]);
+        // `(at, seq)` is a total order (`seq` is unique), so an unstable
+        // sort is deterministic; cascaded keys arrive out of `seq` order.
+        self.run.sort_unstable();
+        self.wheel_keys -= self.run.len();
         self.occupied[idx / 64] &= !(1 << (idx % 64));
         self.activated = b + 1;
         true
     }
 
-    /// Pop the next event, advancing the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+    /// The earliest pending key and whether it is the late heap's top
+    /// (else the run's head), activating buckets as needed. Run and late
+    /// keys sit in buckets `< activated`, wheel and overflow keys at or
+    /// after it, so whenever either is non-empty their minimum is the
+    /// global minimum.
+    fn peek_key(&mut self) -> Option<(Key, bool)> {
         loop {
-            if let Some(key) = self.active.pop() {
-                self.queued -= 1;
-                match self.take(key.slot, key.generation) {
-                    Some(event) => {
-                        debug_assert!(key.at >= self.now, "time went backwards");
-                        self.now = key.at;
-                        self.popped += 1;
-                        return Some((key.at, event));
-                    }
-                    None => {
-                        self.tombstones -= 1;
-                        continue;
+            match (self.run.get(self.run_head), self.late.peek()) {
+                (Some(r), Some(Reverse(l))) if l < r => return Some((*l, true)),
+                (Some(r), _) => return Some((*r, false)),
+                (None, Some(Reverse(l))) => return Some((*l, true)),
+                (None, None) => {
+                    if !self.advance() {
+                        return None;
                     }
                 }
-            }
-            if !self.advance() {
-                return None;
             }
         }
     }
 
-    /// Pop every event sharing the earliest pending timestamp `t`, if
-    /// `t <= horizon`, into `out` (cleared first). Returns the batch size;
-    /// `0` means nothing is pending at or before the horizon.
-    ///
-    /// Equivalent to — and ordered identically to — calling
-    /// [`EventQueue::peek_time`] + [`EventQueue::pop`] in a loop while the
-    /// next timestamp equals `t`, but does the window bookkeeping once per
-    /// *batch* instead of once per *event*: one fused heap-pop + slab-take
-    /// per event, no separate liveness pre-check per event. Events
-    /// scheduled at `t` **while the caller processes the batch** are not
-    /// lost: equal timestamps always compare after already-popped
-    /// sequence numbers, so they form the next batch (still at `t`), in
-    /// exactly the order sequential `pop` would have produced.
-    ///
-    /// Caveat (checked nowhere, by design): if the caller cancels a
-    /// *later* event of the same batch while processing an earlier one,
-    /// the cancel is a no-op — the event was already popped. Sequential
-    /// `pop` would have suppressed it. No simulation in this workspace
-    /// cancels same-timestamp events; anything that starts to must run
-    /// the sequential loop instead.
-    pub fn pop_batch(&mut self, horizon: SimTime, out: &mut Vec<(SimTime, E)>) -> usize {
-        out.clear();
-        // Find the first live event at or before the horizon. `active`'s
-        // top is the global minimum whenever it is non-empty (active keys
-        // live in buckets strictly before `activated`; wheel and overflow
-        // keys at or after it), so a top beyond the horizon means nothing
-        // qualifies anywhere.
-        let t = loop {
-            match self.active.peek() {
-                Some(key) if key.at <= horizon => {
-                    let key = *key;
-                    self.active.pop();
-                    self.queued -= 1;
-                    match self.take(key.slot, key.generation) {
-                        Some(event) => {
-                            debug_assert!(key.at >= self.now, "time went backwards");
-                            self.now = key.at;
-                            self.popped += 1;
-                            out.push((key.at, event));
-                            break key.at;
-                        }
-                        None => {
-                            self.tombstones -= 1;
-                            continue;
-                        }
-                    }
-                }
-                Some(_) => return 0,
-                None => {
-                    if !self.advance() {
-                        return 0;
-                    }
-                }
-            }
-        };
-        // Drain the rest of the timestamp. No `advance()` here: equal
-        // timestamps share a wheel bucket and buckets activate wholly, so
-        // once one key at `t` surfaced in `active`, all of them are there.
-        while let Some(key) = self.active.peek() {
-            if key.at != t {
-                break;
-            }
-            let key = *key;
-            self.active.pop();
-            self.queued -= 1;
-            match self.take(key.slot, key.generation) {
-                Some(event) => {
-                    self.popped += 1;
-                    out.push((t, event));
-                }
-                None => self.tombstones -= 1,
-            }
+    /// Pop the next event if it is due at or before `horizon`, advancing
+    /// the clock to its timestamp — never past `horizon`. The one pop
+    /// path: [`EventQueue::pop`] is `pop_le(SimTime::MAX)`, and a world's
+    /// run loop is `while let Some((now, ev)) = q.pop_le(horizon)`.
+    /// Events a handler schedules at the timestamp just popped carry
+    /// larger sequence numbers than everything already queued there, so
+    /// they pop after it, still at that timestamp.
+    pub fn pop_le(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
+        let (key, from_late) = self.peek_key()?;
+        if key.at > horizon {
+            return None;
         }
-        out.len()
+        if from_late {
+            self.late.pop();
+        } else {
+            self.run_head += 1;
+        }
+        debug_assert!(key.at >= self.now, "time went backwards");
+        self.free.push(key.slot);
+        self.queued -= 1;
+        self.now = key.at;
+        self.popped += 1;
+        let event = self.slab[key.slot as usize].take();
+        debug_assert!(event.is_some(), "queued key without an event");
+        event.map(|event| (key.at, event))
+    }
+
+    /// Pop the next event, advancing the clock to its timestamp.
+    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.pop_le(SimTime::MAX)
     }
 
     /// Advance the clock to `t` without popping anything — the windowed
-    /// counterpart of [`EventQueue::pop_batch`], for executors that run a
+    /// counterpart of [`EventQueue::pop_le`], for executors that run a
     /// queue in fixed time windows (the sharded fleet engine): after
     /// draining a window the shard's clock moves to the window edge even
     /// when the shard went idle before it, so every shard observes the
@@ -482,28 +351,10 @@ impl<E> EventQueue<E> {
         self.now = t;
     }
 
-    /// Timestamp of the next pending (non-cancelled) event without popping.
-    ///
-    /// This needs to skip stale keys, so it may discard cancelled entries
-    /// internally.
+    /// Timestamp of the next pending event without popping it (may
+    /// activate a wheel bucket internally, hence `&mut`).
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        loop {
-            while let Some(key) = self.active.peek() {
-                let live = {
-                    let s = &self.slab[key.slot as usize];
-                    s.generation == key.generation && s.event.is_some()
-                };
-                if live {
-                    return Some(key.at);
-                }
-                self.active.pop();
-                self.queued -= 1;
-                self.tombstones -= 1;
-            }
-            if !self.advance() {
-                return None;
-            }
-        }
+        self.peek_key().map(|(key, _)| key.at)
     }
 }
 
@@ -514,26 +365,21 @@ impl<E> EventQueue<E> {
 pub trait Scheduler<E> {
     /// Current simulated time.
     fn now(&self) -> SimTime;
-    /// Schedule `event` at absolute time `at`, returning a cancellation id.
-    fn at(&mut self, at: SimTime, event: E) -> EventId;
+    /// Schedule `event` at absolute time `at`.
+    fn at(&mut self, at: SimTime, event: E);
     /// Schedule `event` after a relative delay.
-    fn after(&mut self, d: SimDuration, event: E) -> EventId {
+    fn after(&mut self, d: SimDuration, event: E) {
         let at = self.now() + d;
         self.at(at, event)
     }
-    /// Cancel a previously scheduled event.
-    fn cancel(&mut self, id: EventId);
 }
 
 impl<E> Scheduler<E> for EventQueue<E> {
     fn now(&self) -> SimTime {
         EventQueue::now(self)
     }
-    fn at(&mut self, at: SimTime, event: E) -> EventId {
+    fn at(&mut self, at: SimTime, event: E) {
         self.schedule_at(at, event)
-    }
-    fn cancel(&mut self, id: EventId) {
-        EventQueue::cancel(self, id)
     }
 }
 
@@ -569,17 +415,22 @@ where
     fn now(&self) -> SimTime {
         self.inner.now()
     }
-    fn at(&mut self, at: SimTime, event: Small) -> EventId {
+    fn at(&mut self, at: SimTime, event: Small) {
         self.inner.schedule_at(at, (self.map)(event))
-    }
-    fn cancel(&mut self, id: EventId) {
-        self.inner.cancel(id);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Width of one wheel bucket and of the whole window, in ns.
+    const SLOT_NS: u64 = 1 << SLOT_NS_SHIFT;
+    const WINDOW_NS: u64 = SLOT_NS * WHEEL_SLOTS as u64;
+
+    fn drain<E>(q: &mut EventQueue<E>) -> Vec<E> {
+        std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect()
+    }
 
     #[test]
     fn pops_in_time_order() {
@@ -601,25 +452,6 @@ mod tests {
         }
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn cancellation_skips_events() {
-        let mut q = EventQueue::new();
-        let a = q.schedule_at(SimTime::from_micros(1), "a");
-        q.schedule_at(SimTime::from_micros(2), "b");
-        q.cancel(a);
-        assert_eq!(q.pop().map(|(_, e)| e), Some("b"));
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn peek_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let a = q.schedule_at(SimTime::from_micros(1), "a");
-        q.schedule_at(SimTime::from_micros(7), "b");
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(7)));
     }
 
     #[test]
@@ -677,117 +509,100 @@ mod tests {
     }
 
     #[test]
-    fn cancel_after_fire_does_not_leak() {
-        // Regression: the pre-slab implementation kept a tombstone per
-        // cancel-after-fire forever. Now a stale id is a no-op.
+    fn ties_split_between_run_and_late_heap_still_fifo() {
+        // Half the keys at `t` are placed before its bucket activates
+        // (sorted run), half after (late heap); a later timestamp in the
+        // same bucket sits behind both.
         let mut q = EventQueue::new();
-        let mut ids = Vec::with_capacity(100_000);
-        for i in 0..100_000u64 {
-            ids.push(q.schedule_at(SimTime::from_nanos(i * 100), i));
-            q.pop().expect("just scheduled");
+        let t = SimTime::from_nanos(3 * SLOT_NS + 7);
+        for i in 0..8u32 {
+            q.schedule_at(t, i);
         }
-        for id in ids {
-            q.cancel(id);
+        q.schedule_at(t + SimDuration::from_nanos(1), 100);
+        assert_eq!(q.peek_time(), Some(t), "peek activates the bucket");
+        for i in 8..16u32 {
+            q.schedule_at(t, i);
         }
-        assert_eq!(q.tombstone_count(), 0, "cancel after fire left tombstones");
-        assert!(q.is_empty());
+        // Interleave pops with more same-timestamp schedules, as a
+        // dispatch handler would.
+        assert_eq!(q.pop(), Some((t, 0)));
+        q.schedule_at(t, 16);
+        let mut want: Vec<u32> = (1..=16).collect();
+        want.push(100);
+        assert_eq!(drain(&mut q), want);
+    }
+
+    #[test]
+    fn overflow_and_direct_keys_tie_in_seq_order_after_a_window_jump() {
+        let mut q = EventQueue::new();
+        let anchor = SimTime::from_nanos(39 * WINDOW_NS);
+        // The first bucket beyond the window anchored at `anchor`.
+        let t = anchor + SimDuration::from_nanos(WINDOW_NS + 5);
+        q.schedule_at(t, "overflow-first");
+        q.schedule_at(anchor, "anchor");
+        // Popping the anchor jumps the dry wheel's window to it and then
+        // slides one bucket on: `t` is in-window now, but its first key
+        // was not yet covered when the cascade ran and is still in the
+        // overflow heap, so the next key at `t` reaches the bucket first.
+        assert_eq!(q.pop().map(|(_, e)| e), Some("anchor"));
+        q.schedule_at(t, "direct-second");
+        assert_eq!((q.overflow.len(), q.wheel_keys), (1, 1));
+        q.schedule_at(t + SimDuration::from_nanos(WINDOW_NS), "overflow-third");
         assert_eq!(
-            q.arena_slots(),
-            1,
-            "slab bounded by peak outstanding events, not throughput"
+            drain(&mut q),
+            vec!["overflow-first", "direct-second", "overflow-third"]
         );
     }
 
     #[test]
-    fn tombstones_are_reclaimed_by_time() {
-        let mut q = EventQueue::new();
-        let mut ids = Vec::new();
-        for i in 0..1000u64 {
-            ids.push(q.schedule_at(SimTime::from_micros(i), i));
-        }
-        for id in &ids[..500] {
-            q.cancel(*id);
-        }
-        assert_eq!(q.tombstone_count(), 500);
-        let survivors: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(survivors, (500..1000).collect::<Vec<_>>());
-        assert_eq!(q.tombstone_count(), 0, "stale keys reclaimed on pop");
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn event_ids_do_not_alias_across_slot_reuse() {
-        let mut q = EventQueue::new();
-        let a = q.schedule_at(SimTime::from_micros(1), "a");
-        q.pop();
-        // The slot is reused with a bumped generation; the old id must
-        // not cancel the new event.
-        let _b = q.schedule_at(SimTime::from_micros(2), "b");
-        q.cancel(a);
-        assert_eq!(q.pop().map(|(_, e)| e), Some("b"));
-    }
-
-    #[test]
-    fn pop_batch_matches_sequential_pop() {
-        // Identical schedules into two queues: batch-draining one must
-        // reproduce the exact (time, event) sequence of popping the other,
-        // ties and cancellations included.
-        let schedule = |q: &mut EventQueue<u32>| {
-            let mut ids = Vec::new();
-            for i in 0..500u32 {
-                // Lots of collisions: timestamps cycle over 17 values.
-                let t = SimTime::from_micros((i % 17) as u64 * 3);
-                ids.push(q.schedule_at(t, i));
-            }
-            for id in ids.iter().step_by(7) {
-                q.cancel(*id);
-            }
-        };
-        let mut seq_q = EventQueue::new();
-        let mut batch_q = EventQueue::new();
-        schedule(&mut seq_q);
-        schedule(&mut batch_q);
-        let sequential: Vec<_> = std::iter::from_fn(|| seq_q.pop()).collect();
-        let mut batched = Vec::new();
-        let mut buf = Vec::new();
-        while batch_q.pop_batch(SimTime::MAX, &mut buf) > 0 {
-            // Within a batch all timestamps agree.
-            assert!(buf.windows(2).all(|w| w[0].0 == w[1].0));
-            batched.append(&mut buf);
-        }
-        assert_eq!(sequential, batched);
-        assert_eq!(seq_q.events_processed(), batch_q.events_processed());
-        assert!(batch_q.is_empty());
-    }
-
-    #[test]
-    fn pop_batch_respects_horizon() {
+    fn pop_le_respects_horizon() {
         let mut q = EventQueue::new();
         q.schedule_at(SimTime::from_micros(1), "a");
         q.schedule_at(SimTime::from_micros(1), "b");
         q.schedule_at(SimTime::from_micros(9), "late");
-        let mut buf = Vec::new();
-        assert_eq!(q.pop_batch(SimTime::from_micros(5), &mut buf), 2);
-        assert_eq!(
-            buf,
-            vec![
-                (SimTime::from_micros(1), "a"),
-                (SimTime::from_micros(1), "b")
-            ]
-        );
-        assert_eq!(q.pop_batch(SimTime::from_micros(5), &mut buf), 0);
-        assert!(buf.is_empty(), "empty result clears the buffer");
+        let h = SimTime::from_micros(5);
+        assert_eq!(q.pop_le(h), Some((SimTime::from_micros(1), "a")));
+        assert_eq!(q.pop_le(h), Some((SimTime::from_micros(1), "b")));
+        assert_eq!(q.pop_le(h), None);
         assert_eq!(q.len(), 1, "late event untouched");
-        assert_eq!(q.pop_batch(SimTime::MAX, &mut buf), 1);
+        // An event exactly at the horizon is due.
+        assert_eq!(
+            q.pop_le(SimTime::from_micros(9)),
+            Some((SimTime::from_micros(9), "late"))
+        );
         assert_eq!(q.now(), SimTime::from_micros(9));
+    }
+
+    #[test]
+    fn pop_le_never_moves_now_past_the_horizon() {
+        // The next event may sit in the wheel, the late heap or the
+        // overflow heap; looking for it activates buckets and re-anchors
+        // the window, but the clock only moves when an event pops.
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime::from_nanos(10), 0u32);
+        q.schedule_at(SimTime::from_nanos(3 * SLOT_NS), 1);
+        q.schedule_at(SimTime::from_nanos(7 * WINDOW_NS), 2);
+        let mut popped = Vec::new();
+        for h_ns in (0..8 * WINDOW_NS).step_by(SLOT_NS as usize * 37) {
+            let h = SimTime::from_nanos(h_ns);
+            while let Some((t, e)) = q.pop_le(h) {
+                assert!(t <= h);
+                popped.push(e);
+            }
+            assert!(q.now() <= h, "now {:?} past horizon {h:?}", q.now());
+            // A late-heap key behind the already-activated next bucket.
+            if h_ns == 0 {
+                q.schedule_at(SimTime::from_nanos(20), 3);
+            }
+        }
+        assert_eq!(popped, vec![0, 3, 1, 2]);
     }
 
     #[test]
     fn advance_to_moves_the_clock_over_idle_windows() {
         let mut q = EventQueue::new();
         q.schedule_at(SimTime::from_micros(100), "late");
-        let mut buf = Vec::new();
-        assert_eq!(q.pop_batch(SimTime::from_micros(40), &mut buf), 0);
+        assert_eq!(q.pop_le(SimTime::from_micros(40)), None);
         assert_eq!(q.now(), SimTime::ZERO, "an empty window leaves now put");
         q.advance_to(SimTime::from_micros(40));
         assert_eq!(q.now(), SimTime::from_micros(40));
@@ -796,10 +611,8 @@ mod tests {
         assert_eq!(q.now(), SimTime::from_micros(40));
         // Scheduling relative to the advanced clock works as usual.
         q.schedule_at(SimTime::from_micros(60), "mid");
-        assert_eq!(q.pop_batch(SimTime::MAX, &mut buf), 1);
-        assert_eq!(buf, vec![(SimTime::from_micros(60), "mid")]);
-        assert_eq!(q.pop_batch(SimTime::MAX, &mut buf), 1);
-        assert_eq!(buf, vec![(SimTime::from_micros(100), "late")]);
+        assert_eq!(q.pop(), Some((SimTime::from_micros(60), "mid")));
+        assert_eq!(q.pop(), Some((SimTime::from_micros(100), "late")));
     }
 
     #[test]
@@ -814,48 +627,57 @@ mod tests {
                 q.schedule_at(SimTime::from_micros(i * 7 % 40), i);
             }
         }
-        let mut a = Vec::new();
-        let mut got_one = Vec::new();
-        while one.pop_batch(SimTime::from_micros(50), &mut a) > 0 {
-            got_one.extend(a.iter().copied());
-        }
+        let got_one: Vec<_> = std::iter::from_fn(|| one.pop_le(SimTime::from_micros(50))).collect();
         let mut got_win = Vec::new();
         for edge in (10..=50).step_by(10) {
             let edge = SimTime::from_micros(edge);
-            while win.pop_batch(edge, &mut a) > 0 {
-                got_win.extend(a.iter().copied());
-            }
+            got_win.extend(std::iter::from_fn(|| win.pop_le(edge)));
             win.advance_to(edge);
         }
         assert_eq!(got_one, got_win);
+        assert_eq!(got_one.len(), 50);
     }
 
     #[test]
-    fn events_scheduled_mid_batch_form_the_next_batch() {
-        // An event scheduled at the batch's own timestamp (as a dispatch
-        // handler would do between pop_batch calls) must surface in the
-        // *next* batch, still at that timestamp, after everything already
-        // popped — exactly where sequential pop would have put it.
+    fn events_scheduled_at_the_popped_timestamp_pop_after_their_elders() {
+        // An event scheduled at the timestamp just popped (as a dispatch
+        // handler does) surfaces at that same timestamp, after everything
+        // already queued there.
         let mut q = EventQueue::new();
         let t = SimTime::from_micros(4);
         q.schedule_at(t, "a");
         q.schedule_at(t, "b");
-        let mut buf = Vec::new();
-        assert_eq!(q.pop_batch(SimTime::MAX, &mut buf), 2);
+        assert_eq!(q.pop(), Some((t, "a")));
         q.schedule_at(t, "spawned-by-a");
-        assert_eq!(q.pop_batch(SimTime::MAX, &mut buf), 1);
-        assert_eq!(buf, vec![(t, "spawned-by-a")]);
+        assert_eq!(q.pop(), Some((t, "b")));
+        assert_eq!(q.pop(), Some((t, "spawned-by-a")));
+        assert_eq!(q.now(), t);
     }
 
     #[test]
-    fn len_counts_live_and_stale_keys() {
+    fn slab_is_bounded_by_peak_occupancy_not_throughput() {
         let mut q = EventQueue::new();
-        let a = q.schedule_at(SimTime::from_micros(1), 1);
+        for i in 0..10_000u64 {
+            q.schedule_at(SimTime::from_nanos(i * 100), i);
+            q.schedule_at(SimTime::from_nanos(i * 100), i);
+            q.pop().expect("just scheduled");
+            q.pop().expect("just scheduled");
+        }
+        assert!(q.is_empty());
+        assert_eq!(q.slab.len(), 2, "popped slots are reused");
+    }
+
+    #[test]
+    fn len_and_high_water_track_pending_events() {
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime::from_micros(1), 1);
         q.schedule_at(SimTime::from_micros(2), 2);
         assert_eq!(q.len(), 2);
-        q.cancel(a);
-        assert_eq!(q.len(), 2, "stale key still queued");
         q.pop();
-        assert_eq!(q.len(), 0, "pop skimmed the stale key too");
+        assert_eq!(q.len(), 1);
+        q.pop();
+        assert!(q.is_empty());
+        assert_eq!(q.max_queued(), 2);
+        assert_eq!((q.events_scheduled(), q.events_processed()), (2, 2));
     }
 }

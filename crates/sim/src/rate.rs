@@ -53,10 +53,14 @@ impl Bandwidth {
     pub fn transmit_time(self, bytes: usize) -> SimDuration {
         assert!(self.0 > 0, "transmit on zero-rate link");
         // bits * 1e9 / bps, in nanoseconds, rounded up so back-to-back
-        // packets never overlap.
-        let bits = bytes as u128 * 8;
-        let ns = (bits * 1_000_000_000).div_ceil(self.0 as u128);
-        SimDuration::from_nanos(ns as u64)
+        // packets never overlap. Two calls per fabric hop: stay in 64-bit
+        // division (sizes below 2.3 GB) and keep the 128-bit one, a
+        // library call, for what overflows it.
+        let ns = match (bytes as u64).checked_mul(8_000_000_000) {
+            Some(bit_ns) => bit_ns.div_ceil(self.0),
+            None => (bytes as u128 * 8_000_000_000).div_ceil(self.0 as u128) as u64,
+        };
+        SimDuration::from_nanos(ns)
     }
 
     /// Scale the rate by a float factor (pacing adjustments).
@@ -98,6 +102,30 @@ mod tests {
             bw.transmit_time(1),
             SimDuration::from_nanos(8_000_000_000u64.div_ceil(3))
         );
+    }
+
+    proptest::proptest! {
+        /// The 64-bit fast path and the 128-bit fallback are one function.
+        /// Sizes up to 8 GiB straddle the overflow point (2^64 / 8e9 ≈
+        /// 2.3 GB) — each case checks the raw draw, mostly above it, and a
+        /// shifted one spread over the packet-sized orders of magnitude —
+        /// and rates run 1 bps ..= 1.6 Tbps.
+        #[test]
+        fn transmit_time_matches_the_u128_formula(
+            bytes in 0usize..=1 << 33,
+            shift in 0u32..34,
+            bps in 1u64..=1_600_000_000_000,
+            rate_shift in 0u32..41,
+        ) {
+            let bw = Bandwidth::from_bps((bps >> rate_shift).max(1));
+            for bytes in [bytes, bytes >> shift] {
+                let want = (bytes as u128 * 8 * 1_000_000_000).div_ceil(bw.0 as u128);
+                proptest::prop_assert_eq!(
+                    bw.transmit_time(bytes),
+                    SimDuration::from_nanos(want as u64)
+                );
+            }
+        }
     }
 
     #[test]

@@ -127,6 +127,44 @@ mod tests {
     }
 
     #[test]
+    fn run_until_is_invariant_to_slicing_and_profiling() {
+        // One pop path serves every caller: the same horizon reached in
+        // one call, in 24 slices (the benchmark's timed segment) or with
+        // the profiled loop on is the same simulation.
+        let digest = |slices: u64, profiled: bool| {
+            let mut tb = Testbed::new(TestbedConfig::small(Variant::Luna, 2, 3));
+            if profiled {
+                tb.enable_profiling();
+            }
+            for compute in 0..2 {
+                tb.attach_fio(
+                    SimTime::from_micros(100),
+                    compute,
+                    FioConfig {
+                        depth: 4,
+                        bytes: 65536,
+                        read_fraction: 0.3,
+                    },
+                );
+            }
+            let end = SimTime::from_millis(12);
+            for i in 1..=slices {
+                tb.run_until(SimTime::from_nanos(end.as_nanos() * i / slices));
+            }
+            assert!(tb.compute_progress(0).0 > 50, "the loop ran");
+            if profiled {
+                let p = tb.phase_cycles().expect("profiling on");
+                assert_eq!(p.events, tb.events_processed());
+            }
+            tb.metrics_digest(end)
+        };
+        let one_shot = digest(1, false);
+        assert_eq!(one_shot, digest(24, false), "24 slices");
+        assert_eq!(one_shot, digest(1, true), "profiled");
+        assert_eq!(one_shot, digest(24, true), "profiled, 24 slices");
+    }
+
+    #[test]
     fn multi_segment_io_splits_and_completes() {
         // An I/O spanning a segment boundary produces two sub-RPCs to two
         // different storage servers, and still completes exactly once.

@@ -529,7 +529,10 @@ pub enum Event {
 pub struct PhaseCycles {
     /// Event-queue pop (incl. horizon peeking).
     pub pop_ns: u64,
-    /// Fabric event handling: routing, queueing, serialization.
+    /// The whole `Event::Net` dispatch: fabric routing, queueing and
+    /// serialization *and*, for a packet reaching its endpoint, the
+    /// delivery it triggers — so it includes `deliver_ns` (and through it
+    /// part of `pump_ns`); the fabric proper is `net_ns - deliver_ns`.
     pub net_ns: u64,
     /// Endpoint delivery: transport rx, request serving, completions.
     pub deliver_ns: u64,
@@ -583,9 +586,6 @@ pub struct Testbed {
     /// Phase-cycle accounting; `None` (the default) costs one branch per
     /// event.
     prof: Option<Box<PhaseCycles>>,
-    /// Scratch for [`EventQueue::pop_batch`] in the run loop; reused so
-    /// steady-state batching never allocates.
-    batch: Vec<(SimTime, Event)>,
     /// Scratch buffers for the pump/drain hot paths, taken with
     /// `mem::take` and restored after use so per-event pumping never
     /// allocates. A re-entrant call just sees an empty fresh vec.
@@ -733,7 +733,6 @@ impl Testbed {
             journal: Journal::new(),
             metrics: Metrics::new(),
             prof: None,
-            batch: Vec::with_capacity(64),
             out_compute: Vec::with_capacity(16),
             out_storage: Vec::with_capacity(16),
             done_rpcs: Vec::with_capacity(16),
@@ -1152,58 +1151,40 @@ impl Testbed {
         self.q.len()
     }
 
-    /// Run the world until `horizon` (inclusive of events at it).
-    ///
-    /// Events are drained in timestamp batches
-    /// ([`EventQueue::pop_batch`]): all events sharing the current
-    /// timestamp come out of the queue in one pass, then dispatch runs
-    /// strictly in popped order. Dispatch order — and therefore every
-    /// simulation result — is identical to the sequential peek/pop loop;
-    /// only the queue bookkeeping is amortized. Same-timestamp events
-    /// *spawned by* a dispatch form the next batch, exactly where
-    /// sequential popping would have placed them.
+    /// Run the world until `horizon` (inclusive of events at it): pop,
+    /// dispatch, repeat. The clock ends on the last event dispatched,
+    /// never past `horizon`.
     pub fn run_until(&mut self, horizon: SimTime) {
         if self.prof.is_some() {
             return self.run_until_profiled(horizon);
         }
-        let mut batch = std::mem::take(&mut self.batch);
-        while self.q.pop_batch(horizon, &mut batch) > 0 {
-            for (now, ev) in batch.drain(..) {
-                self.dispatch(now, ev);
-            }
+        while let Some((now, ev)) = self.q.pop_le(horizon) {
+            self.dispatch(now, ev);
         }
-        self.batch = batch;
     }
 
-    /// [`Testbed::run_until`] with per-phase wall-clock attribution.
+    /// [`Testbed::run_until`] with per-phase wall-clock attribution. Two
+    /// clock reads per event: the gap from the end of one dispatch to the
+    /// start of the next is the pop.
     fn run_until_profiled(&mut self, horizon: SimTime) {
-        let mut batch = std::mem::take(&mut self.batch);
-        loop {
-            let t0 = crate::wallclock::now();
-            let n = self.q.pop_batch(horizon, &mut batch);
-            let t1 = crate::wallclock::now();
-            if n == 0 {
-                break;
-            }
+        let mut idle = crate::wallclock::now();
+        while let Some((now, ev)) = self.q.pop_le(horizon) {
+            let d0 = crate::wallclock::now();
+            let is_net = matches!(ev, Event::Net(_));
+            self.dispatch(now, ev);
+            let d1 = crate::wallclock::now();
             // prof is Some on this path by construction
             let p = self.prof.as_mut().unwrap();
-            p.events += n as u64;
-            p.pop_ns += (t1 - t0).as_nanos() as u64;
-            for (now, ev) in batch.drain(..) {
-                let d0 = crate::wallclock::now();
-                let is_net = matches!(ev, Event::Net(_));
-                self.dispatch(now, ev);
-                let d = d0.elapsed().as_nanos() as u64;
-                // prof is Some on this path by construction
-                let p = self.prof.as_mut().unwrap();
-                if is_net {
-                    p.net_ns += d;
-                } else {
-                    p.host_ns += d;
-                }
+            p.events += 1;
+            p.pop_ns += (d0 - idle).as_nanos() as u64;
+            let d = (d1 - d0).as_nanos() as u64;
+            if is_net {
+                p.net_ns += d;
+            } else {
+                p.host_ns += d;
             }
+            idle = d1;
         }
-        self.batch = batch;
     }
 
     /// I/Os that were unanswered for ≥ `threshold` as of `now` (Table 2's
