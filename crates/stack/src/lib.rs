@@ -368,4 +368,14 @@ mod tests {
         assert!(luna > 0, "luna must hang I/Os under a blackhole: {luna}");
         assert_eq!(solar, 0, "solar must not hang any I/O");
     }
+
+    /// `Event` is the event queue's slab slot: a fatter one costs every
+    /// schedule, sort neighbour and pop. Pinned here, not beside the
+    /// `Msg` pin in `tests/digest_golden.rs`, because `Event` is
+    /// crate-private. Measured on the commit that introduced the pin.
+    #[test]
+    fn queue_event_did_not_grow() {
+        let got = std::mem::size_of::<crate::testbed::Event>();
+        assert!(got <= 56, "Event grew to {got} bytes");
+    }
 }
