@@ -44,19 +44,13 @@ pub struct FlowLabel {
 impl FlowLabel {
     /// Stable 64-bit flow hash (FNV-1a over the tuple).
     pub fn hash64(&self) -> u64 {
-        let mut h: u64 = 0xcbf29ce484222325;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        };
-        mix(self.src.0 as u64);
-        mix(self.dst.0 as u64);
-        mix(self.src_port as u64);
-        mix(self.dst_port as u64);
-        mix(self.proto as u64);
-        h
+        let mut h = ebs_sim::Fnv1a::default();
+        h.u64(self.src.0 as u64);
+        h.u64(self.dst.0 as u64);
+        h.u64(self.src_port as u64);
+        h.u64(self.dst_port as u64);
+        h.u64(self.proto as u64);
+        h.finish()
     }
 }
 

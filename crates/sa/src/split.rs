@@ -77,21 +77,12 @@ pub fn split_io(
     if !req.offset.is_multiple_of(block_size as u64) || !req.len.is_multiple_of(block_size) {
         return Err(SplitError::Misaligned);
     }
-    let first = req.offset / block_size as u64;
-    let count = (req.len / block_size) as u64;
-    let mut out: Vec<SubIo> = Vec::with_capacity(1);
-    for b in first..first + count {
-        let entry = table.lookup(req.vd_id, b).map_err(SplitError::Segment)?;
-        match out.last_mut() {
-            Some(last) if last.segment_id == entry.segment_id => last.blocks.push(b),
-            _ => out.push(SubIo {
-                block_server: entry.block_server,
-                segment_id: entry.segment_id,
-                blocks: vec![b],
-            }),
-        }
-    }
-    Ok(out)
+    split_range(
+        table,
+        req.vd_id,
+        req.offset / block_size as u64,
+        req.len / block_size,
+    )
 }
 
 /// Split a raw block range into per-segment sub-I/Os — the pushdown

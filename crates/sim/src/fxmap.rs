@@ -87,6 +87,42 @@ impl Hasher for FxHasher {
     }
 }
 
+/// 64-bit FNV-1a: the workspace's one *stable* byte fold. Where
+/// [`FxHasher`] may change with the map implementation, FNV-1a outputs are
+/// pinned forever — RNG stream labels ([`crate::rng`]), ECMP flow hashes
+/// and the testbed's metric digests are all this fold, so committed
+/// baselines depend on its exact bits.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv1a {
+    /// Fold `bytes` in, one at a time.
+    #[inline]
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    /// Fold the eight little-endian bytes of `v` in.
+    #[inline]
+    pub fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// The hash so far.
+    #[inline]
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

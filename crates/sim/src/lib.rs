@@ -15,7 +15,8 @@
 //! * [`rng`] — labelled deterministic random streams so every stochastic
 //!   component draws from its own reproducible sequence;
 //! * [`fxmap`] — deterministic fast hashing ([`FxHashMap`]) for hot
-//!   point-lookup maps, replacing SipHash + random seeding.
+//!   point-lookup maps, replacing SipHash + random seeding, and the one
+//!   pinned [`Fnv1a`] fold behind stream labels, flow hashes and digests.
 //!
 //! Design follows the sans-io idiom of the session guides: protocol and
 //! hardware models in the sibling crates are pure state machines; only the
@@ -32,7 +33,7 @@ mod resource;
 pub mod rng;
 mod time;
 
-pub use fxmap::{FxHashMap, FxHashSet, FxHasher};
+pub use fxmap::{Fnv1a, FxHashMap, FxHashSet, FxHasher};
 pub use queue::{EventQueue, MapScheduler, Scheduler};
 pub use rate::Bandwidth;
 pub use resource::{Channel, FifoResource};

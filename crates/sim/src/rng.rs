@@ -14,23 +14,20 @@ use rand::{Rng, SeedableRng};
 /// similar labels ("server-1", "server-2") still yield uncorrelated
 /// streams.
 pub fn stream(seed: u64, label: &str) -> SmallRng {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in label.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    SmallRng::seed_from_u64(splitmix64(seed ^ h))
+    SmallRng::seed_from_u64(splitmix64(seed ^ label_hash(label)))
 }
 
 /// Derive an independent RNG stream from `(seed, label, index)`; handy for
 /// per-server or per-flow streams.
 pub fn stream_indexed(seed: u64, label: &str, index: u64) -> SmallRng {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in label.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
+    let h = label_hash(label);
     SmallRng::seed_from_u64(splitmix64(seed ^ h ^ splitmix64(index.wrapping_add(1))))
+}
+
+fn label_hash(label: &str) -> u64 {
+    let mut h = crate::Fnv1a::default();
+    h.bytes(label.as_bytes());
+    h.finish()
 }
 
 fn splitmix64(mut x: u64) -> u64 {

@@ -12,21 +12,26 @@
 #![warn(missing_docs)]
 
 pub mod calibrate;
+mod compute;
+mod conn;
 pub mod diag;
+mod digest;
+mod drivers;
+mod net;
 mod sharded;
+mod storage;
 mod testbed;
 mod trace;
 mod wallclock;
 
 pub use calibrate::{RdmaCosts, SaCosts, SolarCosts};
 pub use diag::{HopSpan, IoExplanation};
+pub use drivers::FioConfig;
 pub use sharded::{
     ReplicationConfig, ShardStats, ShardedTestbed, ShardedTestbedConfig, WorkerStats,
 };
-pub use testbed::blk::{BlkCounters, BlkMountConfig, BlkTrace, PushdownMsg};
-pub use testbed::{
-    blk, Event, FioConfig, Msg, PhaseCycles, RemoteMsg, Reply, Testbed, TestbedConfig, Variant,
-};
+pub use testbed::blk::{BlkCounters, BlkMountConfig, BlkTrace};
+pub use testbed::{blk, Msg, PhaseCycles, Testbed, TestbedConfig, Variant};
 pub use trace::{Breakdown, IoTrace};
 
 #[cfg(test)]
@@ -367,15 +372,5 @@ mod tests {
         let solar = hung(Variant::Solar);
         assert!(luna > 0, "luna must hang I/Os under a blackhole: {luna}");
         assert_eq!(solar, 0, "solar must not hang any I/O");
-    }
-
-    /// `Event` is the event queue's slab slot: a fatter one costs every
-    /// schedule, sort neighbour and pop. Pinned here, not beside the
-    /// `Msg` pin in `tests/digest_golden.rs`, because `Event` is
-    /// crate-private. Measured on the commit that introduced the pin.
-    #[test]
-    fn queue_event_did_not_grow() {
-        let got = std::mem::size_of::<crate::testbed::Event>();
-        assert!(got <= 56, "Event grew to {got} bytes");
     }
 }

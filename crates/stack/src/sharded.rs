@@ -34,7 +34,8 @@ use ebs_net::ShardPlan;
 use ebs_obs::Journal;
 use ebs_sim::{SimDuration, SimTime};
 
-use crate::testbed::{RemoteMsg, Testbed, TestbedConfig};
+use crate::drivers::RemoteMsg;
+use crate::testbed::{Testbed, TestbedConfig};
 
 /// Cross-shard replication traffic knobs (the storage clusters' BN
 /// replication between pods; §2.1's background east-west traffic).
@@ -144,6 +145,46 @@ fn leg_src(m: &RemoteMsg) -> u32 {
         m.dst_shard
     } else {
         m.src_shard
+    }
+}
+
+/// One shard's half of a window: run it to `edge` (parking its clock
+/// there when `park`), hand every message that reached its gateway to
+/// `stage`, and account the wall time. Returns the nanoseconds spent.
+fn run_to_edge(
+    tb: &mut Testbed,
+    st: &mut ShardStats,
+    edge: SimTime,
+    park: bool,
+    mut stage: impl FnMut(RemoteMsg),
+) -> u64 {
+    let t0 = crate::wallclock::now();
+    tb.run_until(edge);
+    if park {
+        tb.advance_clock_to(edge);
+    }
+    for m in tb.take_remote_outbox() {
+        st.sent += 1;
+        stage(m);
+    }
+    let d = t0.elapsed().as_nanos() as u64;
+    st.busy_ns += d;
+    d
+}
+
+/// The other half: inject a shard's inbox in the simulation-defined total
+/// order `(sending shard, outbox seq)`. Whatever order the executor staged
+/// the messages in dies here.
+fn inject_sorted(
+    tb: &mut Testbed,
+    st: &mut ShardStats,
+    inbox: &mut Vec<RemoteMsg>,
+    boundary_latency: SimDuration,
+) {
+    inbox.sort_by_key(|m| (leg_src(m), m.seq));
+    for m in inbox.drain(..) {
+        st.received += 1;
+        tb.inject_remote(m.depart + boundary_latency, m);
     }
 }
 
@@ -268,6 +309,8 @@ impl ShardedTestbed {
         } else {
             self.run_parallel(horizon);
         }
+        // `received` accumulates across calls, so this is a running total.
+        self.exchanged = self.stats.iter().map(|s| s.received).sum();
     }
 
     /// Total `(completed I/Os, completed bytes)` across the fleet.
@@ -357,25 +400,11 @@ impl ShardedTestbed {
             } else {
                 (self.now + self.window).min(horizon)
             };
-            for (i, tb) in self.shards.iter_mut().enumerate() {
-                let t0 = crate::wallclock::now();
-                tb.run_until(edge);
-                if !lone {
-                    tb.advance_clock_to(edge);
-                }
-                for m in tb.take_remote_outbox() {
-                    self.stats[i].sent += 1;
-                    staged[leg_dst(&m)].push(m);
-                }
-                self.stats[i].busy_ns += t0.elapsed().as_nanos() as u64;
+            for (tb, st) in self.shards.iter_mut().zip(&mut self.stats) {
+                run_to_edge(tb, st, edge, !lone, |m| staged[leg_dst(&m)].push(m));
             }
-            for (i, inbox) in staged.iter_mut().enumerate() {
-                inbox.sort_by_key(|m| (leg_src(m), m.seq));
-                for m in inbox.drain(..) {
-                    self.stats[i].received += 1;
-                    self.exchanged += 1;
-                    self.shards[i].inject_remote(m.depart + self.boundary_latency, m);
-                }
+            for ((tb, st), inbox) in self.shards.iter_mut().zip(&mut self.stats).zip(&mut staged) {
+                inject_sorted(tb, st, inbox, self.boundary_latency);
             }
             self.now = edge;
             self.windows += 1;
@@ -431,19 +460,12 @@ impl ShardedTestbed {
                         }
                         let e = SimTime::from_nanos(e);
                         for (_, tb, st) in set.iter_mut() {
-                            let t0 = crate::wallclock::now();
-                            tb.run_until(e);
-                            tb.advance_clock_to(e);
-                            for m in tb.take_remote_outbox() {
-                                st.sent += 1;
+                            ws.busy_ns += run_to_edge(tb, st, e, true, |m| {
                                 staging[leg_dst(&m)]
                                     .lock()
                                     .expect("staging mailbox poisoned")
                                     .push(m);
-                            }
-                            let d = t0.elapsed().as_nanos() as u64;
-                            st.busy_ns += d;
-                            ws.busy_ns += d;
+                            });
                         }
                         let b1 = crate::wallclock::now();
                         barrier.wait(); // all outboxes staged
@@ -452,14 +474,7 @@ impl ShardedTestbed {
                             let mut inbox = std::mem::take(
                                 &mut *staging[*i].lock().expect("staging mailbox poisoned"),
                             );
-                            // Simulation-defined total order: thread
-                            // interleaving decided only the staging
-                            // order, which dies here.
-                            inbox.sort_by_key(|m| (leg_src(m), m.seq));
-                            for m in inbox {
-                                st.received += 1;
-                                tb.inject_remote(m.depart + lb, m);
-                            }
+                            inject_sorted(tb, st, &mut inbox, lb);
                         }
                         ws.windows += 1;
                     }
@@ -502,9 +517,6 @@ impl ShardedTestbed {
         for (w, ws) in worker_stats {
             self.workers[w] = ws;
         }
-        // `received` accumulates across run_until calls, so this stays
-        // consistent with the serial path's per-message increments.
-        self.exchanged = self.stats.iter().map(|s| s.received).sum();
     }
 }
 

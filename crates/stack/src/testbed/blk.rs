@@ -36,7 +36,15 @@ use ebs_wire::{
     BLK_S_BADCRC, BLK_S_OK, BLK_S_UNSUPP, PD_FLAG_RESPONSE, PD_FLAG_RETRANSMIT,
 };
 
-use super::*;
+use ebs_dpu::DpuCpu;
+use ebs_net::{FabricPacket, FlowLabel};
+use ebs_obs::Journal;
+use ebs_sa::{IoKind, IoRequest, BLOCK_SIZE};
+use ebs_sim::{Fnv1a, FxHashMap, SimDuration, SimTime};
+
+use super::{Body, Event, Msg, Testbed, World};
+use crate::compute::ComputeNode;
+use crate::storage::{Reply, StorageNode};
 
 /// How long a pushdown part waits for its response before retransmitting.
 /// Deliberately coarse (the SLO for scans is throughput, not tail) and
@@ -62,9 +70,9 @@ const DISCARD_NS_PER_BLOCK: u64 = 30;
 const PD_REQ_BYTES: usize = ebs_wire::SOLAR_OVERHEAD + PushdownHdr::LEN;
 
 /// A pushdown frame (or its response) in flight on the fabric. Plain
-/// `Copy` data like [`RemoteMsg`]: the header *is* the message.
+/// `Copy` data: the header *is* the message.
 #[derive(Debug, Clone, Copy)]
-pub struct PushdownMsg {
+pub(crate) struct PushdownMsg {
     /// Issuing compute server.
     pub compute: u32,
     /// Serving storage server.
@@ -157,9 +165,9 @@ struct Mount {
     placement: PushdownPlacement,
 }
 
-/// Where a ring descriptor went after `pop_avail`.
+/// Where a ring descriptor went after `pop_avail`. `trace_idx` names
+/// its [`BlkTrace`], which knows the (compute, queue) the ring lives on.
 struct IoCtx {
-    queue: usize,
     desc: u16,
     /// The request as popped (carries the pushdown function for the
     /// client placement's post-read scan).
@@ -176,7 +184,6 @@ struct PdPart {
 
 struct PendingPd {
     compute: usize,
-    queue: usize,
     desc: u16,
     func: StorageFn,
     placement: PushdownPlacement,
@@ -226,25 +233,23 @@ impl BlkState {
         }
     }
 
-    /// Complete descriptor `desc` on `(compute, queue)`: push it used,
-    /// reap the completion for the driver, close the trace and journal
-    /// the request's span on the `blk` track.
-    #[allow(clippy::too_many_arguments)]
-    fn complete(
+    /// Complete descriptor `desc` of the request traced at `trace_idx`:
+    /// push it used, reap the completion for the driver, close the trace
+    /// and journal the request's span on the `blk` track.
+    pub(crate) fn complete(
         &mut self,
         journal: &mut Journal,
         at: SimTime,
-        compute: usize,
-        queue: usize,
         desc: u16,
+        trace_idx: usize,
         status: u8,
         len: u32,
-        trace_idx: usize,
     ) {
-        let Some(mount) = self.mounts.get_mut(compute).and_then(|m| m.as_mut()) else {
+        let tr = &mut self.traces[trace_idx];
+        let Some(mount) = self.mounts.get_mut(tr.compute).and_then(|m| m.as_mut()) else {
             return;
         };
-        let Some(vq) = mount.dev.queue_mut(queue) else {
+        let Some(vq) = mount.dev.queue_mut(tr.queue) else {
             return;
         };
         let held = vq.in_flight();
@@ -262,7 +267,6 @@ impl BlkState {
         if status == BLK_S_UNSUPP {
             self.counters.unsupported += 1;
         }
-        let tr = &mut self.traces[trace_idx];
         tr.completed = Some(at);
         tr.status = status;
         tr.blocks_out = len / ebs_sa::BLOCK_SIZE;
@@ -309,7 +313,7 @@ impl Testbed {
             cfg.features,
         )?;
         let features = dev.features();
-        let (nc, ns) = (self.cfg.n_compute, self.cfg.n_storage);
+        let (nc, ns) = (self.w.cfg.n_compute, self.w.cfg.n_storage);
         let st = self
             .blk
             .get_or_insert_with(|| Box::new(BlkState::new(nc, ns)));
@@ -322,7 +326,7 @@ impl Testbed {
 
     /// Schedule a guest ring submission on `(compute, queue)` at `at`.
     pub fn schedule_blk(&mut self, at: SimTime, compute: usize, queue: usize, req: BlkReq) {
-        self.q.schedule_at(
+        self.w.net.q.schedule_at(
             at,
             Event::BlkGuest {
                 compute,
@@ -346,17 +350,11 @@ impl Testbed {
         self.blk.as_deref().map_or(&[], |st| &st.traces)
     }
 
-    /// Negotiated features of the mount on `compute`, if any.
-    pub fn blk_features(&self, compute: usize) -> Option<u64> {
-        let m = self.blk.as_deref()?.mounts.get(compute)?.as_ref()?;
-        Some(m.dev.features())
-    }
-
     /// Total bytes handed to the fabric since construction (every
     /// transport and direction) — the bytes-moved metric the placement
     /// bench compares.
     pub fn fabric_bytes(&self) -> u64 {
-        self.fabric_bytes
+        self.w.net.fabric_bytes
     }
 
     /// Ring-slot accounting across every mounted queue: `(free, capacity,
@@ -417,234 +415,160 @@ impl Testbed {
             st.corrupt_next = true;
         }
     }
+}
 
+impl BlkState {
     // --- ring ingress ------------------------------------------------------
 
-    pub(crate) fn blk_guest(&mut self, now: SimTime, compute: usize, queue: usize, req: BlkReq) {
-        // Stage 1 under one destructured borrow: ring accept + pop +
-        // classification. The two tails that need `&mut self` methods
-        // (guest_io, blk_send_parts) run after it ends.
-        let mut guest_read: Option<(IoRequest, usize, u16, BlkReq, usize)> = None;
-        let mut remote: Option<u64> = None;
-        {
-            let Testbed {
-                blk,
-                computes,
-                journal,
-                q,
-                ..
-            } = self;
-            let Some(st) = blk.as_deref_mut() else { return };
-            let Some(mount) = st.mounts.get_mut(compute).and_then(|m| m.as_mut()) else {
-                return;
-            };
-            let features = mount.dev.features();
-            let placement = mount.placement;
-            let queue = queue.min(mount.dev.num_queues().saturating_sub(1));
-            let vq = mount.dev.queue_mut(queue).expect("clamped queue index");
-            if vq.submit(req).is_err() {
-                st.counters.rejected += 1;
-                journal.instant(now, "blk", "ring_full", queue as u64, 0);
-                return;
-            }
-            st.counters.accepted += 1;
-            let (desc, req) = vq.pop_avail().expect("just submitted");
-            let label = match req.kind {
-                ReqKind::Read => "read",
-                ReqKind::Write => "write",
-                ReqKind::Flush => "flush",
-                ReqKind::Discard => "discard",
-                ReqKind::Pushdown(_) => match placement {
-                    PushdownPlacement::Client => "pushdown.client",
-                    PushdownPlacement::StorageNode => "pushdown.storage",
-                    PushdownPlacement::Dpu => "pushdown.dpu",
-                },
-            };
-            let trace_idx = st.traces.len();
-            st.traces.push(BlkTrace {
-                compute,
-                queue,
-                label,
-                placement: matches!(req.kind, ReqKind::Pushdown(_)).then_some(placement),
-                blocks_in: req.blocks,
-                blocks_out: 0,
-                submitted: now,
-                completed: None,
-                status: BLK_S_OK,
-            });
-            // Feature gating: the virtio-faithful outcome for a request
-            // type whose feature the driver never acknowledged.
-            let missing = match req.kind {
-                ReqKind::Flush => features & BLK_F_FLUSH == 0,
-                ReqKind::Discard => features & BLK_F_DISCARD == 0,
-                ReqKind::Pushdown(_) => {
-                    features & BLK_F_PUSHDOWN == 0
-                        || (placement == PushdownPlacement::Dpu
-                            && features & BLK_F_PUSHDOWN_DPU == 0)
-                }
-                ReqKind::Read | ReqKind::Write => false,
-            };
-            if missing {
-                st.complete(
-                    journal,
-                    now,
-                    compute,
-                    queue,
-                    desc,
-                    BLK_S_UNSUPP,
-                    0,
-                    trace_idx,
-                );
-                return;
-            }
-            match req.kind {
-                ReqKind::Read | ReqKind::Write => {
-                    let io = IoRequest {
-                        vd_id: req.vd_id,
-                        kind: if req.kind == ReqKind::Write {
-                            IoKind::Write
-                        } else {
-                            IoKind::Read
-                        },
-                        offset: req.first_block * BLOCK_SIZE as u64,
-                        len: req.blocks.max(1) * BLOCK_SIZE,
-                    };
-                    guest_read = Some((io, queue, desc, req, trace_idx));
-                }
-                ReqKind::Flush => {
-                    q.schedule_at(
-                        at_plus(now, FLUSH_NS),
-                        Event::BlkLocalDone {
-                            compute,
-                            queue,
-                            desc,
-                            status: BLK_S_OK,
-                            len: 0,
-                            trace_idx,
-                        },
-                    );
-                }
-                ReqKind::Discard => {
-                    q.schedule_at(
-                        at_plus(now, DISCARD_NS_PER_BLOCK * req.blocks.max(1) as u64),
-                        Event::BlkLocalDone {
-                            compute,
-                            queue,
-                            desc,
-                            status: BLK_S_OK,
-                            len: 0,
-                            trace_idx,
-                        },
-                    );
-                }
-                ReqKind::Pushdown(func) => {
-                    if placement == PushdownPlacement::Client {
-                        // Baseline: pull the whole range through the normal
-                        // read path; the scan happens at completion.
-                        let io = IoRequest {
-                            vd_id: req.vd_id,
-                            kind: IoKind::Read,
-                            offset: req.first_block * BLOCK_SIZE as u64,
-                            len: req.blocks.max(1) * BLOCK_SIZE,
-                        };
-                        guest_read = Some((io, queue, desc, req, trace_idx));
-                    } else {
-                        // One part per (segment, block server) run.
-                        let subs = match ebs_sa::split_range(
-                            &computes[compute].seg_table,
-                            req.vd_id,
-                            req.first_block,
-                            req.blocks,
-                        ) {
-                            Ok(s) => s,
-                            Err(e) => panic!("blk workload generated invalid pushdown: {e}"),
-                        };
-                        let req_id = st.next_req_id;
-                        st.next_req_id += 1;
-                        let parts: Vec<PdPart> = subs
-                            .iter()
-                            .map(|sub| PdPart {
-                                storage: sub.block_server,
-                                first_block: sub.blocks[0],
-                                count: sub.blocks.len() as u32,
-                                done: false,
-                            })
-                            .collect();
-                        let pd = PendingPd {
-                            compute,
-                            queue,
-                            desc,
-                            func,
-                            placement,
-                            vd_id: req.vd_id,
-                            first_block: req.first_block,
-                            block_count: req.blocks,
-                            parts,
-                            parts_done: 0,
-                            agg_crc: 0,
-                            blocks_out: 0,
-                            trace_idx,
-                        };
-                        st.pd_map.insert(req_id, pd);
-                        remote = Some(req_id);
-                    }
-                }
-            }
-        }
-        if let Some((io, queue, desc, req, trace_idx)) = guest_read {
-            let io_id = self.guest_io(now, compute, io, false);
-            if let Some(st) = self.blk.as_deref_mut() {
-                st.io_map.insert(
-                    (compute, io_id),
-                    IoCtx {
-                        queue,
-                        desc,
-                        req,
-                        trace_idx,
-                    },
-                );
-            }
-        }
-        if let Some(req_id) = remote {
-            self.blk_send_parts(now, compute, req_id, false);
-        }
-    }
-
-    /// A locally-served request (flush/discard, or a feature rejection)
-    /// finished.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn blk_local_done(
+    /// A guest submitted `req` on queue `queue` of the mount on `c`: ring
+    /// accept + pop, then dispatch by request type.
+    pub(crate) fn guest(
         &mut self,
         now: SimTime,
-        compute: usize,
+        c: &mut ComputeNode,
         queue: usize,
-        desc: u16,
-        status: u8,
-        len: u32,
-        trace_idx: usize,
+        req: BlkReq,
+        w: &mut World,
     ) {
-        let Testbed { blk, journal, .. } = self;
-        if let Some(st) = blk.as_deref_mut() {
-            st.complete(journal, now, compute, queue, desc, status, len, trace_idx);
+        let compute = c.id;
+        let Some(mount) = self.mounts.get_mut(compute).and_then(|m| m.as_mut()) else {
+            return;
+        };
+        let features = mount.dev.features();
+        let placement = mount.placement;
+        let queue = queue.min(mount.dev.num_queues().saturating_sub(1));
+        let vq = mount.dev.queue_mut(queue).expect("clamped queue index");
+        if vq.submit(req).is_err() {
+            self.counters.rejected += 1;
+            w.journal.instant(now, "blk", "ring_full", queue as u64, 0);
+            return;
+        }
+        self.counters.accepted += 1;
+        let (desc, req) = vq.pop_avail().expect("just submitted");
+        let label = match req.kind {
+            ReqKind::Read => "read",
+            ReqKind::Write => "write",
+            ReqKind::Flush => "flush",
+            ReqKind::Discard => "discard",
+            ReqKind::Pushdown(_) => match placement {
+                PushdownPlacement::Client => "pushdown.client",
+                PushdownPlacement::StorageNode => "pushdown.storage",
+                PushdownPlacement::Dpu => "pushdown.dpu",
+            },
+        };
+        let trace_idx = self.traces.len();
+        self.traces.push(BlkTrace {
+            compute,
+            queue,
+            label,
+            placement: matches!(req.kind, ReqKind::Pushdown(_)).then_some(placement),
+            blocks_in: req.blocks,
+            blocks_out: 0,
+            submitted: now,
+            completed: None,
+            status: BLK_S_OK,
+        });
+        // Feature gating: the virtio-faithful outcome for a request type
+        // whose feature the driver never acknowledged.
+        let missing = match req.kind {
+            ReqKind::Flush => features & BLK_F_FLUSH == 0,
+            ReqKind::Discard => features & BLK_F_DISCARD == 0,
+            ReqKind::Pushdown(_) => {
+                features & BLK_F_PUSHDOWN == 0
+                    || (placement == PushdownPlacement::Dpu && features & BLK_F_PUSHDOWN_DPU == 0)
+            }
+            ReqKind::Read | ReqKind::Write => false,
+        };
+        if missing {
+            self.complete(&mut w.journal, now, desc, trace_idx, BLK_S_UNSUPP, 0);
+            return;
+        }
+        // Flush and discard are served locally after a fixed latency.
+        let mut local_done = |ns: u64| {
+            let ev = Event::BlkLocalDone { desc, trace_idx };
+            w.net.q.schedule_at(now + SimDuration::from_nanos(ns), ev);
+        };
+        match req.kind {
+            ReqKind::Flush => local_done(FLUSH_NS),
+            ReqKind::Discard => local_done(DISCARD_NS_PER_BLOCK * req.blocks.max(1) as u64),
+            ReqKind::Pushdown(func) if placement != PushdownPlacement::Client => {
+                // One part per (segment, block server) run.
+                let subs =
+                    match ebs_sa::split_range(&c.seg_table, req.vd_id, req.first_block, req.blocks)
+                    {
+                        Ok(s) => s,
+                        Err(e) => panic!("blk workload generated invalid pushdown: {e}"),
+                    };
+                let req_id = self.next_req_id;
+                self.next_req_id += 1;
+                let parts = subs
+                    .iter()
+                    .map(|sub| PdPart {
+                        storage: sub.block_server,
+                        first_block: sub.blocks[0],
+                        count: sub.blocks.len() as u32,
+                        done: false,
+                    })
+                    .collect();
+                let pd = PendingPd {
+                    compute,
+                    desc,
+                    func,
+                    placement,
+                    vd_id: req.vd_id,
+                    first_block: req.first_block,
+                    block_count: req.blocks,
+                    parts,
+                    parts_done: 0,
+                    agg_crc: 0,
+                    blocks_out: 0,
+                    trace_idx,
+                };
+                self.pd_map.insert(req_id, pd);
+                self.send_parts(now, req_id, false, w);
+            }
+            // Reads and writes ride the SA path as ordinary guest I/Os; so
+            // does the client placement's baseline, which pulls the whole
+            // range through the normal read path and scans at completion.
+            ReqKind::Read | ReqKind::Write | ReqKind::Pushdown(_) => {
+                let io = IoRequest {
+                    vd_id: req.vd_id,
+                    kind: if req.kind == ReqKind::Write {
+                        IoKind::Write
+                    } else {
+                        IoKind::Read
+                    },
+                    offset: req.first_block * BLOCK_SIZE as u64,
+                    len: req.blocks.max(1) * BLOCK_SIZE,
+                };
+                let io_id = c.guest_io(now, io, false, w);
+                let ctx = IoCtx {
+                    desc,
+                    req,
+                    trace_idx,
+                };
+                self.io_map.insert((compute, io_id), ctx);
+            }
         }
     }
 
     /// An SA-path I/O the block frontend issued (read/write descriptor,
     /// or the client placement's range read) completed at `done_at`.
-    pub(crate) fn blk_on_guest_io_done(&mut self, compute: usize, io_id: u64, done_at: SimTime) {
-        let Some(ctx) = self
-            .blk
-            .as_deref_mut()
-            .and_then(|st| st.io_map.remove(&(compute, io_id)))
-        else {
+    pub(crate) fn on_guest_io_done(
+        &mut self,
+        compute: usize,
+        io_id: u64,
+        done_at: SimTime,
+        cpu: &mut DpuCpu,
+        journal: &mut Journal,
+    ) {
+        let Some(ctx) = self.io_map.remove(&(compute, io_id)) else {
             return;
         };
         // Reads and writes haul the whole range across the fabric; the
         // client placement's scan is exactly a read plus local CPU.
-        if let Some(st) = self.blk.as_deref_mut() {
-            if ctx.req.kind != ReqKind::Flush {
-                st.counters.data_bytes += ctx.req.blocks as u64 * BLOCK_SIZE as u64;
-            }
+        if ctx.req.kind != ReqKind::Flush {
+            self.counters.data_bytes += ctx.req.blocks as u64 * BLOCK_SIZE as u64;
         }
         let (at, len) = match ctx.req.kind {
             ReqKind::Pushdown(func) => {
@@ -655,38 +579,34 @@ impl Testbed {
                 let res =
                     ebs_blk::execute(func, ctx.req.vd_id, ctx.req.first_block, ctx.req.blocks);
                 let cost = software_latency(func.op, ctx.req.blocks);
-                let t = self.computes[compute].cpu.run(done_at, cost);
+                let t = cpu.run(done_at, cost);
                 (t.max(done_at), res.blocks_out * BLOCK_SIZE)
             }
             ReqKind::Read => (done_at, ctx.req.blocks * BLOCK_SIZE),
             _ => (done_at, 0),
         };
-        let Testbed { blk, journal, .. } = self;
-        if let Some(st) = blk.as_deref_mut() {
-            st.complete(
-                journal,
-                at,
-                compute,
-                ctx.queue,
-                ctx.desc,
-                BLK_S_OK,
-                len,
-                ctx.trace_idx,
-            );
-        }
+        self.complete(journal, at, ctx.desc, ctx.trace_idx, BLK_S_OK, len);
     }
 
     // --- pushdown: storage side -------------------------------------------
 
-    /// A pushdown request frame reached a storage server: read the range
-    /// off the SSD, execute the function at the requested placement's
-    /// cost, and schedule the response.
-    pub(crate) fn blk_pushdown_storage(&mut self, now: SimTime, storage: usize, m: PushdownMsg) {
+    /// A pushdown request frame reached storage server `node`: read the
+    /// range off the SSD, execute the function at the requested
+    /// placement's cost, and schedule the response. The response leg is
+    /// where the bytes move: header plus `blocks_out` 4 KiB result blocks.
+    pub(crate) fn pushdown_storage(
+        &mut self,
+        now: SimTime,
+        node: &mut StorageNode,
+        m: PushdownMsg,
+        w: &mut World,
+    ) {
         if m.hdr.flags & PD_FLAG_RESPONSE != 0 {
             return; // responses never land at a storage server
         }
+        let storage = m.storage as usize;
         let blocks = m.hdr.block_count.max(1);
-        let (done, _bd) = self.storages[storage].backend.read(now, blocks as usize);
+        let (done, _bd) = node.backend.read(now, blocks as usize);
         // Semantics are placement-independent (the reference execution);
         // only the cost model differs.
         let res = ebs_blk::execute(
@@ -695,11 +615,8 @@ impl Testbed {
             m.hdr.first_block,
             m.hdr.block_count,
         );
-        let Some(st) = self.blk.as_deref_mut() else {
-            return;
-        };
         let exec = match m.hdr.placement {
-            PushdownPlacement::Dpu => st.dpu[storage].meter(m.hdr.op, blocks, res.blocks_out),
+            PushdownPlacement::Dpu => self.dpu[storage].meter(m.hdr.op, blocks, res.blocks_out),
             _ => software_latency(m.hdr.op, blocks),
         };
         let mut rh = m.hdr;
@@ -707,38 +624,23 @@ impl Testbed {
         rh.status = BLK_S_OK;
         rh.blocks_out = res.blocks_out;
         rh.result_crc = res.result_crc;
-        if st.corrupt_next {
-            st.corrupt_next = false;
+        if self.corrupt_next {
+            self.corrupt_next = false;
             rh.result_crc ^= 0x5A5A_5A5A;
         }
-        self.q.schedule_at(
-            done + exec + self.server_stack_latency,
-            Event::StorageDone {
-                storage,
-                reply: Box::new(Reply::Pushdown(PushdownMsg { hdr: rh, ..m })),
-            },
-        );
-    }
-
-    /// Emit a prepared pushdown response toward its compute server. The
-    /// response leg is where the bytes move: header plus `blocks_out`
-    /// 4 KiB result blocks.
-    pub(crate) fn blk_pushdown_reply(&mut self, now: SimTime, storage: usize, m: PushdownMsg) {
-        let sdev = self.storages[storage].device;
-        let cdev = self.computes[m.compute as usize].device;
-        let size = PD_REQ_BYTES + m.hdr.blocks_out as usize * BLOCK_SIZE as usize;
-        self.send_fabric(
-            now,
-            FlowLabel {
-                src: sdev,
-                dst: cdev,
-                src_port: 9200,
-                dst_port: 30_000 + (m.hdr.req_id & 0x3FF) as u16,
-                proto: 17,
-            },
-            size,
-            None,
-            Msg::Pushdown(m),
+        let flow = FlowLabel {
+            src: w.net.storage_dev(m.storage),
+            dst: w.net.compute_dev(m.compute),
+            src_port: 9200,
+            dst_port: 30_000 + (rh.req_id & 0x3FF) as u16,
+            proto: 17,
+        };
+        let size = PD_REQ_BYTES + rh.blocks_out as usize * BLOCK_SIZE as usize;
+        let body = Msg(Body::Pushdown(PushdownMsg { hdr: rh, ..m }));
+        let reply = Box::new(Reply::Packet(FabricPacket::new(flow, size, None, body)));
+        w.net.q.schedule_at(
+            done + exec + w.server_stack_latency,
+            Event::StorageDone { storage, reply },
         );
     }
 
@@ -747,35 +649,36 @@ impl Testbed {
     /// A pushdown response reached its compute server: account the part,
     /// and on the last part verify the aggregate CRC and complete the
     /// ring descriptor.
-    pub(crate) fn blk_pushdown_compute(&mut self, now: SimTime, compute: usize, m: PushdownMsg) {
+    pub(crate) fn pushdown_compute(
+        &mut self,
+        now: SimTime,
+        cpu: &mut DpuCpu,
+        m: PushdownMsg,
+        journal: &mut Journal,
+    ) {
         if m.hdr.flags & PD_FLAG_RESPONSE == 0 {
             return; // requests never land at a compute server
         }
-        let finished = {
-            let Some(st) = self.blk.as_deref_mut() else {
-                return;
-            };
-            // Every arriving response physically moved its result blocks,
-            // duplicates included.
-            st.counters.data_bytes += m.hdr.blocks_out as u64 * BLOCK_SIZE as u64;
-            let Some(p) = st.pd_map.get_mut(&m.hdr.req_id) else {
-                st.counters.dup_responses += 1;
-                return;
-            };
-            let pi = m.hdr.part as usize;
-            if pi >= p.parts.len() || p.parts[pi].done {
-                st.counters.dup_responses += 1;
-                return;
-            }
-            p.parts[pi].done = true;
-            p.parts_done += 1;
-            p.agg_crc ^= m.hdr.result_crc;
-            p.blocks_out += m.hdr.blocks_out;
-            if p.parts_done < p.parts.len() as u32 {
-                return;
-            }
-            st.pd_map.remove(&m.hdr.req_id).expect("present")
+        // Every arriving response physically moved its result blocks,
+        // duplicates included.
+        self.counters.data_bytes += m.hdr.blocks_out as u64 * BLOCK_SIZE as u64;
+        let Some(p) = self.pd_map.get_mut(&m.hdr.req_id) else {
+            self.counters.dup_responses += 1;
+            return;
         };
+        let pi = m.hdr.part as usize;
+        if pi >= p.parts.len() || p.parts[pi].done {
+            self.counters.dup_responses += 1;
+            return;
+        }
+        p.parts[pi].done = true;
+        p.parts_done += 1;
+        p.agg_crc ^= m.hdr.result_crc;
+        p.blocks_out += m.hdr.blocks_out;
+        if p.parts_done < p.parts.len() as u32 {
+            return;
+        }
+        let finished = self.pd_map.remove(&m.hdr.req_id).expect("present");
         // All parts in: the CRC-of-transformed-data check. By linearity
         // the XOR of the part aggregates must equal the reference
         // aggregate over the whole range, whatever the sharding was.
@@ -788,28 +691,14 @@ impl Testbed {
         let ok =
             reference.result_crc == finished.agg_crc && reference.blocks_out == finished.blocks_out;
         let verify = SimDuration::from_nanos(VERIFY_NS_PER_BLOCK * finished.block_count as u64);
-        let at = self.computes[compute].cpu.run(now, verify).max(now);
+        let at = cpu.run(now, verify).max(now);
         let (status, len) = if ok {
             (BLK_S_OK, finished.blocks_out * BLOCK_SIZE)
         } else {
+            self.counters.crc_failures += 1;
             (BLK_S_BADCRC, 0)
         };
-        let Testbed { blk, journal, .. } = self;
-        if let Some(st) = blk.as_deref_mut() {
-            if !ok {
-                st.counters.crc_failures += 1;
-            }
-            st.complete(
-                journal,
-                at,
-                finished.compute,
-                finished.queue,
-                finished.desc,
-                status,
-                len,
-                finished.trace_idx,
-            );
-        }
+        self.complete(journal, at, finished.desc, finished.trace_idx, status, len);
     }
 
     /// Send every part of pushdown `req_id` still missing and arm its
@@ -817,88 +706,70 @@ impl Testbed {
     /// every RTO round after it. Idempotent on both sides — the storage
     /// server serves duplicates blindly, the client drops duplicate
     /// responses.
-    pub(crate) fn blk_send_parts(&mut self, now: SimTime, compute: usize, req_id: u64, retx: bool) {
-        let mut sends: Vec<(FlowLabel, Msg)> = Vec::new();
-        {
-            let Testbed {
-                blk,
-                computes,
-                storages,
-                ..
-            } = self;
-            let Some(st) = blk.as_deref_mut() else { return };
-            let Some(p) = st.pd_map.get(&req_id) else {
-                return; // completed; the timer dies here
+    pub(crate) fn send_parts(&mut self, now: SimTime, req_id: u64, retx: bool, w: &mut World) {
+        let Some(p) = self.pd_map.get(&req_id) else {
+            return; // completed; the timer dies here
+        };
+        let (flags, src_port) = if retx {
+            // A fresh source port per retransmit round so the flow
+            // re-hashes around a dead path (the SOLAR path-remap trick at
+            // the pushdown layer).
+            let salt = req_id.wrapping_add(now.as_nanos());
+            (PD_FLAG_RETRANSMIT, 31_000 + (salt & 0x3FF) as u16)
+        } else {
+            (0, 30_000 + (req_id & 0x3FF) as u16)
+        };
+        let mut sent = 0;
+        for (pi, part) in p.parts.iter().enumerate().filter(|(_, p)| !p.done) {
+            // One small self-contained frame per part.
+            let hdr = PushdownHdr {
+                version: PushdownHdr::VERSION,
+                op: p.func.op,
+                placement: p.placement,
+                flags,
+                req_id,
+                vd_id: p.vd_id,
+                first_block: part.first_block,
+                block_count: part.count,
+                pred_offset: p.func.pred.offset,
+                pred_mask: p.func.pred.mask,
+                pred_value: p.func.pred.value,
+                group_k: p.func.group_k,
+                status: 0,
+                part: pi as u16,
+                blocks_out: 0,
+                result_crc: 0,
             };
-            let (flags, src_port) = if retx {
-                // A fresh source port per retransmit round so the flow
-                // re-hashes around a dead path (the SOLAR path-remap
-                // trick at the pushdown layer).
-                let salt = req_id.wrapping_add(now.as_nanos());
-                (PD_FLAG_RETRANSMIT, 31_000 + (salt & 0x3FF) as u16)
-            } else {
-                (0, 30_000 + (req_id & 0x3FF) as u16)
+            let flow = FlowLabel {
+                src: w.net.compute_dev(p.compute as u32),
+                dst: w.net.storage_dev(part.storage),
+                src_port,
+                dst_port: 9200,
+                proto: 17,
             };
-            for (pi, part) in p.parts.iter().enumerate() {
-                if part.done {
-                    continue;
-                }
-                // One small self-contained frame per part.
-                let hdr = PushdownHdr {
-                    version: PushdownHdr::VERSION,
-                    op: p.func.op,
-                    placement: p.placement,
-                    flags,
-                    req_id,
-                    vd_id: p.vd_id,
-                    first_block: part.first_block,
-                    block_count: part.count,
-                    pred_offset: p.func.pred.offset,
-                    pred_mask: p.func.pred.mask,
-                    pred_value: p.func.pred.value,
-                    group_k: p.func.group_k,
-                    status: 0,
-                    part: pi as u16,
-                    blocks_out: 0,
-                    result_crc: 0,
-                };
-                sends.push((
-                    FlowLabel {
-                        src: computes[p.compute].device,
-                        dst: storages[part.storage as usize].device,
-                        src_port,
-                        dst_port: 9200,
-                        proto: 17,
-                    },
-                    Msg::Pushdown(PushdownMsg {
-                        compute: p.compute as u32,
-                        storage: part.storage,
-                        hdr,
-                    }),
-                ));
-            }
-            if retx {
-                st.counters.retransmits += sends.len() as u64;
-            } else {
-                st.counters.parts_sent += sends.len() as u64;
-            }
+            let body = Msg(Body::Pushdown(PushdownMsg {
+                compute: p.compute as u32,
+                storage: part.storage,
+                hdr,
+            }));
+            w.net
+                .send(now, FabricPacket::new(flow, PD_REQ_BYTES, None, body));
+            sent += 1;
         }
-        for (flow, msg) in sends {
-            self.send_fabric(now, flow, PD_REQ_BYTES, None, msg);
+        if retx {
+            self.counters.retransmits += sent;
+        } else {
+            self.counters.parts_sent += sent;
         }
-        self.q
-            .schedule_at(now + PD_RTO, Event::BlkRetx { compute, req_id });
+        w.net.q.schedule_at(now + PD_RTO, Event::BlkRetx { req_id });
     }
 
-    /// The digest section for the block frontend, appended only when a
-    /// device was mounted so historical digests stay byte-identical.
-    pub(crate) fn blk_digest(&self, s: &mut String) {
+    /// The digest section for the block frontend (appended only when a
+    /// device was mounted, so historical digests stay byte-identical).
+    pub(crate) fn digest(&self, s: &mut String, fabric_bytes: u64) {
         use std::fmt::Write as _;
-        let Some(st) = self.blk.as_deref() else {
-            return;
-        };
-        let mut bh = Fnv::new();
-        for t in &st.traces {
+        let mut bh = Fnv1a::default();
+        for t in &self.traces {
             bh.u64(t.compute as u64);
             bh.u64(t.queue as u64);
             bh.bytes(t.label.as_bytes());
@@ -908,7 +779,7 @@ impl Testbed {
             bh.u64(t.completed.map_or(u64::MAX, |c| c.as_nanos()));
             bh.u64(t.status as u64);
         }
-        let c = st.counters;
+        let c = self.counters;
         let _ = write!(
             s,
             " blk={}/{}/{}/{} parts={}/{} dup={} crcfail={} data={} bhash={:016x} fabric_bytes={}",
@@ -922,7 +793,7 @@ impl Testbed {
             c.crc_failures,
             c.data_bytes,
             bh.finish(),
-            self.fabric_bytes,
+            fabric_bytes,
         );
     }
 }
