@@ -102,6 +102,9 @@ impl<P> FabricPacket<P> {
 /// Fabric events; wrap them into the world's event enum via
 /// [`MapScheduler`](ebs_sim::MapScheduler).
 ///
+/// One event per hop: a port knows a packet's departure when it enqueues
+/// it, and schedules its [`NetEvent::Arrive`] at the next device there.
+///
 /// Deliberately small (16 bytes): packets stay parked in the fabric's
 /// arena and only a [`PacketHandle`] rides through the event queue, so the
 /// per-hop schedule/pop memcpy is constant-size no matter what payload
@@ -114,13 +117,6 @@ pub enum NetEvent {
         device: DeviceId,
         /// The packet, parked in the fabric's arena.
         pkt: PacketHandle,
-    },
-    /// A port finished serializing the packet at the head of its queue.
-    TxDone {
-        /// Transmitting device.
-        device: DeviceId,
-        /// Port index on that device.
-        port: u32,
     },
     /// Routing has converged around a fail-stopped device: ECMP stops
     /// hashing onto it.
@@ -174,20 +170,49 @@ impl DropStats {
     }
 }
 
-/// An egress port. The queue holds `(handle, size)` pairs — the size is
-/// denormalized out of the arena so serialization scheduling in
-/// [`Fabric::tx_done`] never touches packet memory.
+/// An egress port as an analytic FIFO: a packet's last bit leaves at
+/// `max(now, previous end) + transmit_time`, so no event marks it. The
+/// queue holds `(serialization end, size)` of each packet not yet retired
+/// (lazily, at the next enqueue). Tie rule: a packet whose last bit leaves
+/// at `t` is no longer queued at `t`.
 #[derive(Debug)]
 struct PortState {
     to: DeviceId,
     rate: ebs_sim::Bandwidth,
     delay: SimDuration,
     cap_bytes: usize,
-    queue: VecDeque<(PacketHandle, u32)>,
+    queue: VecDeque<(SimTime, u32)>,
+    /// Bytes in `queue`; exact only right after [`PortState::retire`].
     queued_bytes: usize,
-    in_flight: bool,
+    /// Bytes of retired entries.
     tx_bytes: u64,
     max_queue_bytes: usize,
+}
+
+impl PortState {
+    /// Retire every packet whose last bit has left by `now`.
+    fn retire(&mut self, now: SimTime) {
+        while let Some(&(end, size)) = self.queue.front() {
+            if end > now {
+                break;
+            }
+            self.queue.pop_front();
+            self.queued_bytes -= size as usize;
+            self.tx_bytes += size as u64;
+        }
+    }
+
+    /// `(queued bytes, transmitted bytes)` as of `now`, without retiring:
+    /// `queued_bytes` and `tx_bytes` alone are stale between enqueues.
+    fn as_of(&self, now: SimTime) -> (usize, u64) {
+        let sent: usize = self
+            .queue
+            .iter()
+            .take_while(|&&(end, _)| end <= now)
+            .map(|&(_, size)| size as usize)
+            .sum();
+        (self.queued_bytes - sent, self.tx_bytes + sent as u64)
+    }
 }
 
 #[derive(Debug)]
@@ -369,7 +394,6 @@ impl<P> Fabric<P> {
                         // still grow it once, amortized).
                         queue: VecDeque::with_capacity((p.link.queue_bytes / 4096).clamp(16, 512)),
                         queued_bytes: 0,
-                        in_flight: false,
                         tx_bytes: 0,
                         max_queue_bytes: 0,
                     })
@@ -426,7 +450,8 @@ impl<P> Fabric<P> {
         (self.route_hits, self.route_misses)
     }
 
-    /// Largest egress queue (bytes) observed anywhere, a congestion probe.
+    /// Largest egress queue (bytes) observed anywhere, a congestion probe: a
+    /// high-water mark taken at enqueue, where a port's occupancy is exact.
     pub fn max_queue_bytes(&self) -> usize {
         self.devices
             .iter()
@@ -517,10 +542,6 @@ impl<P> Fabric<P> {
     ) -> Option<FabricPacket<P>> {
         match ev {
             NetEvent::Arrive { device, pkt } => self.arrive(now, device, pkt, sched),
-            NetEvent::TxDone { device, port } => {
-                self.tx_done(now, device, port as usize, sched);
-                None
-            }
             NetEvent::RoutingConverged { device } => {
                 // Only exclude if still failed (it may have healed).
                 let d = &mut self.devices[device.0 as usize];
@@ -665,6 +686,7 @@ impl<P> Fabric<P> {
         let Some(pkt) = packets.get_mut(h) else {
             return;
         };
+        port.retire(now);
         let size = pkt.size;
         if port.queued_bytes + size > port.cap_bytes {
             drops.queue_overflow += 1;
@@ -705,50 +727,11 @@ impl<P> Fabric<P> {
         }
         port.queued_bytes += size;
         port.max_queue_bytes = port.max_queue_bytes.max(port.queued_bytes);
-        port.queue.push_back((h, size as u32));
-        if !port.in_flight {
-            // The queue was empty, so the packet just pushed is the head.
-            port.in_flight = true;
-            let ser = port.rate.transmit_time(size);
-            sched.at(
-                now + ser,
-                NetEvent::TxDone {
-                    device,
-                    port: port_idx as u32,
-                },
-            );
-        }
-    }
-
-    fn tx_done(
-        &mut self,
-        now: SimTime,
-        device: DeviceId,
-        port_idx: usize,
-        sched: &mut impl Scheduler<NetEvent>,
-    ) {
-        let port = &mut self.devices[device.0 as usize].ports[port_idx];
-        // lint: allow(panic_discipline) — a TxDone is only scheduled while a packet serializes on this port; an empty queue here is a scheduler bug worth crashing on, and the proptests drive this path
-        let (h, size) = port.queue.pop_front().expect("tx_done with empty queue");
-        port.queued_bytes -= size as usize;
-        port.tx_bytes += size as u64;
-        let to = port.to;
-        let delay = port.delay;
-        // Start serializing the next packet, if any.
-        if let Some(&(_, next_size)) = port.queue.front() {
-            let ser = port.rate.transmit_time(next_size as usize);
-            sched.at(
-                now + ser,
-                NetEvent::TxDone {
-                    device,
-                    port: port_idx as u32,
-                },
-            );
-        } else {
-            port.in_flight = false;
-        }
-        // Propagate to the neighbor.
-        sched.at(now + delay, NetEvent::Arrive { device: to, pkt: h });
+        // Just retired: whatever is still queued ends after `now`.
+        let end = port.queue.back().map_or(now, |b| b.0) + port.rate.transmit_time(size);
+        port.queue.push_back((end, size as u32));
+        let (to, delay) = (port.to, port.delay);
+        sched.at(end + delay, NetEvent::Arrive { device: to, pkt: h });
     }
 }
 
@@ -757,7 +740,8 @@ impl<P> ebs_obs::Sample for Fabric<P> {
     /// histograms. Each egress port contributes one observation to the
     /// `link_queue_bytes` / `link_tx_bytes` histograms, so ECMP imbalance
     /// shows up as spread (p99 ≫ p50) rather than needing per-link keys.
-    fn sample_into(&self, _now: SimTime, m: &mut ebs_obs::Metrics) {
+    /// Both read each port as of `now`.
+    fn sample_into(&self, now: SimTime, m: &mut ebs_obs::Metrics) {
         m.counter_add("net", "delivered", self.delivered);
         m.counter_add("net", "drop_fail_stop", self.drops.fail_stop);
         m.counter_add("net", "drop_blackhole", self.drops.blackhole);
@@ -770,8 +754,9 @@ impl<P> ebs_obs::Sample for Fabric<P> {
         m.gauge_set("net", "max_queue_bytes", self.max_queue_bytes() as f64);
         for dev in &self.devices {
             for port in &dev.ports {
-                m.observe("net", "link_queue_bytes", port.queued_bytes as u64);
-                m.observe("net", "link_tx_bytes", port.tx_bytes);
+                let (queued, tx) = port.as_of(now);
+                m.observe("net", "link_queue_bytes", queued as u64);
+                m.observe("net", "link_tx_bytes", tx);
             }
         }
     }
@@ -1018,7 +1003,7 @@ mod tests {
         let fresh: Vec<usize> = f2
             .devices
             .iter()
-            .flat_map(|d| d.ports.iter().map(|p| p.tx_bytes as usize))
+            .flat_map(|d| d.ports.iter().map(|p| p.as_of(SimTime::MAX).1 as usize))
             .collect();
         // tx_bytes per port of the healed fabric, counting only the final
         // batch (subtract the two earlier 64-packet batches is fiddly; the
@@ -1028,7 +1013,12 @@ mod tests {
             .iter()
             .enumerate()
             .filter(|(i, _)| *i == spine.0 as usize)
-            .map(|(_, d)| d.ports.iter().filter(|p| p.tx_bytes > 0).count())
+            .map(|(_, d)| {
+                d.ports
+                    .iter()
+                    .filter(|p| p.as_of(SimTime::MAX).1 > 0)
+                    .count()
+            })
             .sum();
         assert!(
             spine_ports > 0,
@@ -1169,5 +1159,214 @@ mod tests {
             tags
         };
         assert_eq!(delivered_tags(false), delivered_tags(true));
+    }
+
+    /// The Lindley recursion for one FIFO port, written out independently
+    /// of [`PortState`]: each accepted packet departs (last bit out) at
+    /// `max(arrival, previous departure) + transmit time`, and a packet
+    /// arriving at `at` sees as queued exactly the accepted packets that
+    /// depart after `at` — a departure at `at` has already left (the tie
+    /// rule).
+    struct LindleyPort {
+        rate_bps: u64,
+        /// `(departure ns, size)` of every accepted packet, in order.
+        accepted: Vec<(u64, u64)>,
+    }
+
+    impl LindleyPort {
+        /// `(queued, transmitted)` bytes as seen by an arrival at `at`.
+        fn seen_at(&self, at: u64) -> (u64, u64) {
+            self.accepted
+                .iter()
+                .fold((0, 0), |(queued, sent), &(dep, size)| {
+                    if dep > at {
+                        (queued + size, sent)
+                    } else {
+                        (queued, sent + size)
+                    }
+                })
+        }
+
+        /// Accept a packet arriving at `at`; returns its departure.
+        fn accept(&mut self, at: u64, size: u64) -> u64 {
+            let prev = self.accepted.last().map_or(0, |&(dep, _)| dep);
+            let dep = at.max(prev) + (size * 8_000_000_000).div_ceil(self.rate_bps);
+            self.accepted.push((dep, size));
+            dep
+        }
+    }
+
+    proptest::proptest! {
+        /// One switch egress port — a ToR's server-facing downlink at
+        /// 8 Gb/s (a byte per nanosecond) with an 8 KiB buffer — driven by
+        /// random `(arrival, size)` sequences on a 64 ns grid with sizes in
+        /// 64-byte steps, so departures land on the grid and a departure
+        /// and an arrival in the same nanosecond are common. Every
+        /// `Arrive` time, every tail-drop decision and every INT stamp
+        /// must match the reference.
+        #[test]
+        fn port_oracle_matches_lindley_reference(
+            steps in proptest::collection::vec((0u64..16, 1u64..=20), 1..80),
+        ) {
+            const GRID_NS: u64 = 64;
+            let link = crate::topology::LinkSpec {
+                rate: ebs_sim::Bandwidth::from_gbps(8),
+                delay: SimDuration::from_nanos(3 * GRID_NS),
+                queue_bytes: 8 * 1024,
+            };
+            let topo = Topology::build(ClosConfig {
+                server_link: link,
+                ..ClosConfig::testbed(2, 2, 2)
+            });
+            let mut f: Fabric<u32> = Fabric::new(topo, FabricConfig::default());
+            let mut q = EventQueue::new();
+            let dst = f.topology().servers()[0];
+            let tor = f.topology().devices()[dst.0 as usize].ports[0].to;
+            let mut reference = LindleyPort {
+                rate_bps: link.rate.as_bps(),
+                accepted: Vec::new(),
+            };
+            // Per packet: None if tail-dropped, else (arrival at dst,
+            // INT ts_ns, queue_bytes, tx_bytes).
+            let mut want = Vec::new();
+            let mut now = 0;
+            for (tag, &(gap, units)) in steps.iter().enumerate() {
+                now += gap * GRID_NS;
+                let size = units * 64;
+                let (queued, sent) = reference.seen_at(now);
+                want.push((queued + size <= link.queue_bytes as u64).then(|| {
+                    let dep = reference.accept(now, size);
+                    (dep + link.delay.as_nanos(), now, queued + size, sent)
+                }));
+                let mut p = pkt(&f, 1, 0, 7, tag as u32);
+                p.size = size as usize;
+                p.int = Some(IntStack::with_path_capacity());
+                let ev = f.arrive_event(tor, p);
+                proptest::prop_assert!(f.handle(SimTime::from_nanos(now), ev, &mut q).is_none());
+            }
+            let mut got = vec![None; steps.len()];
+            for (t, p) in run_to_end(&mut f, &mut q) {
+                let hop = p.int.as_ref().expect("stamped at the ToR").hops[0];
+                got[p.payload as usize] =
+                    Some((t.as_nanos(), hop.ts_ns, hop.queue_bytes as u64, hop.tx_bytes));
+            }
+            proptest::prop_assert_eq!(&got, &want);
+            proptest::prop_assert_eq!(
+                f.drops().queue_overflow as usize,
+                want.iter().filter(|w| w.is_none()).count()
+            );
+        }
+    }
+
+    /// Fabric-level oracle: an all-INT incast, seven senders into server
+    /// 5, sizes in 1250-byte steps (200 / 100 / 25 ns at 50 / 100 /
+    /// 400 Gb/s) sent on a 100 ns grid, so departures and arrivals tie at
+    /// many hops. A stamped hop's egress port is the one towards the next
+    /// device on the packet's path; per port, every stamp must satisfy the
+    /// recursion: next-hop arrival = departure + delay, and `queue_bytes`
+    /// / `tx_bytes` as the reference computes them.
+    #[test]
+    fn port_oracle_int_incast_stamps_follow_lindley() {
+        let (mut f, mut q) = fabric();
+        let dst = f.topology().servers()[5];
+        let mut n = 0u32;
+        for round in 0..24u64 {
+            for s in [0, 1, 2, 3, 4, 6, 7] {
+                let mut p = pkt(&f, s, 5, n as u16, n);
+                p.size = 1250 * (1 + (n as usize + round as usize) % 3);
+                p.int = Some(IntStack::with_path_capacity());
+                f.send(SimTime::from_nanos(round * 100), p, &mut q);
+                n += 1;
+            }
+        }
+        let got = run_to_end(&mut f, &mut q);
+        assert_eq!(got.len(), n as usize);
+        // (device, port) -> (stamp, next-hop arrival, size, queue_bytes, tx_bytes)
+        type Stamp = (u64, u64, u64, u64, u64);
+        let mut ports: std::collections::BTreeMap<(u32, usize), Vec<Stamp>> = Default::default();
+        for (t, p) in &got {
+            let hops = &p.int.as_ref().expect("stamped").hops;
+            for (j, hop) in hops.iter().enumerate() {
+                let (next, next_at) = match hops.get(j + 1) {
+                    Some(h) => (DeviceId(h.device_id), h.ts_ns),
+                    None => (dst, t.as_nanos()),
+                };
+                let port = f.topology().devices()[hop.device_id as usize]
+                    .ports
+                    .iter()
+                    .position(|p| p.to == next)
+                    .expect("a port towards the next hop");
+                ports.entry((hop.device_id, port)).or_default().push((
+                    hop.ts_ns,
+                    next_at,
+                    p.size as u64,
+                    hop.queue_bytes as u64,
+                    hop.tx_bytes,
+                ));
+            }
+        }
+        let mut ties = 0;
+        for ((dev, port), mut stamps) in ports {
+            let link = f.topology().devices()[dev as usize].ports[port].link;
+            let mut reference = LindleyPort {
+                rate_bps: link.rate.as_bps(),
+                accepted: Vec::new(),
+            };
+            // A FIFO port departs in enqueue order.
+            stamps.sort_by_key(|s| s.1);
+            for (at, next_at, size, queue_bytes, tx_bytes) in stamps {
+                ties += reference.accepted.iter().filter(|a| a.0 == at).count();
+                let (queued, sent) = reference.seen_at(at);
+                assert_eq!(
+                    (queue_bytes, tx_bytes),
+                    (queued + size, sent),
+                    "device {dev} port {port}: stamp at {at} ns"
+                );
+                let dep = reference.accept(at, size);
+                assert_eq!(
+                    next_at,
+                    dep + link.delay.as_nanos(),
+                    "device {dev} port {port}: departure of the packet stamped at {at} ns"
+                );
+            }
+        }
+        assert!(
+            ties > 0,
+            "the incast must put departures and arrivals in one nanosecond"
+        );
+    }
+
+    /// `Sample` reads every port as of the `now` it is given. After a
+    /// drained incast no port is queueing, and the per-port transmitted
+    /// bytes add up to what the ports forwarded — although the ports' own
+    /// counters, retired only at their next enqueue, are stale.
+    #[test]
+    fn sample_reads_ports_as_of_now() {
+        let (mut f, mut q) = fabric();
+        for i in 0..100u32 {
+            let mut p = pkt(&f, i as usize % 4, 5, i as u16, i);
+            p.int = Some(IntStack::with_path_capacity());
+            f.send(SimTime::ZERO, p, &mut q);
+        }
+        let got = run_to_end(&mut f, &mut q);
+        assert_eq!(got.len(), 100);
+        // A packet crosses its server's uplink plus one port per switch.
+        let forwarded: u64 = got
+            .iter()
+            .map(|(_, p)| p.size as u64 * (p.int.as_ref().expect("stamped").hops.len() as u64 + 1))
+            .sum();
+        assert!(
+            f.devices
+                .iter()
+                .flat_map(|d| &d.ports)
+                .any(|p| p.queued_bytes > 0),
+            "some port still holds unretired entries, or this test proves nothing"
+        );
+        let mut m = ebs_obs::Metrics::new();
+        ebs_obs::Sample::sample_into(&f, q.now(), &mut m);
+        let queued = m.histogram("net", "link_queue_bytes").expect("sampled");
+        assert_eq!(queued.max(), 0, "a drained fabric queues nothing");
+        let tx = m.histogram("net", "link_tx_bytes").expect("sampled");
+        assert_eq!((tx.mean() * tx.count() as f64).round() as u64, forwarded);
     }
 }
