@@ -432,6 +432,8 @@ impl SolarClient {
     }
 
     /// Earliest instant `on_timer` must run (packet RTOs and path probes).
+    /// The RTO part is always a packet still in flight: acks, NACKs and
+    /// timeouts prune the heap tops they made stale.
     pub fn poll_timer(&self) -> Option<SimTime> {
         let t1 = self.timers.peek().map(|e| SimTime::from_nanos(e.at_ns));
         let t2 = self.paths.min_next_probe();
@@ -444,27 +446,36 @@ impl SolarClient {
     /// Fire due timers: packet timeouts (→ selective retransmit on another
     /// path, path-failure inference) and probe transmissions.
     pub fn on_timer(&mut self, now: SimTime) {
-        // Packet RTOs.
-        while let Some(top) = self.timers.peek() {
-            if top.at_ns > now.as_nanos() {
-                break;
+        // Packet RTOs, in deadline order. A timeout can fail its RPC and
+        // so stale other entries: prune before every look at the top.
+        loop {
+            self.prune_timers();
+            match self.timers.peek() {
+                Some(top) if top.at_ns <= now.as_nanos() => {
+                    let key = top.key;
+                    self.timers.pop();
+                    self.handle_timeout(now, key);
+                }
+                _ => break,
             }
-            let Some(TimerEntry {
-                key, generation, ..
-            }) = self.timers.pop()
-            else {
-                break;
-            };
-            let Some(o) = self.outstanding.get(&key) else {
-                continue; // already completed
-            };
-            if o.generation != generation || !o.in_flight {
-                continue; // retransmitted since; stale timer
-            }
-            self.handle_timeout(now, key);
         }
         // Probes for failed paths are emitted from poll_transmit; nothing
         // else to do here (next_probe gates them by time).
+    }
+
+    /// Pop RTO heap tops that no longer guard a packet in flight: the
+    /// packet was acked or its RPC failed, it was sent again since (another
+    /// generation), or it waits in the transmit queue. Every entry below a
+    /// live top is no earlier than it, so `poll_timer` then names a live
+    /// deadline and the host sets no timer for an acked packet.
+    fn prune_timers(&mut self) {
+        while let Some(top) = self.timers.peek() {
+            let o = self.outstanding.get(&top.key);
+            if o.is_some_and(|o| o.generation == top.generation && o.in_flight) {
+                break;
+            }
+            self.timers.pop();
+        }
     }
 
     fn handle_timeout(&mut self, now: SimTime, key: PktKey) {
@@ -725,6 +736,7 @@ impl SolarClient {
                 // Initiator never receives these; drop.
             }
         }
+        self.prune_timers();
     }
 
     fn complete_packet(&mut self, now: SimTime, pkt: InPacket, is_read: bool) {
@@ -881,6 +893,146 @@ impl ebs_obs::Sample for SolarClient {
             }
             m.observe("solar", "path_inflight_bytes", p.inflight_bytes());
             m.observe("solar", "path_window_bytes", p.window());
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// `hdr` turned around as the responder would answer it: same
+    /// identifiers, another op.
+    fn answer(hdr: &EbsHeader, op: EbsOp) -> InPacket {
+        let hdr = EbsHeader { op, ..*hdr };
+        InPacket {
+            hdr,
+            payload: Bytes::new(),
+            int: None,
+        }
+    }
+
+    fn write_blocks(n: usize) -> Vec<WriteBlock> {
+        let block = |i| WriteBlock {
+            block_addr: i as u64,
+            payload: Bytes::new(),
+            crc: 0,
+        };
+        (0..n).map(block).collect()
+    }
+
+    #[test]
+    fn live_timer_acked_write_leaves_none() {
+        let mut c = SolarClient::new(SolarConfig::default());
+        let t0 = SimTime::from_micros(10);
+        c.submit_write(t0, 1, 7, 0, write_blocks(4));
+        let mut now = t0;
+        while c.outstanding_packets() > 0 {
+            let sent: Vec<_> = std::iter::from_fn(|| c.poll_transmit(now)).collect();
+            assert!(!sent.is_empty(), "window stalled a fault-free write");
+            assert!(c.poll_timer().is_some());
+            now += SimDuration::from_micros(50);
+            for out in &sent {
+                c.on_packet(now, answer(&out.hdr, EbsOp::WriteAck));
+            }
+        }
+        assert!(matches!(
+            c.poll_event(),
+            Some(SolarEvent::RpcCompleted { rpc_id: 1, .. })
+        ));
+        assert_eq!(c.poll_timer(), None, "an acked packet keeps no deadline");
+    }
+
+    /// The deadline `poll_timer` must report, computed from the packets
+    /// `outstanding` holds in flight and the deadline each got when it was
+    /// last sent (recorded by the test, not read from the heap).
+    fn live_deadline(c: &SolarClient, sent_rto: &FxHashMap<PktKey, SimTime>) -> Option<SimTime> {
+        let in_flight = c.outstanding.iter().filter(|(_, o)| o.in_flight);
+        let rto = in_flight.map(|(k, _)| sent_rto[k]).min();
+        match (rto, c.paths.min_next_probe()) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
+    proptest! {
+        /// Random scripts of submit / transmit / ack (sometimes answered
+        /// twice) / drop / NACK / gap NACK / time advance / event poll on
+        /// a 4-path client with a 2-retry budget, so packets time out,
+        /// RPCs fail and paths go down and are probed: after every call,
+        /// `poll_timer` is exactly the earliest live deadline. Advances
+        /// span an RTT sample (< 200 µs), an RTO (< 3 ms) and a probe
+        /// interval (< 15 ms).
+        #[test]
+        fn live_timer_is_earliest_live_deadline(
+            steps in proptest::collection::vec((0u32..21, any::<usize>(), any::<bool>(), any::<u64>()), 1..200),
+        ) {
+            let cfg = SolarConfig { max_pkt_retries: 2, ..SolarConfig::default() };
+            let mut c = SolarClient::new(cfg);
+            let mut now = SimTime::ZERO;
+            let mut next_rpc = 1u64;
+            let mut wire: Vec<EbsHeader> = Vec::new();
+            let mut sent_rto: FxHashMap<PktKey, SimTime> = FxHashMap::default();
+            for (kind, idx, flag, us) in steps {
+                // The packet on the wire a step answers, if there is one.
+                let on_wire = (!wire.is_empty()).then(|| idx % wire.len());
+                match (kind, on_wire) {
+                    (0..=2, _) => {
+                        let (rpc, blocks) = (next_rpc, 1 + idx % 4);
+                        next_rpc += 1;
+                        if flag {
+                            c.submit_write(now, rpc, 1, 0, write_blocks(blocks));
+                        } else {
+                            let read = |i: usize| ReadBlock { block_addr: i as u64, guest_addr: 0 };
+                            c.submit_read(now, rpc, 1, 0, (0..blocks).map(read).collect());
+                        }
+                    }
+                    (3..=6, _) => {
+                        while let Some(out) = c.poll_transmit(now) {
+                            let hdr = out.hdr;
+                            if hdr.op != EbsOp::Probe {
+                                let key = PktKey { rpc_id: hdr.rpc_id, pkt_id: hdr.pkt_id };
+                                sent_rto.insert(key, now + c.paths.rto(hdr.path_id as usize));
+                            }
+                            wire.push(hdr);
+                            prop_assert_eq!(c.poll_timer(), live_deadline(&c, &sent_rto));
+                        }
+                    }
+                    (7..=12, Some(i)) => {
+                        let hdr = if flag { wire[i] } else { wire.swap_remove(i) };
+                        let op = match hdr.op {
+                            EbsOp::WriteBlock => EbsOp::WriteAck,
+                            EbsOp::ReadReq => EbsOp::ReadResp,
+                            _ => EbsOp::ProbeAck,
+                        };
+                        c.on_packet(now, answer(&hdr, op));
+                    }
+                    (13..=14, Some(i)) => {
+                        wire.swap_remove(i);
+                    }
+                    (15, Some(i)) => c.on_packet(now, answer(&wire.swap_remove(i), EbsOp::Nack)),
+                    (16, Some(i)) => {
+                        // The responder saw the packet's path sequence skipped.
+                        let hdr = wire.swap_remove(i);
+                        let gap = EbsHeader {
+                            block_addr: u64::from(hdr.path_seq),
+                            path_seq: hdr.path_seq + 1,
+                            ..hdr
+                        };
+                        c.on_packet(now, answer(&gap, EbsOp::GapNack));
+                    }
+                    (17..=19, _) => {
+                        now += SimDuration::from_micros(us % [200, 3_000, 15_000][idx % 3]);
+                        c.on_timer(now);
+                    }
+                    (20, _) => {
+                        c.poll_event();
+                    }
+                    _ => {} // nothing on the wire to answer
+                }
+                prop_assert_eq!(c.poll_timer(), live_deadline(&c, &sent_rto));
+            }
         }
     }
 }
