@@ -226,9 +226,11 @@ impl ClientConn {
     }
 
     /// Hand one RPC to the transport, charging the tx-side stack work to
-    /// `cpu`. The engines are sans-io, so submission itself is immediate;
-    /// a stack's tx latency shows up as the returned instant, before which
-    /// the host must not pump the connection. `None`: pump right away.
+    /// `cpu`. The engines are sans-io and queue the RPC at once, so it
+    /// leaves with the caller's next pump. TCP and RDMA return the instant
+    /// their tx-side stack crossing ends, for the caller's host timer; the
+    /// request does not wait for it (DESIGN.md §7.11, invariant 4). SOLAR
+    /// returns `None`.
     pub(crate) fn submit(
         &mut self,
         now: SimTime,
