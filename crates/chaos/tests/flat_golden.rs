@@ -1,35 +1,24 @@
 //! Golden pins for the flat chaos path. `run_schedule` is the 1-shard
-//! case of the fleet runner; these hashes were first generated by the
-//! last commit that still had a separate flat runner body (617d78f), by
-//! running this file there with `--nocapture` and copying the printed
-//! table. They are what makes "the one-shard fleet *is* the flat
-//! testbed" a checked claim rather than an argued one — for every
-//! envelope, every variant and the blk pushdown frontend, down to the
-//! clock-dependent utilization gauges in the metrics snapshot.
+//! case of the fleet runner; `flat.golden.txt` holds each schedule's
+//! verdicts and obs metrics snapshot, one `name seed N: verdicts` line
+//! followed by one metric per line. They are what makes "the one-shard
+//! fleet *is* the flat testbed" a checked claim rather than an argued
+//! one — for every envelope, every variant and the blk pushdown
+//! frontend, down to the clock-dependent utilization gauges in the
+//! metrics snapshot.
 //!
-//! Re-pinned twice. First when fabric egress ports became analytic FIFOs
-//! and the departure/arrival order at timestamp ties became a stated
-//! rule. That moved event counts and metrics, but no oracle: every
-//! schedule certified (no violation) before and after, and the verdicts
-//! themselves were byte-identical except the incast schedule's
-//! closed-loop I/O count. Then when the SOLAR client stopped reporting
-//! RTO deadlines of packets already acked: fewer host-timer events moved
-//! `sim` event counts, `max_queued` and the clock-dependent `dpu.cpu`
-//! gauges of the four SOLAR schedules, with byte-identical verdicts
-//! (EXPERIMENTS.md has both).
+//! Re-pin only when a drift is intended: `EBS_BLESS=1 cargo test -p
+//! ebs-chaos --test flat_golden`. EXPERIMENTS.md keeps what moved each
+//! time.
+
+#[path = "../../bench/src/pin.rs"]
+mod pin;
+
+use std::path::Path;
 
 use ebs_cc::CcAlgo;
 use ebs_chaos::{run_schedule, BlkChaosConfig, ChaosConfig, FaultWeights, Schedule};
 use ebs_stack::Variant;
-
-/// FNV-1a over the two replay-comparable strings of an outcome.
-fn fnv1a64(parts: [&str; 2]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in parts.iter().flat_map(|p| p.bytes()) {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// The loss-only pushdown envelope of `tests/blk_pushdown.rs`
 /// (`lossy_blk_cfg(StorageNode)`), restated because integration tests
@@ -51,55 +40,67 @@ fn lossy_blk_cfg() -> ChaosConfig {
 }
 
 #[test]
-fn flat_outcomes_match_the_parent_commits_flat_runner() {
-    let cases: [(&str, ChaosConfig, u64, u64); 6] = [
-        (
-            "smoke luna",
-            ChaosConfig::smoke(Variant::Luna),
-            3,
-            0x5bd9_3e8d_8c1d_c141,
-        ),
-        (
-            "smoke solar",
-            ChaosConfig::smoke(Variant::Solar),
-            42,
-            0x9d56_2a01_877d_3c46,
-        ),
-        (
-            "smoke rdma",
-            ChaosConfig::smoke(Variant::Rdma),
-            3,
-            0x43b6_7e93_e97d_c0b2,
-        ),
-        (
-            "soak solar",
-            ChaosConfig::soak(Variant::Solar),
-            7,
-            0x1c26_a3ae_fcda_1dd0,
-        ),
-        (
-            "incast dcqcn",
-            ChaosConfig::incast_soak(CcAlgo::Dcqcn),
-            5,
-            0x6ea6_93b4_e01a_fbbd,
-        ),
-        (
-            "blk storage-node",
-            lossy_blk_cfg(),
-            0,
-            0x7824_4510_acf0_21af,
-        ),
+fn flat_outcomes_match_the_committed_renderings() {
+    let cases: [(&str, ChaosConfig, u64); 6] = [
+        ("smoke luna", ChaosConfig::smoke(Variant::Luna), 3),
+        ("smoke solar", ChaosConfig::smoke(Variant::Solar), 42),
+        ("smoke rdma", ChaosConfig::smoke(Variant::Rdma), 3),
+        ("soak solar", ChaosConfig::soak(Variant::Solar), 7),
+        ("incast dcqcn", ChaosConfig::incast_soak(CcAlgo::Dcqcn), 5),
+        ("blk storage-node", lossy_blk_cfg(), 0),
     ];
-    let mut drift = Vec::new();
-    for (name, cfg, seed, want) in cases {
+    let mut rendered = String::new();
+    for (name, cfg, seed) in cases {
         let o = run_schedule(&Schedule::generate(seed, &cfg));
         assert!(o.ok(), "{name} seed {seed}: {}", o.verdicts_json());
         assert_eq!(o.corrupt_caught, o.corrupt_planted, "{name} seed {seed}");
-        let got = fnv1a64([&o.verdicts_json(), &o.metrics_json]);
-        println!("{name} seed {seed}: {got:#018x}");
-        if got != want {
-            drift.push(format!("{name} seed {seed}: {got:#018x} != {want:#018x}"));
+        rendered.push_str(&format!(
+            "{name} seed {seed}: {}\n{}",
+            o.verdicts_json(),
+            o.metrics_json
+        ));
+    }
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/flat.golden.txt");
+    if let Err(e) = pin::check(&golden, &rendered) {
+        panic!("{e}");
+    }
+}
+
+/// Transitional: FNV-1a over every committed schedule's verdicts and
+/// metrics equals the hash the parent commit pinned for it.
+#[test]
+fn committed_renderings_hash_to_the_parents_pins() {
+    const PARENT: [u64; 6] = [
+        0x5bd9_3e8d_8c1d_c141, // smoke luna seed 3
+        0x9d56_2a01_877d_3c46, // smoke solar seed 42
+        0x43b6_7e93_e97d_c0b2, // smoke rdma seed 3
+        0x1c26_a3ae_fcda_1dd0, // soak solar seed 7
+        0x6ea6_93b4_e01a_fbbd, // incast dcqcn seed 5
+        0x7824_4510_acf0_21af, // blk storage-node seed 0
+    ];
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/flat.golden.txt");
+    let text = std::fs::read_to_string(path).expect("committed renderings");
+    // (name, verdicts_json, metrics_json) per schedule.
+    let mut schedules: Vec<(String, String, String)> = Vec::new();
+    for line in text.lines() {
+        match line.split_once(": ") {
+            Some((name, verdicts)) if line.starts_with(|c: char| c.is_ascii_alphabetic()) => {
+                schedules.push((name.into(), verdicts.into(), String::new()))
+            }
+            _ => {
+                let metrics = &mut schedules.last_mut().expect("a schedule first").2;
+                metrics.push_str(line);
+                metrics.push('\n');
+            }
         }
     }
-    assert!(drift.is_empty(), "flat outcome drifted: {drift:#?}");
+    assert_eq!(schedules.len(), PARENT.len(), "one rendering per pin");
+    for ((name, verdicts, metrics), want) in schedules.iter().zip(PARENT) {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for b in verdicts.bytes().chain(metrics.bytes()) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        println!("{name}: {h:#018x} (parent {want:#018x})");
+        assert_eq!(h, want, "{name}");
+    }
 }

@@ -3,23 +3,24 @@
 //!
 //! The digest covers event counts (`events=processed/scheduled`), fabric
 //! delivery/drop/route-cache totals, per-compute progress, every I/O
-//! trace field, the obs journal and the blk frontend — so one pinned hash
-//! per cell proves a host-layer change added, removed, reordered or
-//! re-timed nothing. `crates/chaos/tests/flat_golden.rs` pins three
-//! variants through the chaos runner; these cells add Kernel and SOLAR*,
-//! `sa_enabled = false`, `vds_per_compute > 1`, a segment-straddling I/O,
-//! the ECN/DCQCN/Swift knobs under RDMA and LUNA, a probe driver and a
-//! replicated two-shard fleet.
+//! trace field, the obs journal and the blk frontend — so the committed
+//! rendering, one `cell: digest` entry per cell in `digest.golden.txt`,
+//! proves a host-layer change added, removed, reordered or re-timed
+//! nothing, and on drift names the cell and the field that moved.
+//! `crates/chaos/tests/flat_golden.rs` pins three variants through the
+//! chaos runner; these cells add Kernel and SOLAR*, `sa_enabled = false`,
+//! `vds_per_compute > 1`, a segment-straddling I/O, the ECN/DCQCN/Swift
+//! knobs under RDMA and LUNA, a probe driver and a replicated two-shard
+//! fleet.
 //!
-//! The values were generated by running this file with `-- --nocapture`
-//! and copying the printed table: first on the commit that introduced it,
-//! then once more when fabric egress ports became analytic FIFOs (one
-//! event per hop), which changed event counts everywhere and, at
-//! departure/arrival timestamp ties, SOLAR timing; and a third time when
-//! the SOLAR client stopped reporting RTO deadlines of packets already
-//! acked, which removed stale host-timer events (`events=` only, in the
-//! nine SOLAR/SOLAR* cells). EXPERIMENTS.md lists what moved each time.
-//! Re-pin only when a drift is intended, and say so in CHANGES.md.
+//! Re-pin only when a drift is intended: `EBS_BLESS=1 cargo test -p
+//! ebs-stack --test digest_golden`, then say why in CHANGES.md (the
+//! "Rebasing" paragraph of EXPERIMENTS.md has the whole recipe).
+
+#[path = "../../bench/src/pin.rs"]
+mod pin;
+
+use std::path::Path;
 
 use ebs_net::{DeviceKind, FailureMode};
 use ebs_sa::{IoKind, IoRequest, QosSpec, BLOCK_SIZE, SEGMENT_BLOCKS};
@@ -37,15 +38,6 @@ const VARIANTS: [Variant; 5] = [
     Variant::SolarStar,
     Variant::Solar,
 ];
-
-/// Independent FNV-1a reference (deliberately not the crate's helper).
-fn fnv1a64(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn ms(n: u64) -> SimTime {
     SimTime::from_millis(n)
@@ -248,32 +240,26 @@ fn fleet(threads: usize) -> String {
 }
 
 #[test]
-fn digests_match_the_commit_that_pinned_them() {
-    let mut cells: Vec<(String, String)> = Vec::new();
+fn digests_match_the_committed_renderings() {
+    let mut cells = String::new();
+    let mut cell = |name: String, digest: String| cells.push_str(&format!("{name}: {digest}\n"));
     for v in VARIANTS {
-        cells.push((format!("clean {}", v.label()), clean(v, true)));
-        cells.push((format!("bare {}", v.label()), clean(v, false)));
-        cells.push((
+        cell(format!("clean {}", v.label()), clean(v, true));
+        cell(format!("bare {}", v.label()), clean(v, false));
+        cell(
             format!("faulted {}", v.label()),
             faulted(v).metrics_digest(FAULTED_END),
-        ));
+        );
     }
     for v in [Variant::Luna, Variant::Rdma, Variant::Solar] {
-        cells.push((format!("probes {}", v.label()), probes(v)));
+        cell(format!("probes {}", v.label()), probes(v));
     }
-    cells.push(("fleet 1 thread".into(), fleet(1)));
-    cells.push(("fleet 2 threads".into(), fleet(2)));
-
-    let mut drift = Vec::new();
-    for ((name, digest), want) in cells.iter().zip(GOLDEN) {
-        let got = fnv1a64(digest);
-        println!("    {got:#018x}, // {name}");
-        if got != want {
-            drift.push(format!("{name}: {got:#018x} != {want:#018x}\n  {digest}"));
-        }
+    cell("fleet 1 thread".into(), fleet(1));
+    cell("fleet 2 threads".into(), fleet(2));
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/digest.golden.txt");
+    if let Err(e) = pin::check(&golden, &cells) {
+        panic!("{e}");
     }
-    assert_eq!(cells.len(), GOLDEN.len(), "one pin per cell");
-    assert!(drift.is_empty(), "digest drifted:\n{}", drift.join("\n"));
 }
 
 /// The cells must exercise what they claim to: completions, ECN marks,
@@ -326,6 +312,37 @@ fn fabric_message_did_not_grow() {
 }
 
 const MSG_BYTES: usize = 88;
+
+/// Transitional: FNV-1a over every committed rendering equals the hash
+/// the parent commit pinned for that cell, so moving from hashes to
+/// renderings moved nothing.
+#[test]
+fn committed_renderings_hash_to_the_parents_pins() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/digest.golden.txt");
+    let text = std::fs::read_to_string(path).expect("committed renderings");
+    let mut cells: Vec<(String, String)> = Vec::new();
+    for line in text.lines() {
+        match line.split_once(": ") {
+            Some((name, digest)) if !line.starts_with('[') => {
+                cells.push((name.to_string(), digest.to_string()))
+            }
+            _ => {
+                let digest = &mut cells.last_mut().expect("a cell first").1;
+                digest.push('\n');
+                digest.push_str(line);
+            }
+        }
+    }
+    assert_eq!(cells.len(), GOLDEN.len(), "one rendering per pin");
+    for ((name, digest), want) in cells.iter().zip(GOLDEN) {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for b in digest.bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        println!("{name}: {h:#018x} (parent {want:#018x})");
+        assert_eq!(h, want, "{name}");
+    }
+}
 
 const GOLDEN: [u64; 20] = [
     0x0a4d819036e066cf, // clean Kernel
