@@ -65,42 +65,3 @@ fn flat_outcomes_match_the_committed_renderings() {
         panic!("{e}");
     }
 }
-
-/// Transitional: FNV-1a over every committed schedule's verdicts and
-/// metrics equals the hash the parent commit pinned for it.
-#[test]
-fn committed_renderings_hash_to_the_parents_pins() {
-    const PARENT: [u64; 6] = [
-        0x5bd9_3e8d_8c1d_c141, // smoke luna seed 3
-        0x9d56_2a01_877d_3c46, // smoke solar seed 42
-        0x43b6_7e93_e97d_c0b2, // smoke rdma seed 3
-        0x1c26_a3ae_fcda_1dd0, // soak solar seed 7
-        0x6ea6_93b4_e01a_fbbd, // incast dcqcn seed 5
-        0x7824_4510_acf0_21af, // blk storage-node seed 0
-    ];
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/flat.golden.txt");
-    let text = std::fs::read_to_string(path).expect("committed renderings");
-    // (name, verdicts_json, metrics_json) per schedule.
-    let mut schedules: Vec<(String, String, String)> = Vec::new();
-    for line in text.lines() {
-        match line.split_once(": ") {
-            Some((name, verdicts)) if line.starts_with(|c: char| c.is_ascii_alphabetic()) => {
-                schedules.push((name.into(), verdicts.into(), String::new()))
-            }
-            _ => {
-                let metrics = &mut schedules.last_mut().expect("a schedule first").2;
-                metrics.push_str(line);
-                metrics.push('\n');
-            }
-        }
-    }
-    assert_eq!(schedules.len(), PARENT.len(), "one rendering per pin");
-    for ((name, verdicts, metrics), want) in schedules.iter().zip(PARENT) {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in verdicts.bytes().chain(metrics.bytes()) {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        println!("{name}: {h:#018x} (parent {want:#018x})");
-        assert_eq!(h, want, "{name}");
-    }
-}

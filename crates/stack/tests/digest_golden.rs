@@ -312,57 +312,3 @@ fn fabric_message_did_not_grow() {
 }
 
 const MSG_BYTES: usize = 88;
-
-/// Transitional: FNV-1a over every committed rendering equals the hash
-/// the parent commit pinned for that cell, so moving from hashes to
-/// renderings moved nothing.
-#[test]
-fn committed_renderings_hash_to_the_parents_pins() {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/digest.golden.txt");
-    let text = std::fs::read_to_string(path).expect("committed renderings");
-    let mut cells: Vec<(String, String)> = Vec::new();
-    for line in text.lines() {
-        match line.split_once(": ") {
-            Some((name, digest)) if !line.starts_with('[') => {
-                cells.push((name.to_string(), digest.to_string()))
-            }
-            _ => {
-                let digest = &mut cells.last_mut().expect("a cell first").1;
-                digest.push('\n');
-                digest.push_str(line);
-            }
-        }
-    }
-    assert_eq!(cells.len(), GOLDEN.len(), "one rendering per pin");
-    for ((name, digest), want) in cells.iter().zip(GOLDEN) {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in digest.bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        println!("{name}: {h:#018x} (parent {want:#018x})");
-        assert_eq!(h, want, "{name}");
-    }
-}
-
-const GOLDEN: [u64; 20] = [
-    0x0a4d819036e066cf, // clean Kernel
-    0x32f21c178f0327ae, // bare Kernel
-    0x9e623a4f09e6cd87, // faulted Kernel
-    0xf4d098752860959d, // clean Luna
-    0x61599110a5132554, // bare Luna
-    0xec99482fde4921c5, // faulted Luna
-    0x2214e744fe03eb49, // clean RDMA
-    0x0de3be8951eada3e, // bare RDMA
-    0x26f426010c2af518, // faulted RDMA
-    0x13c93341bf19bb07, // clean Solar*
-    0x73035926e673c05e, // bare Solar*
-    0xc60dda6e58a8a04b, // faulted Solar*
-    0x8328d47250059f20, // clean Solar
-    0x42a32ce31747ecfa, // bare Solar
-    0x79ce272ff7e6cb91, // faulted Solar
-    0x2a12958f13b6deae, // probes Luna
-    0x266948a207998af2, // probes RDMA
-    0xaa40aad83a4adc6a, // probes Solar
-    0x3b6b819fb7cdfc93, // fleet 1 thread
-    0x3b6b819fb7cdfc93, // fleet 2 threads
-];
