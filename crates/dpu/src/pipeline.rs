@@ -75,11 +75,6 @@ impl QosStage {
             latency: SimDuration::from_nanos(40),
         }
     }
-
-    /// Mutable access for the control plane (spec updates).
-    pub fn table_mut(&mut self) -> &mut ebs_sa::QosTable {
-        &mut self.table
-    }
 }
 
 impl Stage for QosStage {
@@ -384,11 +379,6 @@ impl Pipeline {
     /// Packets dropped by stages.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Stage access by name (for control-plane updates).
-    pub fn stage_mut(&mut self, name: &str) -> Option<&mut Box<dyn Stage>> {
-        self.stages.iter_mut().find(|s| s.name() == name)
     }
 
     /// Render the pipeline as a P4-style control block (§4.6's

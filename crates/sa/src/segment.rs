@@ -96,11 +96,6 @@ impl SegmentTable {
             .unwrap_or(0)
     }
 
-    /// Number of provisioned disks.
-    pub fn disks_provisioned(&self) -> usize {
-        self.disks.len()
-    }
-
     /// Total segment entries (sizing input for the FPGA Block table).
     pub fn total_segments(&self) -> usize {
         self.disks.values().map(Vec::len).sum()

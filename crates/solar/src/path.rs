@@ -217,11 +217,6 @@ impl PathSet {
         self.inflight[i]
     }
 
-    /// Free window for new packets on path `i`.
-    pub fn available_window(&self, i: usize) -> u64 {
-        self.window[i].saturating_sub(self.inflight[i])
-    }
-
     /// Consecutive timeout count (diagnostics).
     pub fn consecutive_timeouts(&self, i: usize) -> u32 {
         self.cold[i].consecutive_timeouts
