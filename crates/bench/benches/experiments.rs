@@ -8,8 +8,9 @@
 //! `--quick` (or the bench-harness's `--test` flag that `cargo test
 //! --benches` passes) shrinks run lengths.
 //!
-//! Each run writes `BENCH_RESULTS.json` at the repository root with each
-//! experiment's headline numbers.
+//! Each run checks each experiment's headline numbers against the
+//! committed `BENCH_RESULTS.json` at the repository root: exit 1 on drift,
+//! `EBS_BLESS=1` re-pins (see [`ebs_bench::suite_main`]).
 
 fn main() {
     ebs_bench::suite_main("experiments", "BENCH_RESULTS.json", ebs_bench::run_report);

@@ -1,7 +1,8 @@
 //! `cargo bench -p ebs-bench --bench fleet` runs the sharded-engine
-//! fleet suite (see [`ebs_bench::fleet`]) and writes `BENCH_FLEET.json`
-//! at the repository root — same schema as `BENCH_RESULTS.json`, gated
-//! the same way (regenerate, then `git diff --exit-code`).
+//! fleet suite (see [`ebs_bench::fleet`]) and checks it against the
+//! committed `BENCH_FLEET.json` — same schema as `BENCH_RESULTS.json`,
+//! gated the same way (exit 1 on drift; `EBS_BLESS=1` re-pins, see
+//! [`ebs_bench::suite_main`]).
 //!
 //! Flags:
 //! * `--smoke` (or the harness's `--test` flag) runs only the

@@ -4,7 +4,10 @@
 //! readable diff here and forces a `schema_version` bump in review.
 //!
 //! Regenerate after an intentional change with:
-//! `EBS_LINT_BLESS=1 cargo test -p ebs-lint --test report_golden`
+//! `EBS_BLESS=1 cargo test -p ebs-lint --test report_golden`
+
+#[path = "../../bench/src/pin.rs"]
+mod pin;
 
 use std::fs;
 use std::path::Path;
@@ -21,15 +24,8 @@ fn fixture_report_matches_golden() {
     let outcome = lint_tree(&root, &cfg).expect("walk fixture workspace");
     let json = report::to_json(&outcome.diagnostics, outcome.files_scanned);
 
-    let golden_path = manifest.join("tests/fixtures/callgraph_ws_report.golden.json");
-    if std::env::var_os("EBS_LINT_BLESS").is_some() {
-        fs::write(&golden_path, &json).expect("write golden");
-        return;
+    let golden = manifest.join("tests/fixtures/callgraph_ws_report.golden.json");
+    if let Err(e) = pin::check(&golden, &json) {
+        panic!("{e}\nif intentional, bump report::SCHEMA_VERSION and re-bless");
     }
-    let golden = fs::read_to_string(&golden_path)
-        .expect("read golden (run with EBS_LINT_BLESS=1 to create)");
-    assert!(
-        json == golden,
-        "report drifted from golden — if intentional, bump report::SCHEMA_VERSION and re-bless\n--- golden\n{golden}\n--- got\n{json}"
-    );
 }

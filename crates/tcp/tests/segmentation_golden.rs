@@ -1,16 +1,23 @@
 //! Golden segmentation trace: how the engine cuts a queue of application
 //! writes into segments is a function of `min(window budget, mss)` alone —
-//! never of where one queued write ends and the next begins. The trace
-//! below was generated by the gather-per-segment engine that preceded the
-//! view-queue one, from this same script; every `(seq, ack, len, flags)`
-//! of both directions must still match, which is what makes the copy-free
-//! byte stream provably a host-time-only change.
+//! never of where one queued write ends and the next begins. The trace in
+//! `segmentation.golden.txt`, one `<engine> <seq> <ack> <payload len>
+//! <flags>` line per emitted segment, was generated by the
+//! gather-per-segment engine that preceded the view-queue one, from this
+//! same script; every `(seq, ack, len, flags)` of both directions must
+//! still match, which is what makes the copy-free byte stream provably a
+//! host-time-only change.
 //!
 //! Script: handshake; the client queues a 40 B request, a 40 B header +
 //! 128 KiB payload, another 40 B request and a 40 B header + 4 KiB payload
 //! back to back (pipelining, so segments span write boundaries); the third
 //! data segment is lost once and recovered by fast retransmit; then the
 //! server answers with a 40 B response and a 40 B header + 128 KiB payload.
+
+#[path = "../../bench/src/pin.rs"]
+mod pin;
+
+use std::path::Path;
 
 use bytes::Bytes;
 use ebs_sim::{SimDuration, SimTime};
@@ -158,79 +165,9 @@ fn segmentation_matches_the_golden_trace() {
     assert_eq!(drain(&mut c), flat(&down), "server stream delivered intact");
     assert_eq!(s.stats().retransmits, 0);
 
-    let got = link.trace.join("\n");
-    assert!(
-        got == GOLDEN.trim(),
-        "segmentation drifted from the golden trace; got:\n{got}"
-    );
+    let got = link.trace.join("\n") + "\n";
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/segmentation.golden.txt");
+    if let Err(e) = pin::check(&golden, &got) {
+        panic!("{e}");
+    }
 }
-
-/// `<engine> <seq> <ack> <payload len> <flags>` per emitted segment.
-const GOLDEN: &str = "
-c 258 0 0 0x02
-s 2147483904 259 0 0x12
-c 259 2147483905 0 0x10
-c 259 2147483905 8960 0x18
-c 9219 2147483905 8960 0x18
-c 18179 2147483905 8960 0x18
-c 27139 2147483905 8960 0x18
-c 36099 2147483905 8960 0x18
-c 45059 2147483905 8960 0x18
-c 54019 2147483905 8960 0x18
-c 62979 2147483905 8960 0x18
-c 71939 2147483905 8960 0x18
-c 80899 2147483905 8960 0x18
-s 2147483905 9219 0 0x10
-s 2147483905 18179 0 0x10
-s 2147483905 18179 0 0x10
-s 2147483905 18179 0 0x10
-s 2147483905 18179 0 0x10
-s 2147483905 18179 0 0x10
-s 2147483905 18179 0 0x10
-s 2147483905 18179 0 0x10
-s 2147483905 18179 0 0x10
-c 18179 2147483905 8960 0x18
-s 2147483905 89859 0 0x10
-c 89859 2147483905 8960 0x18
-c 98819 2147483905 8960 0x18
-c 107779 2147483905 8960 0x18
-c 116739 2147483905 8960 0x18
-s 2147483905 98819 0 0x10
-s 2147483905 107779 0 0x10
-s 2147483905 116739 0 0x10
-s 2147483905 125699 0 0x10
-c 125699 2147483905 8960 0x18
-c 134659 2147483905 928 0x18
-s 2147483905 134659 0 0x10
-s 2147483905 135587 0 0x10
-s 2147483905 135587 8960 0x18
-s 2147492865 135587 8960 0x18
-s 2147501825 135587 8960 0x18
-s 2147510785 135587 8960 0x18
-s 2147519745 135587 8960 0x18
-s 2147528705 135587 8960 0x18
-s 2147537665 135587 8960 0x18
-s 2147546625 135587 8960 0x18
-s 2147555585 135587 8960 0x18
-s 2147564545 135587 8960 0x18
-c 135587 2147492865 0 0x10
-c 135587 2147501825 0 0x10
-c 135587 2147510785 0 0x10
-c 135587 2147519745 0 0x10
-c 135587 2147528705 0 0x10
-c 135587 2147537665 0 0x10
-c 135587 2147546625 0 0x10
-c 135587 2147555585 0 0x10
-c 135587 2147564545 0 0x10
-c 135587 2147573505 0 0x10
-s 2147573505 135587 8960 0x18
-s 2147582465 135587 8960 0x18
-s 2147591425 135587 8960 0x18
-s 2147600385 135587 8960 0x18
-s 2147609345 135587 5712 0x18
-c 135587 2147582465 0 0x10
-c 135587 2147591425 0 0x10
-c 135587 2147600385 0 0x10
-c 135587 2147609345 0 0x10
-c 135587 2147615057 0 0x10
-";
