@@ -1,9 +1,7 @@
 //! `cargo bench -p ebs-bench --bench cc` runs the congestion-control
 //! comparison matrix (see [`ebs_bench::cc`]) and checks it against the
-//! committed `BENCH_CC.json` — same schema as `BENCH_RESULTS.json`, gated
-//! the same way (exit 1 on drift; `EBS_BLESS=1` re-pins, see
-//! [`ebs_bench::suite_main`]) — plus the rendered table at
-//! `target/cc-table.txt` for the CI artifact upload.
+//! committed `BENCH_CC.json` like every suite ([`ebs_bench::suite_main`]),
+//! plus the rendered table at `target/cc-table.txt` for CI to upload.
 //!
 //! Flags:
 //! * `--quick` (or the harness's `--test` flag) runs the CI-sized cells;

@@ -8,9 +8,8 @@
 //! `--quick` (or the bench-harness's `--test` flag that `cargo test
 //! --benches` passes) shrinks run lengths.
 //!
-//! Each run checks each experiment's headline numbers against the
-//! committed `BENCH_RESULTS.json` at the repository root: exit 1 on drift,
-//! `EBS_BLESS=1` re-pins (see [`ebs_bench::suite_main`]).
+//! Each run checks the headline numbers against the committed
+//! `BENCH_RESULTS.json` ([`ebs_bench::suite_main`]).
 
 fn main() {
     ebs_bench::suite_main("experiments", "BENCH_RESULTS.json", ebs_bench::run_report);

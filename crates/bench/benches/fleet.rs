@@ -1,8 +1,6 @@
 //! `cargo bench -p ebs-bench --bench fleet` runs the sharded-engine
 //! fleet suite (see [`ebs_bench::fleet`]) and checks it against the
-//! committed `BENCH_FLEET.json` — same schema as `BENCH_RESULTS.json`,
-//! gated the same way (exit 1 on drift; `EBS_BLESS=1` re-pins, see
-//! [`ebs_bench::suite_main`]).
+//! committed `BENCH_FLEET.json` like every suite ([`ebs_bench::suite_main`]).
 //!
 //! Flags:
 //! * `--smoke` (or the harness's `--test` flag) runs only the

@@ -25,10 +25,10 @@
 //! # No host time
 //!
 //! A [`RunReport`] holds simulation output only, so a `BENCH_*.json` file
-//! is a pure function of the source tree and a pin like any other
-//! ([`pin`]): [`suite_main`] fails on any drift from the committed file
-//! and re-writes it only under `EBS_BLESS=1`. Host-time measurement lives
-//! in `benchmark/` (see `benchmark/README.md`).
+//! is a pure function of the source tree and a pin like any other:
+//! [`suite_main`] fails on any drift from the committed file and re-writes
+//! it only under `EBS_BLESS=1`. Host-time measurement lives in
+//! `benchmark/` (see `benchmark/README.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,7 +42,8 @@ pub mod hardware;
 pub mod obs;
 mod output;
 pub mod performance;
-pub mod pin;
+#[path = "../../../tests/support/pin.rs"]
+mod pin;
 pub mod reliability;
 
 pub use output::ExperimentOutput;
@@ -128,18 +129,15 @@ impl RunReport {
 }
 
 /// The body every suite bench main (`experiments`, `fleet`, `cc`, `blk`)
-/// shares: run `run(quick)`, print each experiment's tables to stdout and
-/// to `target/<name>-table.txt`, and hold the report to the committed
-/// `<repo root>/<json_file>` with [`pin::check`]. Reads two flags from the
-/// process arguments: `--quick` (or the harness's `--test`) selects the
-/// CI-sized run, and `--replay-check` first runs the quick suite twice and
-/// asserts the two JSON reports are byte-identical (seed-replay
-/// determinism).
-///
-/// On drift the process prints the first moved line and exits 1, unless
-/// `EBS_BLESS=1` is set, in which case it re-writes the committed file. A
-/// run whose `quick` differs from the committed file's is not that
-/// baseline: it is written to `target/<name>.json` only.
+/// shares: run `run(quick)`, print each experiment's tables (also to
+/// `target/<name>-table.txt`), and check the report against the committed
+/// `<repo root>/<json_file>`: on drift print the first moved line and
+/// exit 1, unless `EBS_BLESS=1` re-pins it. A run at the other size than
+/// the committed file is not that baseline and goes to `target/<name>.json`.
+/// Reads two flags from the process arguments: `--quick` (or the
+/// harness's `--test`) selects the CI-sized run, and `--replay-check`
+/// first runs the quick suite twice and asserts the two JSON reports are
+/// byte-identical (seed-replay determinism).
 pub fn suite_main(name: &str, json_file: &str, run: impl Fn(bool) -> RunReport) {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick" || a == "--test");
@@ -160,33 +158,32 @@ pub fn suite_main(name: &str, json_file: &str, run: impl Fn(bool) -> RunReport) 
         rendered.push_str(&r);
     }
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    // The rendered tables are a convenience copy (CI artifact): best effort.
-    let table_path = format!("{root}/target/{name}-table.txt");
-    let _ = std::fs::create_dir_all(format!("{root}/target"));
-    match std::fs::write(&table_path, rendered) {
-        Ok(()) => eprintln!("wrote {table_path}"),
-        Err(e) => eprintln!("could not write {table_path}: {e}"),
-    }
-
     let json = report.to_json();
-    let pinned = std::path::PathBuf::from(format!("{root}/{json_file}"));
-    // Line 2 is `"quick": …`: a run at the other size keeps clear of the pin.
-    let size = |j: &str| j.lines().nth(1).map(str::to_owned);
+    let pinned = format!("{root}/{json_file}");
     let committed = std::fs::read_to_string(&pinned).unwrap_or_default();
-    if !committed.is_empty() && size(&committed) != size(&json) {
-        let aside = format!("{root}/target/{name}.json");
-        if let Err(e) = std::fs::write(&aside, json) {
-            eprintln!("could not write {aside}: {e}");
+    // Line 2 is `"quick": …`.
+    let aside = committed
+        .lines()
+        .nth(1)
+        .is_some_and(|q| Some(q) != json.lines().nth(1));
+    // The tables, and a run at the other size, are convenience copies.
+    let _ = std::fs::create_dir_all(format!("{root}/target"));
+    let mut copies = vec![(format!("{root}/target/{name}-table.txt"), rendered)];
+    if aside {
+        copies.push((format!("{root}/target/{name}.json"), json.clone()));
+    }
+    for (path, body) in copies {
+        match std::fs::write(&path, body) {
+            Ok(()) => eprintln!("wrote {path}"),
+            Err(e) => eprintln!("could not write {path}: {e}"),
+        }
+    }
+    if !aside {
+        if let Err(e) = pin::check(std::path::Path::new(&pinned), &json) {
+            eprintln!("{e}");
             std::process::exit(1);
         }
-        eprintln!("wrote {aside} ({json_file} pins the other size)");
-        return;
     }
-    if let Err(e) = pin::check(&pinned, &json) {
-        eprintln!("{e}");
-        std::process::exit(1);
-    }
-    eprintln!("{json_file} is current");
 }
 
 fn variant_key(v: ebs_stack::Variant) -> &'static str {

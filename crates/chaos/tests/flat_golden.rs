@@ -11,7 +11,7 @@
 //! ebs-chaos --test flat_golden`. EXPERIMENTS.md keeps what moved each
 //! time.
 
-#[path = "../../bench/src/pin.rs"]
+#[path = "../../../tests/support/pin.rs"]
 mod pin;
 
 use std::path::Path;

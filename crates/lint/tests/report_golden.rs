@@ -6,7 +6,7 @@
 //! Regenerate after an intentional change with:
 //! `EBS_BLESS=1 cargo test -p ebs-lint --test report_golden`
 
-#[path = "../../bench/src/pin.rs"]
+#[path = "../../../tests/support/pin.rs"]
 mod pin;
 
 use std::fs;

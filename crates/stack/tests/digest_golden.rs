@@ -17,7 +17,7 @@
 //! ebs-stack --test digest_golden`, then say why in CHANGES.md (the
 //! "Rebasing" paragraph of EXPERIMENTS.md has the whole recipe).
 
-#[path = "../../bench/src/pin.rs"]
+#[path = "../../../tests/support/pin.rs"]
 mod pin;
 
 use std::path::Path;

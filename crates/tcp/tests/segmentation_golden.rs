@@ -14,7 +14,7 @@
 //! data segment is lost once and recovered by fast retransmit; then the
 //! server answers with a 40 B response and a 40 B header + 128 KiB payload.
 
-#[path = "../../bench/src/pin.rs"]
+#[path = "../../../tests/support/pin.rs"]
 mod pin;
 
 use std::path::Path;

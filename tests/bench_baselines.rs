@@ -5,7 +5,10 @@
 //! and no host time. `EBS_BLESS=1 cargo test --test bench_baselines`
 //! re-pins both.
 
-use luna_solar::bench::{blk::run_blk_report, cc::run_cc_report, pin, RunReport};
+#[path = "support/pin.rs"]
+mod pin;
+
+use luna_solar::bench::{blk::run_blk_report, cc::run_cc_report, RunReport};
 
 fn assert_current(report: RunReport, file: &str) {
     let json = report.to_json();

@@ -6,9 +6,10 @@
 //! command, `git diff` shows what moved, and `scripts/pin_delta.py` turns
 //! that diff into an old → new table.
 //!
-//! Shared by file, not by crate: a pin test in another crate includes it
-//! with `#[path = "<..>/crates/bench/src/pin.rs"] mod pin;`. It therefore
-//! uses `std` alone and exposes one function.
+//! Shared by file, not by crate: every pin test, and `ebs_bench::suite_main`
+//! for the `BENCH_*.json`, includes it with
+//! `#[path = "<..>/tests/support/pin.rs"] mod pin;`. It therefore uses
+//! `std` alone and exposes one function.
 
 use std::path::Path;
 
@@ -49,11 +50,11 @@ fn first_moved(want: &str, got: &str) -> Option<String> {
             continue;
         }
         let b_text = b.unwrap_or("<end of file>");
-        let (old, new) = a_text
-            .split(' ')
-            .zip(b_text.split(' '))
+        let (old, new) = tokens(a_text)
+            .into_iter()
+            .zip(tokens(b_text))
             .find(|(x, y)| x != y)
-            .unwrap_or((a_text, b_text));
+            .unwrap_or_else(|| (a_text.into(), b_text.into()));
         return Some(format!(
             "line {n}, cell `{cell}`: `{old}` -> `{new}`\n- {a_text}\n+ {b_text}"
         ));
@@ -61,10 +62,26 @@ fn first_moved(want: &str, got: &str) -> Option<String> {
     unreachable!("two different strings differ on some line")
 }
 
-/// The cell a `label: …` line opens (a digest or chaos schedule entry):
-/// text before the first `: `, starting with a letter, free of JSON and
-/// `key=value` punctuation.
+/// The line's space-separated tokens, a JSON `"key":` kept with its value.
+fn tokens(line: &str) -> Vec<String> {
+    let mut out: Vec<String> = Vec::new();
+    for t in line.split(' ') {
+        match out.last_mut() {
+            Some(key) if key.ends_with("\":") => *key = format!("{key} {t}"),
+            _ => out.push(t.into()),
+        }
+    }
+    out
+}
+
+/// The cell a line opens: a BENCH experiment's `{"id": "…"`, or the label
+/// of a `label: …` line (a digest cell, a chaos schedule) — text before
+/// the first `: `, starting with a letter, free of JSON and `key=value`
+/// punctuation.
 fn label(line: &str) -> Option<&str> {
+    if let Some((_, id)) = line.split_once("{\"id\": \"") {
+        return id.split('"').next();
+    }
     let (head, _) = line.split_once(": ")?;
     let starts = head.starts_with(|c: char| c.is_ascii_alphabetic());
     (starts && !head.contains(['"', '=', '[', '{'])).then_some(head)
