@@ -217,6 +217,7 @@ impl PortState {
 
 #[derive(Debug)]
 struct DeviceState {
+    is_switch: bool,
     failure: Option<FailureMode>,
     /// True once routing has converged around this (fail-stopped) device.
     excluded: bool,
@@ -378,6 +379,7 @@ impl<P> Fabric<P> {
             .devices()
             .iter()
             .map(|d| DeviceState {
+                is_switch: d.coord.kind != DeviceKind::Server,
                 failure: None,
                 excluded: false,
                 ports: d
@@ -659,7 +661,15 @@ impl<P> Fabric<P> {
         x ^= x >> 27;
         x = x.wrapping_mul(0x94D049BB133111EB);
         x ^= x >> 31;
-        let choice = ports[(x % ports.len() as u64) as usize] as usize;
+        // A power-of-two fan-out takes a mask: the same pick as `%`
+        // without a 64-bit division.
+        let n = ports.len() as u64;
+        let pick = if n.is_power_of_two() {
+            x & (n - 1)
+        } else {
+            x % n
+        };
+        let choice = ports[pick as usize] as usize;
         self.enqueue(now, device, choice, h, sched);
         None
     }
@@ -672,7 +682,6 @@ impl<P> Fabric<P> {
         h: PacketHandle,
         sched: &mut impl Scheduler<NetEvent>,
     ) {
-        let is_switch = self.topo.coord(device).kind != DeviceKind::Server;
         let Fabric {
             devices,
             packets,
@@ -682,7 +691,8 @@ impl<P> Fabric<P> {
             ecn_marked,
             ..
         } = self;
-        let port = &mut devices[device.0 as usize].ports[port_idx];
+        let dev = &mut devices[device.0 as usize];
+        let (is_switch, port) = (dev.is_switch, &mut dev.ports[port_idx]);
         let Some(pkt) = packets.get_mut(h) else {
             return;
         };

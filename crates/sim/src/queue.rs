@@ -13,29 +13,31 @@
 //!
 //! # Structure
 //!
-//! Events live in a free-list slab; the ordering structures hold 24-byte
-//! keys `(at, seq, slot)`:
+//! Each scheduled event lives inside its ordering entry `(at, seq, ev)`;
+//! there is no side table, so a schedule writes one entry and a pop moves
+//! it out. Entries sit in exactly one of:
 //!
 //! * a **timer wheel** of [`WHEEL_SLOTS`] buckets, each covering
 //!   2^[`SLOT_NS_SHIFT`] ns (256 ns — narrower than almost every hop in the
 //!   model, so a follow-up event lands in a *later* bucket; the wheel
-//!   spans ≈131 µs), holding near-future keys unsorted;
-//! * the **run**: the bucket being drained, sorted once when it is
-//!   activated and consumed by index;
-//! * a small **late heap** for keys scheduled into the already-activated
-//!   past of the window (in practice: into the bucket being drained);
-//! * an **overflow heap** for keys beyond the wheel horizon (timers),
+//!   spans ≈131 µs), holding near-future entries unsorted;
+//! * the **run**: the bucket being drained, sorted once (descending) when
+//!   it is activated and consumed from the back;
+//! * a small **late heap** for entries scheduled into the
+//!   already-activated past of the window (in practice: into the bucket
+//!   being drained);
+//! * an **overflow heap** for entries beyond the wheel horizon (timers),
 //!   migrated into the wheel as the window slides over them.
 //!
-//! `schedule_*` is a `Vec` push for near-future events, and peek/pop is
-//! O(1): the smaller of the run's head and the late heap's top.
+//! `schedule_at` is a `Vec` push for near-future events, and peek/pop is
+//! O(1): the smaller of the run's last entry and the late heap's top.
 //!
 //! The wheel window slides only after a bucket is drained and spans
 //! exactly [`WHEEL_SLOTS`] buckets, so two distinct in-window bucket
 //! numbers can never share a ring index: buckets never mix "rounds" and
-//! activation takes the whole bucket, no per-key round filtering.
+//! activation takes the whole bucket, no per-entry round filtering.
 
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 use crate::time::{SimDuration, SimTime};
@@ -57,52 +59,66 @@ const SLOT_NS_SHIFT: u32 = 8;
 /// Words in the bucket-occupancy bitset.
 const WHEEL_WORDS: usize = WHEEL_SLOTS / 64;
 
-/// Ordering key for a scheduled event; the payload stays in the slab.
-/// Derived ordering is `(at, seq)` — `seq` is unique, so `slot` never
-/// decides.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Key {
+/// A scheduled event and its ordering key. Entries compare on `(at, seq)`
+/// only — `seq` is unique, so that is a total order and `E` needs no
+/// bound.
+struct Entry<E> {
     at: SimTime,
     seq: u64,
-    slot: u32,
+    ev: E,
 }
 
-impl Key {
-    /// Absolute wheel-bucket number of this key's timestamp.
+impl<E> Entry<E> {
+    /// Absolute wheel-bucket number of this entry's timestamp.
     fn bucket(&self) -> u64 {
         self.at.as_nanos() >> SLOT_NS_SHIFT
     }
 }
 
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.at, self.seq).cmp(&(other.at, other.seq))
+    }
+}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl<E> Eq for Entry<E> {}
+
 /// A deterministic priority queue of timestamped events.
 pub struct EventQueue<E> {
-    /// Event storage, indexed by [`Key::slot`]; `None` slots are on `free`.
-    slab: Vec<Option<E>>,
-    free: Vec<u32>,
     /// Near-future buckets (unsorted). Bucket `b` maps to ring index
     /// `b % WHEEL_SLOTS`; activation swaps the bucket with the spent run,
     /// so capacity circulates and steady-state scheduling is
     /// allocation-free.
-    wheel: Box<[Vec<Key>; WHEEL_SLOTS]>,
+    wheel: Box<[Vec<Entry<E>>; WHEEL_SLOTS]>,
     /// One bit per non-empty ring slot, for O(1)-ish bucket scans.
     occupied: [u64; WHEEL_WORDS],
-    /// Keys in buckets, to skip scans when the wheel is dry.
-    wheel_keys: usize,
-    /// The most recently activated bucket, sorted by `(at, seq)`;
-    /// `run[run_head..]` is still pending.
-    run: Vec<Key>,
-    run_head: usize,
-    /// Keys scheduled into buckets `< activated` (min-heap).
-    late: BinaryHeap<Reverse<Key>>,
-    /// Keys beyond the wheel horizon (min-heap).
-    overflow: BinaryHeap<Reverse<Key>>,
+    /// Entries in buckets, to skip scans when the wheel is dry.
+    wheel_len: usize,
+    /// What is still pending of the most recently activated bucket,
+    /// sorted by descending `(at, seq)`: the next entry is the last.
+    run: Vec<Entry<E>>,
+    /// Entries scheduled into buckets `< activated` (min-heap).
+    late: BinaryHeap<Reverse<Entry<E>>>,
+    /// Entries beyond the wheel horizon (min-heap).
+    overflow: BinaryHeap<Reverse<Entry<E>>>,
     /// Every bucket `< activated` has been moved out of the wheel; the
     /// wheel window is `[activated, activated + WHEEL_SLOTS)`.
     activated: u64,
     seq: u64,
     now: SimTime,
-    popped: u64,
-    /// Keys in any ordering structure.
+    /// Entries in any ordering structure.
     queued: usize,
     /// High-water mark of `queued` (occupancy telemetry).
     max_queued: usize,
@@ -118,19 +134,15 @@ impl<E> EventQueue<E> {
     /// An empty queue with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
         EventQueue {
-            slab: Vec::new(),
-            free: Vec::new(),
             wheel: Box::new(std::array::from_fn(|_| Vec::new())),
             occupied: [0; WHEEL_WORDS],
-            wheel_keys: 0,
+            wheel_len: 0,
             run: Vec::new(),
-            run_head: 0,
             late: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
             activated: 0,
             seq: 0,
             now: SimTime::ZERO,
-            popped: 0,
             queued: 0,
             max_queued: 0,
         }
@@ -144,7 +156,7 @@ impl<E> EventQueue<E> {
 
     /// Number of events popped so far (for run-length diagnostics).
     pub fn events_processed(&self) -> u64 {
-        self.popped
+        self.seq - self.queued as u64
     }
 
     /// Number of events still queued.
@@ -168,30 +180,17 @@ impl<E> EventQueue<E> {
         self.max_queued
     }
 
-    fn alloc(&mut self, event: E) -> u32 {
-        if let Some(slot) = self.free.pop() {
-            debug_assert!(self.slab[slot as usize].is_none());
-            self.slab[slot as usize] = Some(event);
-            slot
-        } else {
-            // lint: allow(panic_discipline) — hard capacity ceiling: 2^32 simultaneously scheduled events exceeds any simulated workload by orders of magnitude, and there is no sane degraded mode
-            let slot = u32::try_from(self.slab.len()).expect("slab overflow");
-            self.slab.push(Some(event));
-            slot
-        }
-    }
-
-    fn place(&mut self, key: Key) {
-        let b = key.bucket();
+    fn place(&mut self, entry: Entry<E>) {
+        let b = entry.bucket();
         if b < self.activated {
-            self.late.push(Reverse(key));
+            self.late.push(Reverse(entry));
         } else if b < self.activated + WHEEL_SLOTS as u64 {
             let idx = b as usize & (WHEEL_SLOTS - 1);
-            self.wheel[idx].push(key);
+            self.wheel[idx].push(entry);
             self.occupied[idx / 64] |= 1 << (idx % 64);
-            self.wheel_keys += 1;
+            self.wheel_len += 1;
         } else {
-            self.overflow.push(Reverse(key));
+            self.overflow.push(Reverse(entry));
         }
     }
 
@@ -204,15 +203,9 @@ impl<E> EventQueue<E> {
         debug_assert!(at >= self.now, "scheduling into the past");
         let seq = self.seq;
         self.seq += 1;
-        let slot = self.alloc(event);
         self.queued += 1;
         self.max_queued = self.max_queued.max(self.queued);
-        self.place(Key { at, seq, slot });
-    }
-
-    /// Schedule `event` to fire `after` from the current time.
-    pub fn schedule_after(&mut self, after: SimDuration, event: E) {
-        self.schedule_at(self.now + after, event)
+        self.place(Entry { at, seq, ev: event });
     }
 
     /// First occupied bucket in the window, if any. Word-wise bitset scan;
@@ -240,7 +233,7 @@ impl<E> EventQueue<E> {
     /// the run spent and the late heap empty. Returns `false` when no
     /// events remain anywhere.
     fn advance(&mut self) -> bool {
-        if self.wheel_keys == 0 {
+        if self.wheel_len == 0 {
             match self.overflow.peek() {
                 // Wheel dry: jump the window straight to the earliest far
                 // event (its bucket is ≥ `activated` by the overflow
@@ -256,38 +249,41 @@ impl<E> EventQueue<E> {
         // monotone between re-anchors), so this is amortized O(log n)
         // per event.
         let horizon = self.activated + WHEEL_SLOTS as u64;
-        while let Some(&Reverse(k)) = self.overflow.peek().filter(|k| k.0.bucket() < horizon) {
-            self.overflow.pop();
-            self.place(k);
+        while let Some(Reverse(top)) = self.overflow.peek() {
+            if top.bucket() >= horizon {
+                break;
+            }
+            if let Some(Reverse(entry)) = self.overflow.pop() {
+                self.place(entry);
+            }
         }
         let b = self
             .next_occupied_bucket()
-            // lint: allow(panic_discipline) — wheel invariant (wheel_keys > 0 ⇒ an occupied bucket within the window), model-checked by tests/queue_model.rs; losing events silently would corrupt every downstream result
-            .expect("advance with keys but no occupied bucket");
+            // lint: allow(panic_discipline) — wheel invariant (wheel_len > 0 ⇒ an occupied bucket within the window), model-checked by tests/queue_model.rs; losing events silently would corrupt every downstream result
+            .expect("advance with entries but no occupied bucket");
         let idx = b as usize & (WHEEL_SLOTS - 1);
-        self.run.clear();
-        self.run_head = 0;
         std::mem::swap(&mut self.run, &mut self.wheel[idx]);
         // `(at, seq)` is a total order (`seq` is unique), so an unstable
-        // sort is deterministic; cascaded keys arrive out of `seq` order.
-        self.run.sort_unstable();
-        self.wheel_keys -= self.run.len();
+        // sort is deterministic; cascaded entries arrive out of `seq`
+        // order. Descending, so pops take from the back.
+        self.run.sort_unstable_by(|a, b| b.cmp(a));
+        self.wheel_len -= self.run.len();
         self.occupied[idx / 64] &= !(1 << (idx % 64));
         self.activated = b + 1;
         true
     }
 
-    /// The earliest pending key and whether it is the late heap's top
-    /// (else the run's head), activating buckets as needed. Run and late
-    /// keys sit in buckets `< activated`, wheel and overflow keys at or
-    /// after it, so whenever either is non-empty their minimum is the
-    /// global minimum.
-    fn peek_key(&mut self) -> Option<(Key, bool)> {
+    /// The earliest pending timestamp and whether its entry is the late
+    /// heap's top (else the run's last), activating buckets as needed. Run
+    /// and late entries sit in buckets `< activated`, wheel and overflow
+    /// entries at or after it, so whenever either is non-empty their
+    /// minimum is the global minimum.
+    fn peek_next(&mut self) -> Option<(SimTime, bool)> {
         loop {
-            match (self.run.get(self.run_head), self.late.peek()) {
-                (Some(r), Some(Reverse(l))) if l < r => return Some((*l, true)),
-                (Some(r), _) => return Some((*r, false)),
-                (None, Some(Reverse(l))) => return Some((*l, true)),
+            match (self.run.last(), self.late.peek()) {
+                (Some(r), Some(Reverse(l))) if l < r => return Some((l.at, true)),
+                (Some(r), _) => return Some((r.at, false)),
+                (None, Some(Reverse(l))) => return Some((l.at, true)),
                 (None, None) => {
                     if !self.advance() {
                         return None;
@@ -305,23 +301,19 @@ impl<E> EventQueue<E> {
     /// larger sequence numbers than everything already queued there, so
     /// they pop after it, still at that timestamp.
     pub fn pop_le(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        let (key, from_late) = self.peek_key()?;
-        if key.at > horizon {
+        let (at, from_late) = self.peek_next()?;
+        if at > horizon {
             return None;
         }
-        if from_late {
-            self.late.pop();
+        let entry = if from_late {
+            self.late.pop()?.0
         } else {
-            self.run_head += 1;
-        }
-        debug_assert!(key.at >= self.now, "time went backwards");
-        self.free.push(key.slot);
+            self.run.pop()?
+        };
+        debug_assert!(entry.at >= self.now, "time went backwards");
         self.queued -= 1;
-        self.now = key.at;
-        self.popped += 1;
-        let event = self.slab[key.slot as usize].take();
-        debug_assert!(event.is_some(), "queued key without an event");
-        event.map(|event| (key.at, event))
+        self.now = entry.at;
+        Some((entry.at, entry.ev))
     }
 
     /// Pop the next event, advancing the clock to its timestamp.
@@ -354,7 +346,7 @@ impl<E> EventQueue<E> {
     /// Timestamp of the next pending event without popping it (may
     /// activate a wheel bucket internally, hence `&mut`).
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.peek_key().map(|(key, _)| key.at)
+        self.peek_next().map(|(at, _)| at)
     }
 }
 
@@ -438,8 +430,7 @@ mod tests {
         q.schedule_at(SimTime::from_micros(5), "c");
         q.schedule_at(SimTime::from_micros(1), "a");
         q.schedule_at(SimTime::from_micros(3), "b");
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, vec!["a", "b", "c"]);
+        assert_eq!(drain(&mut q), vec!["a", "b", "c"]);
         assert_eq!(q.now(), SimTime::from_micros(5));
     }
 
@@ -450,8 +441,7 @@ mod tests {
         for i in 0..100 {
             q.schedule_at(t, i);
         }
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, (0..100).collect::<Vec<_>>());
+        assert_eq!(drain(&mut q), (0..100).collect::<Vec<_>>());
     }
 
     #[test]
@@ -459,7 +449,7 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule_at(SimTime::from_micros(10), 0u32);
         q.pop();
-        q.schedule_after(SimDuration::from_micros(5), 1u32);
+        q.after(SimDuration::from_micros(5), 1u32);
         let (t, _) = q.pop().unwrap();
         assert_eq!(t, SimTime::from_micros(15));
     }
@@ -489,8 +479,7 @@ mod tests {
         q.schedule_at(SimTime::from_millis(500), "mid-far");
         assert_eq!(q.pop().map(|(_, e)| e), Some("near"));
         q.schedule_at(SimTime::from_millis(1), "mid");
-        let rest: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(rest, vec!["mid", "rto", "mid-far", "far"]);
+        assert_eq!(drain(&mut q), vec!["mid", "rto", "mid-far", "far"]);
         assert_eq!(q.now(), SimTime::from_secs(10));
     }
 
@@ -504,13 +493,12 @@ mod tests {
         q.schedule_at(SimTime::from_micros(1), 99);
         q.pop(); // activates near bucket
         q.schedule_at(t, 1u32); // still overflow
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, vec![0, 1]);
+        assert_eq!(drain(&mut q), vec![0, 1]);
     }
 
     #[test]
     fn ties_split_between_run_and_late_heap_still_fifo() {
-        // Half the keys at `t` are placed before its bucket activates
+        // Half the entries at `t` are placed before its bucket activates
         // (sorted run), half after (late heap); a later timestamp in the
         // same bucket sits behind both.
         let mut q = EventQueue::new();
@@ -541,12 +529,12 @@ mod tests {
         q.schedule_at(t, "overflow-first");
         q.schedule_at(anchor, "anchor");
         // Popping the anchor jumps the dry wheel's window to it and then
-        // slides one bucket on: `t` is in-window now, but its first key
+        // slides one bucket on: `t` is in-window now, but its first entry
         // was not yet covered when the cascade ran and is still in the
-        // overflow heap, so the next key at `t` reaches the bucket first.
+        // overflow heap, so the next entry at `t` reaches the bucket first.
         assert_eq!(q.pop().map(|(_, e)| e), Some("anchor"));
         q.schedule_at(t, "direct-second");
-        assert_eq!((q.overflow.len(), q.wheel_keys), (1, 1));
+        assert_eq!((q.overflow.len(), q.wheel_len), (1, 1));
         q.schedule_at(t + SimDuration::from_nanos(WINDOW_NS), "overflow-third");
         assert_eq!(
             drain(&mut q),
@@ -590,7 +578,7 @@ mod tests {
                 popped.push(e);
             }
             assert!(q.now() <= h, "now {:?} past horizon {h:?}", q.now());
-            // A late-heap key behind the already-activated next bucket.
+            // A late-heap entry behind the already-activated next bucket.
             if h_ns == 0 {
                 q.schedule_at(SimTime::from_nanos(20), 3);
             }
@@ -655,29 +643,59 @@ mod tests {
     }
 
     #[test]
-    fn slab_is_bounded_by_peak_occupancy_not_throughput() {
+    fn retained_capacity_stops_growing_under_a_steady_pattern() {
+        // 64 tokens circulate: each pop re-schedules its token as a hop
+        // into a later bucket, into the bucket being drained, or as a
+        // timer past the horizon. Occupancy is bounded by the population,
+        // so once every circulating `Vec` has seen its peak, nothing grows.
         let mut q = EventQueue::new();
-        for i in 0..10_000u64 {
-            q.schedule_at(SimTime::from_nanos(i * 100), i);
-            q.schedule_at(SimTime::from_nanos(i * 100), i);
-            q.pop().expect("just scheduled");
-            q.pop().expect("just scheduled");
+        for n in 0..64u64 {
+            q.schedule_at(SimTime::from_nanos(n * 50), n);
         }
-        assert!(q.is_empty());
-        assert_eq!(q.slab.len(), 2, "popped slots are reused");
+        let run = |q: &mut EventQueue<u64>, pops| {
+            for _ in 0..pops {
+                let (now, n) = q.pop().expect("the population is constant");
+                let delta_ns = match n % 16 {
+                    0 => 2 * WINDOW_NS,
+                    1..=3 => n % 200,
+                    _ => 300 + n % 700,
+                };
+                q.schedule_at(now + SimDuration::from_nanos(delta_ns), n + 64);
+            }
+            let buckets: usize = q.wheel.iter().map(Vec::capacity).sum();
+            buckets + q.run.capacity() + q.late.capacity() + q.overflow.capacity()
+        };
+        let warm = run(&mut q, 500_000);
+        assert!(warm <= (WHEEL_SLOTS + 3) * 64, "{warm} entries retained");
+        assert_eq!(run(&mut q, 500_000), warm, "capacity grew in steady state");
     }
 
     #[test]
-    fn len_and_high_water_track_pending_events() {
+    fn every_event_is_popped_once_or_dropped_with_the_queue() {
+        use std::rc::Rc;
+        let token = Rc::new(());
         let mut q = EventQueue::new();
-        q.schedule_at(SimTime::from_micros(1), 1);
-        q.schedule_at(SimTime::from_micros(2), 2);
-        assert_eq!(q.len(), 2);
-        q.pop();
-        assert_eq!(q.len(), 1);
-        q.pop();
-        assert!(q.is_empty());
-        assert_eq!(q.max_queued(), 2);
-        assert_eq!((q.events_scheduled(), q.events_processed()), (2, 2));
+        let t = SimTime::from_nanos(3 * SLOT_NS);
+        // Run and wheel entries, then a peek to activate `t`'s bucket; then
+        // late and overflow heap entries.
+        for i in 0..8u32 {
+            q.schedule_at(t, (i, token.clone()));
+            q.schedule_at(t + SimDuration::from_micros(2), (100 + i, token.clone()));
+        }
+        assert_eq!(q.peek_time(), Some(t));
+        for i in 0..8u32 {
+            q.schedule_at(t, (200 + i, token.clone()));
+            q.schedule_at(SimTime::from_secs(1), (300 + i, token.clone()));
+        }
+        for want in 0..4 {
+            assert_eq!(q.pop().map(|(_, (id, _))| id), Some(want));
+        }
+        assert_eq!((q.len(), q.max_queued()), (28, 32));
+        assert_eq!((q.events_scheduled(), q.events_processed()), (32, 4));
+        assert_eq!(Rc::strong_count(&token), 1 + 28, "pops hand events over");
+        assert!(!q.run.is_empty() && !q.late.is_empty() && !q.overflow.is_empty());
+        assert!(q.wheel_len > 0, "entries left in all four structures");
+        drop(q);
+        assert_eq!(Rc::strong_count(&token), 1, "the queue drops what it holds");
     }
 }

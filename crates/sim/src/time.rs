@@ -62,11 +62,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked addition of a duration.
-    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
-        self.0.checked_add(d.0).map(SimTime)
-    }
 }
 
 impl SimDuration {
@@ -98,14 +93,14 @@ impl SimDuration {
     /// Construct from fractional seconds, rounding to the nearest nanosecond.
     pub fn from_secs_f64(s: f64) -> Self {
         debug_assert!(s >= 0.0, "negative duration");
-        SimDuration((s * 1e9).round() as u64)
+        SimDuration(round_u64(s * 1e9))
     }
 
     /// Construct from fractional microseconds, rounding to the nearest
     /// nanosecond.
     pub fn from_micros_f64(us: f64) -> Self {
         debug_assert!(us >= 0.0, "negative duration");
-        SimDuration((us * 1e3).round() as u64)
+        SimDuration(round_u64(us * 1e3))
     }
 
     /// Raw nanoseconds.
@@ -136,8 +131,18 @@ impl SimDuration {
     /// Scale by a float factor (used by RTO backoff and CC pacing).
     pub fn mul_f64(self, k: f64) -> SimDuration {
         debug_assert!(k >= 0.0, "negative scale");
-        SimDuration((self.0 as f64 * k).round() as u64)
+        SimDuration(round_u64(self.0 as f64 * k))
     }
+}
+
+/// `x.round() as u64` (half away from zero, saturating, NaN to 0) in
+/// integer steps: baseline x86-64 has no rounding instruction, so
+/// `f64::round` is a software call. Below 2^52 the fraction `x - trunc(x)`
+/// is exact; from there on every `f64` is an integer and the fraction is
+/// 0 (or, past `u64::MAX`, saturated away).
+fn round_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add(u64::from(x - t as f64 >= 0.5))
 }
 
 impl Add<SimDuration> for SimTime {
@@ -265,6 +270,25 @@ mod tests {
             SimDuration::from_micros(1).saturating_sub(SimDuration::from_micros(2)),
             SimDuration::ZERO
         );
+    }
+
+    proptest::proptest! {
+        /// Ties, the 2^52 edge, past `u64::MAX`, +∞ and NaN included.
+        #[test]
+        fn round_u64_is_round_as_u64(
+            x in 0.0f64..1e20,
+            whole in 0u64..(1 << 53),
+            shift in 0u32..12,
+        ) {
+            let (half, big) = (whole as f64 + 0.5, (whole << shift) as f64);
+            let two52 = (1u64 << 52) as f64;
+            for v in [
+                x, x * 1e-15, x.fract(), half, big, big + 0.5, (whole as f64).next_up(),
+                0.5f64.next_down(), two52 - 0.5, two52, u64::MAX as f64, f64::INFINITY, f64::NAN,
+            ] {
+                proptest::prop_assert_eq!(round_u64(v), v.round() as u64, "x = {}", v);
+            }
+        }
     }
 
     #[test]

@@ -375,15 +375,8 @@ impl ComputeNode {
         if p.from_fio {
             if let Some(fio) = &mut self.fio {
                 let io = next_fio_io(fio, compute, &w.cfg);
-                let from_fio = true;
-                w.net.q.schedule_at(
-                    p.done_at,
-                    Event::Guest {
-                        compute,
-                        io,
-                        from_fio,
-                    },
-                );
+                let ev = Event::guest(compute, io, true);
+                w.net.q.schedule_at(p.done_at, ev);
             }
         }
         // If the block frontend issued this I/O, complete its ring

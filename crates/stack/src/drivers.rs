@@ -167,14 +167,9 @@ impl Testbed {
             // Ramp the initial window over ~20us per I/O: real fio opens
             // its queue depth over many submission syscalls, not in one
             // zero-width burst.
-            self.w.net.q.schedule_at(
-                start + SimDuration::from_nanos(k as u64 * 20_000),
-                Event::Guest {
-                    compute,
-                    io,
-                    from_fio: true,
-                },
-            );
+            let at = start + SimDuration::from_nanos(k as u64 * 20_000);
+            let ev = Event::guest(compute, io, true);
+            self.w.net.q.schedule_at(at, ev);
         }
         self.computes[compute].fio = Some(state);
     }

@@ -198,7 +198,7 @@ pub(crate) enum Event {
     /// A guest submits an I/O. Only `from_fio` I/Os (the closed-loop
     /// driver's) trigger a resubmission on completion.
     Guest {
-        compute: usize,
+        compute: u32,
         io: IoRequest,
         from_fio: bool,
     },
@@ -210,7 +210,8 @@ pub(crate) enum Event {
         /// Boxed deliberately: replies are orders of magnitude rarer than
         /// per-hop [`Event::Net`] events, and keeping the widest variant
         /// out of line keeps the whole `Event` enum — and thus every
-        /// queue slab slot — small.
+        /// queue entry — small. The other boxes below are there for the
+        /// same reason.
         reply: Box<Reply>,
     },
     /// Compute-side transport timer.
@@ -221,14 +222,14 @@ pub(crate) enum Event {
     /// override, None = fabric default).
     InjectFailure {
         device: DeviceId,
-        mode: FailureMode,
+        mode: Box<FailureMode>,
         convergence: Option<SimDuration>,
     },
     /// Heal a fabric failure.
     Heal { device: DeviceId },
     /// Replace the QoS spec of every disk of a compute server (throttle
     /// injection; restore with [`QosSpec::unlimited`]).
-    SetQos { compute: usize, spec: QosSpec },
+    SetQos { compute: usize, spec: Box<QosSpec> },
     /// Multiply (or with factor 1.0, heal) a storage server's service time.
     DegradeStorage { storage: usize, factor: f64 },
     /// Stall (or with `SimDuration::ZERO`, heal) a compute server's DPU
@@ -246,7 +247,7 @@ pub(crate) enum Event {
     BlkGuest {
         compute: usize,
         queue: usize,
-        req: blk::BlkReq,
+        req: Box<blk::BlkReq>,
     },
     /// A locally-served block-frontend request (flush/discard) finished;
     /// complete ring descriptor `desc` of blk trace `trace_idx`.
@@ -255,10 +256,23 @@ pub(crate) enum Event {
     BlkRetx { req_id: u64 },
 }
 
-// `Event` is the event queue's slab slot: a fatter one costs every
-// schedule, sort neighbour and pop. 56 bytes is the size the golden-digest
-// commit measured (the `Msg` pin sits in `tests/digest_golden.rs`).
-const _: () = assert!(std::mem::size_of::<Event>() <= 56);
+// `Event` rides inside the event queue's 48-byte entries: a fatter one
+// costs every schedule, sort neighbour and pop. (The `Msg` pin sits in
+// `tests/digest_golden.rs`.)
+const _: () = assert!(std::mem::size_of::<Event>() <= 32);
+
+impl Event {
+    /// A guest I/O on compute server `compute` (stored as `u32` to fit
+    /// the 32 bytes above).
+    pub(crate) fn guest(compute: usize, io: IoRequest, from_fio: bool) -> Self {
+        let compute = compute as u32;
+        Event::Guest {
+            compute,
+            io,
+            from_fio,
+        }
+    }
+}
 
 /// Wall-clock nanoseconds spent per simulation phase, collected when
 /// [`Testbed::enable_profiling`] was called before the run. Accumulators
@@ -409,20 +423,12 @@ impl Testbed {
 
     /// Schedule a guest I/O.
     pub fn schedule_io(&mut self, at: SimTime, compute: usize, io: IoRequest) {
-        let from_fio = false;
-        self.schedule(
-            at,
-            Event::Guest {
-                compute,
-                io,
-                from_fio,
-            },
-        );
+        self.schedule(at, Event::guest(compute, io, false));
     }
 
     /// Schedule a fabric failure injection.
     pub fn schedule_failure(&mut self, at: SimTime, device: DeviceId, mode: FailureMode) {
-        let convergence = None;
+        let (mode, convergence) = (Box::new(mode), None);
         let ev = Event::InjectFailure {
             device,
             mode,
@@ -441,7 +447,7 @@ impl Testbed {
         mode: FailureMode,
         convergence: SimDuration,
     ) {
-        let convergence = Some(convergence);
+        let (mode, convergence) = (Box::new(mode), Some(convergence));
         self.schedule(
             at,
             Event::InjectFailure {
@@ -460,6 +466,7 @@ impl Testbed {
     /// Schedule a QoS spec replacement on a compute server's virtual disk
     /// (throttle injection; schedule [`QosSpec::unlimited`] to restore).
     pub fn schedule_qos(&mut self, at: SimTime, compute: usize, spec: QosSpec) {
+        let spec = Box::new(spec);
         self.schedule(at, Event::SetQos { compute, spec });
     }
 
@@ -543,7 +550,7 @@ impl Testbed {
                 io,
                 from_fio,
             } => {
-                computes[compute].guest_io(now, io, from_fio, w);
+                computes[compute as usize].guest_io(now, io, from_fio, w);
             }
             Event::SaDone { compute, io_id } => computes[compute].sa_done(now, io_id, w),
             Event::StorageDone { storage, reply } => storages[storage].done(now, *reply, w),
@@ -555,14 +562,14 @@ impl Testbed {
                 device,
                 mode,
                 convergence,
-            } => w.net.inject_failure(device, mode, convergence),
+            } => w.net.inject_failure(device, *mode, convergence),
             Event::Heal { device } => w.net.fabric.heal(device),
             Event::SetQos { compute, spec } => {
                 let vds = w.cfg.vds_per_compute.max(1);
                 for v in 0..vds {
                     computes[compute]
                         .qos
-                        .set_spec(compute as u64 * vds + v, spec);
+                        .set_spec(compute as u64 * vds + v, *spec);
                 }
             }
             Event::DegradeStorage { storage, factor } => {
@@ -578,7 +585,7 @@ impl Testbed {
                 req,
             } => {
                 if let Some(blk) = blk {
-                    blk.guest(now, &mut computes[compute], queue, req, w);
+                    blk.guest(now, &mut computes[compute], queue, *req, w);
                 }
             }
             Event::BlkLocalDone { desc, trace_idx } => {

@@ -331,7 +331,7 @@ impl Testbed {
             Event::BlkGuest {
                 compute,
                 queue,
-                req,
+                req: Box::new(req),
             },
         );
     }

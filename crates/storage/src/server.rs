@@ -49,6 +49,8 @@ pub const REPLICAS: usize = 3;
 #[derive(Debug)]
 pub struct StorageServer {
     bn: BnConfig,
+    /// `ln` of the BN base latency in µs, the log-normal jitter's `mu`.
+    bn_mu: f64,
     chunks: Vec<Ssd>,
     rng: SmallRng,
     writes: u64,
@@ -67,6 +69,7 @@ impl StorageServer {
             .map(|r| Ssd::new(ssd_cfg, seed, &format!("storage-{index}-chunk-{r}")))
             .collect();
         StorageServer {
+            bn_mu: bn.base_latency.as_micros_f64().ln(),
             bn,
             chunks,
             rng: rng::stream_indexed(seed, "storage-bn", index as u64),
@@ -82,11 +85,6 @@ impl StorageServer {
     /// values below 1.0 are clamped to healthy.
     pub fn set_degrade(&mut self, factor: f64) {
         self.degrade = factor.max(1.0);
-    }
-
-    /// Current service-time multiplier (1.0 = healthy).
-    pub fn degrade(&self) -> f64 {
-        self.degrade
     }
 
     /// Stretch a request's completion by the degrade factor, charging the
@@ -106,11 +104,7 @@ impl StorageServer {
     }
 
     fn bn_oneway(&mut self, bytes: usize) -> SimDuration {
-        let base = rng::lognormal(
-            &mut self.rng,
-            self.bn.base_latency.as_micros_f64(),
-            self.bn.jitter_sigma,
-        );
+        let base = rng::lognormal(&mut self.rng, self.bn_mu, self.bn.jitter_sigma);
         SimDuration::from_micros_f64(base) + self.bn.rate.transmit_time(bytes)
     }
 
@@ -165,11 +159,6 @@ impl StorageServer {
                 ssd: total - bn,
             },
         )
-    }
-
-    /// (reads, writes) served by this block server.
-    pub fn ops(&self) -> (u64, u64) {
-        (self.reads, self.writes)
     }
 }
 

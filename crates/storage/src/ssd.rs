@@ -44,6 +44,9 @@ impl Default for SsdConfig {
 #[derive(Debug)]
 pub struct Ssd {
     cfg: SsdConfig,
+    /// `ln` of the write and read medians, the log-normal draws' `mu`.
+    write_mu: f64,
+    read_mu: f64,
     channels: FifoResource,
     rng: SmallRng,
     reads: u64,
@@ -54,6 +57,8 @@ impl Ssd {
     /// An SSD seeded deterministically per (seed, label).
     pub fn new(cfg: SsdConfig, seed: u64, label: &str) -> Self {
         Ssd {
+            write_mu: cfg.write_cache_us.ln(),
+            read_mu: cfg.read_nand_us.ln(),
             channels: FifoResource::new(cfg.channels),
             rng: rng::stream(seed, label),
             cfg,
@@ -66,21 +71,22 @@ impl Ssd {
     /// returns completion time.
     pub fn write(&mut self, now: SimTime, blocks: usize) -> SimTime {
         self.writes += 1;
-        let base = rng::lognormal(&mut self.rng, self.cfg.write_cache_us, self.cfg.write_sigma);
-        let service = SimDuration::from_micros_f64(
-            base + self.cfg.per_block_us * blocks.saturating_sub(1) as f64,
-        );
-        self.channels.admit(now, service)
+        self.serve(now, self.write_mu, self.cfg.write_sigma, blocks)
     }
 
     /// Service a read of `blocks` blocks; returns completion time.
     pub fn read(&mut self, now: SimTime, blocks: usize) -> SimTime {
         self.reads += 1;
-        let base = rng::lognormal(&mut self.rng, self.cfg.read_nand_us, self.cfg.read_sigma);
-        let service = SimDuration::from_micros_f64(
-            base + self.cfg.per_block_us * blocks.saturating_sub(1) as f64,
-        );
-        self.channels.admit(now, service)
+        self.serve(now, self.read_mu, self.cfg.read_sigma, blocks)
+    }
+
+    /// One log-normal draw around `mu.exp()` µs plus the per-block
+    /// transfer, admitted to the first free channel.
+    fn serve(&mut self, now: SimTime, mu: f64, sigma: f64, blocks: usize) -> SimTime {
+        let base = rng::lognormal(&mut self.rng, mu, sigma);
+        let extra = self.cfg.per_block_us * blocks.saturating_sub(1) as f64;
+        self.channels
+            .admit(now, SimDuration::from_micros_f64(base + extra))
     }
 
     /// (reads, writes) served.

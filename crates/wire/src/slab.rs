@@ -4,9 +4,9 @@
 //! Moving the packet *struct* (flow label + INT stack + payload) through
 //! the event queue's storage costs a wide memcpy per schedule/pop; parking
 //! it in a slab and moving a [`Handle`] (one `u64`) instead makes every
-//! hop's event constant-size and small — the same idiom the event queue
-//! itself uses for its payloads (PR 1) and the block pool uses for
-//! buffers (PR 2).
+//! hop's event constant-size and small — small enough to live inside the
+//! event queue's own entries. The block pool uses the same idiom for
+//! buffers.
 //!
 //! Safety of recycling is by *generation*: freeing a slot bumps its
 //! generation, so a stale handle (slot since reused) can never alias the
