@@ -296,7 +296,7 @@ pub fn rnic_cliff_ablation() -> ExperimentOutput {
             table,
         )],
         notes: vec![
-            "Paper: the RNIC throughput went down quickly beyond 5,000 connections; a software stack holds 30K+ connections per node (see ebs-luna RtcEngine tests).".into(),
+            "Paper: the RNIC throughput went down quickly beyond 5,000 connections; a software stack holds 30K+ connections per node (§3.1).".into(),
         ],
     }
 }

@@ -38,7 +38,6 @@ pub fn export_solar_run(quick: bool) -> (String, String, String) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ebs_sa::IoKind;
 
     #[test]
     fn export_is_deterministic() {
@@ -56,27 +55,5 @@ mod tests {
         assert!(trace.contains("thread_name"));
         assert!(metrics.contains("net/delivered"));
         assert!(slowest.contains("slowest io"));
-    }
-
-    #[test]
-    fn latency_attribution_survives_export() {
-        // Sanity tie-back to Fig. 6: whatever the journal says must agree
-        // with the IoTrace records (the always-on metrics path).
-        let mut tb = Testbed::new(TestbedConfig::small(Variant::Solar, 1, 3));
-        tb.attach_fio(
-            SimTime::from_millis(1),
-            0,
-            FioConfig {
-                depth: 2,
-                bytes: 4096,
-                read_fraction: 1.0,
-            },
-        );
-        tb.run_until(SimTime::from_millis(10));
-        let from_traces = ebs_stack::Breakdown::collect(tb.traces(), IoKind::Read, 4096);
-        let from_journal = ebs_stack::Breakdown::from_journal(tb.journal(), IoKind::Read, 4096);
-        assert!(from_traces.total.count() > 0);
-        assert_eq!(from_traces.total.count(), from_journal.total.count());
-        assert_eq!(from_traces.at(0.5), from_journal.at(0.5));
     }
 }

@@ -17,7 +17,7 @@
 //! [`VirtQueue::check_conservation`] proves it (the chaos oracle calls it
 //! at quiesce).
 
-use ebs_wire::{BLK_S_OK, BLK_S_UNSUPP};
+use ebs_wire::BLK_S_UNSUPP;
 
 use crate::pushdown::StorageFn;
 
@@ -314,11 +314,6 @@ impl VirtQueue {
         self.used_idx = self.used_idx.wrapping_add(1);
     }
 
-    /// Device convenience: complete with [`BLK_S_OK`].
-    pub fn push_used_ok(&mut self, d: u16, len: u32) {
-        self.push_used(d, BLK_S_OK, len);
-    }
-
     // --- invariants --------------------------------------------------------
 
     /// The conservation invariant: free + device-held + used-pending +
@@ -354,7 +349,7 @@ impl VirtQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ebs_wire::BLK_S_IOERR;
+    use ebs_wire::{BLK_S_IOERR, BLK_S_OK};
 
     fn rd(first: u64, blocks: u32) -> BlkReq {
         BlkReq {
@@ -372,7 +367,7 @@ mod tests {
         let (pd, req) = q.pop_avail().unwrap();
         assert_eq!(pd, d);
         assert_eq!(req, rd(10, 4));
-        q.push_used_ok(d, 4 * 4096);
+        q.push_used(d, BLK_S_OK, 4 * 4096);
         let c = q.poll_used().unwrap();
         assert_eq!(c.desc, d);
         assert_eq!(c.status, BLK_S_OK);
@@ -393,7 +388,7 @@ mod tests {
         q.check_conservation().unwrap();
         // Drain one and the ring accepts again.
         let (d, _) = q.pop_avail().unwrap();
-        q.push_used_ok(d, 4096);
+        q.push_used(d, BLK_S_OK, 4096);
         assert!(q.poll_used().is_some());
         assert!(q.submit(rd(100, 1)).is_ok());
         q.check_conservation().unwrap();
@@ -408,7 +403,7 @@ mod tests {
             let d = q.submit(rd(i, 1)).unwrap();
             let (pd, _) = q.pop_avail().unwrap();
             assert_eq!(pd, d);
-            q.push_used_ok(pd, 4096);
+            q.push_used(pd, BLK_S_OK, 4096);
             let c = q.poll_used().unwrap();
             assert_eq!(c.desc, d);
         }
@@ -444,8 +439,8 @@ mod tests {
         let mut q = VirtQueue::new(4);
         let d = q.submit(rd(5, 1)).unwrap();
         q.pop_avail().unwrap();
-        q.push_used_ok(d, 4096);
-        q.push_used_ok(d, 4096); // retransmit race: second response ignored
+        q.push_used(d, BLK_S_OK, 4096);
+        q.push_used(d, BLK_S_OK, 4096); // retransmit race: second response ignored
         assert!(q.poll_used().is_some());
         assert!(q.poll_used().is_none());
         assert_eq!(q.free_descs(), 4);
@@ -457,7 +452,7 @@ mod tests {
         let mut q = VirtQueue::new(1);
         let d1 = q.submit(rd(1, 1)).unwrap();
         let (p1, _) = q.pop_avail().unwrap();
-        q.push_used_ok(p1, 4096);
+        q.push_used(p1, BLK_S_OK, 4096);
         assert_eq!(q.poll_used().unwrap().req, rd(1, 1));
         let d2 = q.submit(rd(2, 2)).unwrap();
         assert_eq!(d1, d2, "single-slot ring reuses the descriptor");

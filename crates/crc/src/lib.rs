@@ -1,4 +1,4 @@
-//! # ebs-crc — CRC32 engines and SOLAR's segment-level CRC aggregation
+//! # ebs-crc — the raw CRC32 and SOLAR's segment-level CRC aggregation
 //!
 //! EBS relies on CRC to catch corruption anywhere on the data path. SOLAR
 //! computes per-block CRC32 *inside the FPGA* — which is itself the largest
@@ -11,80 +11,73 @@
 //! the CPU cost.
 //!
 //! This crate provides:
-//! * [`Crc32`] — parameterised, reflected table CRC (IEEE and Castagnoli
-//!   polynomials, standard and raw conditioning) with **runtime kernel
-//!   dispatch**: portable slice-by-16 everywhere, plus `x86_64` SSE4.2
-//!   `crc32` (Castagnoli) and PCLMULQDQ folding (IEEE) selected via
-//!   `is_x86_feature_detected!` when the default `hw` feature is on;
-//! * [`crc32`] / [`crc32c`] / [`crc32_raw`] — convenience one-shots;
-//! * [`combine`] — zlib-style CRC concatenation (GF(2) matrix method);
+//! * [`Crc32`] — the raw (unconditioned) reflected IEEE CRC32 with
+//!   **runtime kernel dispatch**: portable slice-by-16 everywhere, plus
+//!   `x86_64` PCLMULQDQ folding when `is_x86_feature_detected!` finds it;
+//! * [`crc32_raw`] / [`block_crc_raw`] — the one-shots the data path uses;
 //! * [`SegmentChecker`] — the software aggregation check of §4.5.
 //!
 //! ## Unsafe-isolation policy
 //!
 //! The crate denies `unsafe_code` globally; the **only** exemption is the
-//! private `hw` module (gated behind the `hw` feature and
-//! `target_arch = "x86_64"`), which wraps the two SIMD kernels. Every
-//! `unsafe` entry point asserts CPU-feature detection before calling into
-//! a `#[target_feature]` function, and every kernel is differential-tested
-//! against the table engine. Build with `--no-default-features` for a
-//! fully `forbid(unsafe_code)`-equivalent portable crate.
+//! private `hw` module (`x86_64` only), which wraps the one SIMD kernel.
+//! Its safe entry point asserts CPU-feature detection before calling into
+//! the `#[target_feature]` function, and the kernel is differential-tested
+//! against the table kernels.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 /// The IEEE 802.3 polynomial (reflected form), used by Ethernet and zlib.
 pub const POLY_IEEE: u32 = 0xEDB8_8320;
-/// The Castagnoli polynomial (reflected form), used by iSCSI and ext4.
-pub const POLY_CASTAGNOLI: u32 = 0x82F6_3B78;
 
 /// Which update kernel a [`Crc32`] engine dispatches to. Chosen once at
-/// construction from the polynomial, the `hw` feature, and runtime CPU
-/// feature detection — never on the per-call path.
+/// construction from runtime CPU feature detection — never on the
+/// per-call path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kernel {
     /// Portable slice-by-16 table kernel (always available).
     Slice16,
-    /// `x86_64` SSE4.2 `crc32` instruction — Castagnoli polynomial only.
-    #[cfg(all(feature = "hw", target_arch = "x86_64"))]
-    HwCrc32c,
-    /// `x86_64` PCLMULQDQ carry-less-multiply folding — IEEE polynomial.
-    #[cfg(all(feature = "hw", target_arch = "x86_64"))]
-    HwClmulIeee,
+    /// `x86_64` PCLMULQDQ carry-less-multiply folding.
+    #[cfg(target_arch = "x86_64")]
+    Clmul,
 }
 
-fn select_kernel(poly: u32) -> Kernel {
-    #[cfg(all(feature = "hw", target_arch = "x86_64"))]
-    {
-        if poly == POLY_CASTAGNOLI && hw::have_crc32c() {
-            return Kernel::HwCrc32c;
-        }
-        if poly == POLY_IEEE && hw::have_clmul() {
-            return Kernel::HwClmulIeee;
-        }
+fn select_kernel() -> Kernel {
+    #[cfg(target_arch = "x86_64")]
+    if hw::have_clmul() {
+        return Kernel::Clmul;
     }
-    let _ = poly;
     Kernel::Slice16
 }
 
-/// A table-driven CRC32 engine with runtime-dispatched kernels.
+/// The raw IEEE CRC32 engine (init = xorout = 0): the variant for which
+/// `crc(a ^ b) == crc(a) ^ crc(b)` holds exactly, and the one SOLAR's
+/// aggregation check uses.
 pub struct Crc32 {
     table: [[u32; 256]; 16],
-    init: u32,
-    xorout: u32,
     kernel: Kernel,
 }
 
+impl Default for Crc32 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Crc32 {
-    /// Build an engine for `poly` (reflected) with the given pre/post
-    /// conditioning. The fastest kernel the CPU supports for `poly` is
-    /// selected here, once.
-    pub fn with_params(poly: u32, init: u32, xorout: u32) -> Self {
+    /// Build the engine; the fastest kernel the CPU supports is selected
+    /// here, once.
+    pub fn new() -> Self {
         let mut table = [[0u32; 256]; 16];
         for n in 0..256u32 {
             let mut c = n;
             for _ in 0..8 {
-                c = if c & 1 != 0 { (c >> 1) ^ poly } else { c >> 1 };
+                c = if c & 1 != 0 {
+                    (c >> 1) ^ POLY_IEEE
+                } else {
+                    c >> 1
+                };
             }
             table[0][n as usize] = c;
         }
@@ -96,48 +89,24 @@ impl Crc32 {
         }
         Crc32 {
             table,
-            init,
-            xorout,
-            kernel: select_kernel(poly),
+            kernel: select_kernel(),
         }
     }
 
-    /// The standard IEEE CRC32 (init = xorout = 0xFFFFFFFF), as used on the
-    /// wire and by zlib's `crc32()`.
-    pub fn ieee() -> Self {
-        Self::with_params(POLY_IEEE, 0xFFFF_FFFF, 0xFFFF_FFFF)
-    }
-
-    /// The *raw* (linear) IEEE CRC32 with no conditioning: this is the
-    /// variant for which `crc(a ^ b) == crc(a) ^ crc(b)` holds exactly, and
-    /// the one SOLAR's aggregation check uses.
-    pub fn ieee_raw() -> Self {
-        Self::with_params(POLY_IEEE, 0, 0)
-    }
-
-    /// CRC32C (Castagnoli) with standard conditioning.
-    pub fn castagnoli() -> Self {
-        Self::with_params(POLY_CASTAGNOLI, 0xFFFF_FFFF, 0xFFFF_FFFF)
-    }
-
-    /// Compute the checksum of `data` in one shot.
+    /// The raw CRC of `data` in one shot.
     pub fn checksum(&self, data: &[u8]) -> u32 {
-        let mut state = self.init;
-        state = self.update(state, data);
-        state ^ self.xorout
+        self.update(0, data)
     }
 
-    /// Feed `data` into an in-flight state (obtained from [`Crc32::start`]),
-    /// dispatching to the kernel chosen at construction. All kernels
-    /// compute the identical state function, so incremental mixes of
-    /// engines/kernels agree bit-for-bit.
+    /// Feed `data` into an in-flight state (0 to begin; the state *is*
+    /// the raw CRC so far), dispatching to the kernel chosen at
+    /// construction. All kernels compute the identical state function, so
+    /// incremental mixes of kernels agree bit-for-bit.
     pub fn update(&self, state: u32, data: &[u8]) -> u32 {
         match self.kernel {
             Kernel::Slice16 => self.update_slice16(state, data),
-            #[cfg(all(feature = "hw", target_arch = "x86_64"))]
-            Kernel::HwCrc32c => hw::crc32c_update(state, data),
-            #[cfg(all(feature = "hw", target_arch = "x86_64"))]
-            Kernel::HwClmulIeee => {
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Clmul => {
                 let (state, rest) = hw::ieee_clmul_update(state, data);
                 self.update_slice16(state, rest)
             }
@@ -195,15 +164,13 @@ impl Crc32 {
         state
     }
 
-    /// Human-readable name of the dispatched kernel (`"slice16"`,
-    /// `"sse4.2-crc32"` or `"pclmulqdq"`) — surfaced in benches and logs.
+    /// Human-readable name of the dispatched kernel (`"slice16"` or
+    /// `"pclmulqdq"`) — surfaced in benches and logs.
     pub fn kernel_name(&self) -> &'static str {
         match self.kernel {
             Kernel::Slice16 => "slice16",
-            #[cfg(all(feature = "hw", target_arch = "x86_64"))]
-            Kernel::HwCrc32c => "sse4.2-crc32",
-            #[cfg(all(feature = "hw", target_arch = "x86_64"))]
-            Kernel::HwClmulIeee => "pclmulqdq",
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Clmul => "pclmulqdq",
         }
     }
 
@@ -213,68 +180,26 @@ impl Crc32 {
         self.kernel = Kernel::Slice16;
         self
     }
-
-    /// Begin incremental computation; feed with [`Crc32::update`], finish
-    /// with [`Crc32::finish`].
-    pub fn start(&self) -> u32 {
-        self.init
-    }
-
-    /// Finish incremental computation.
-    pub fn finish(&self, state: u32) -> u32 {
-        state ^ self.xorout
-    }
 }
 
-/// Hardware CRC kernels — the crate's **only** `unsafe` code, scoped to
-/// this module per the isolation policy in the crate docs.
+/// The hardware CRC kernel — the crate's **only** `unsafe` code, scoped
+/// to this module per the isolation policy in the crate docs.
 ///
-/// Both entry points are safe functions that assert the required CPU
+/// The entry point is a safe function that asserts the required CPU
 /// features (detection results are cached by `std`, so the check is a
 /// relaxed atomic load) before entering the `#[target_feature]` internals.
 /// [`select_kernel`] only routes here when detection already succeeded, so
-/// the assertions are second-line defence for direct callers.
-#[cfg(all(feature = "hw", target_arch = "x86_64"))]
+/// the assertion is second-line defence for direct callers.
+#[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod hw {
     use core::arch::x86_64::*;
     use std::arch::is_x86_feature_detected;
 
-    /// True if the SSE4.2 `crc32` instruction is available.
-    pub fn have_crc32c() -> bool {
-        is_x86_feature_detected!("sse4.2")
-    }
-
     /// True if PCLMULQDQ folding (plus the SSE4.1 extract it needs) is
     /// available.
     pub fn have_clmul() -> bool {
         is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1")
-    }
-
-    /// CRC32C state update via the dedicated `crc32` instruction: 8 bytes
-    /// per `crc32q`, byte-wise tail. Identical state function to the
-    /// Castagnoli table kernels.
-    pub fn crc32c_update(state: u32, data: &[u8]) -> u32 {
-        assert!(have_crc32c(), "crc32c_update requires SSE4.2");
-        // SAFETY: SSE4.2 support was just asserted.
-        unsafe { crc32c_sse42(state, data) }
-    }
-
-    // SAFETY contract: caller must ensure SSE4.2 is available (the safe
-    // wrapper asserts it). The body itself only uses slice-bounded reads —
-    // `chunks_exact(8)` guarantees every `try_into` sees exactly 8 bytes.
-    #[target_feature(enable = "sse4.2")]
-    unsafe fn crc32c_sse42(state: u32, data: &[u8]) -> u32 {
-        let mut chunks = data.chunks_exact(8);
-        let mut c = u64::from(state);
-        for ch in &mut chunks {
-            c = _mm_crc32_u64(c, u64::from_le_bytes(ch.try_into().unwrap()));
-        }
-        let mut c = c as u32;
-        for &b in chunks.remainder() {
-            c = _mm_crc32_u8(c, b);
-        }
-        c
     }
 
     /// IEEE CRC32 state update by PCLMULQDQ folding over the largest
@@ -381,91 +306,13 @@ mod hw {
 }
 
 thread_local! {
-    static IEEE: Crc32 = Crc32::ieee();
-    static IEEE_RAW: Crc32 = Crc32::ieee_raw();
-    static CASTAGNOLI: Crc32 = Crc32::castagnoli();
-}
-
-/// Standard IEEE CRC32 of `data`.
-pub fn crc32(data: &[u8]) -> u32 {
-    IEEE.with(|c| c.checksum(data))
+    static IEEE_RAW: Crc32 = Crc32::new();
 }
 
 /// Raw (linear) IEEE CRC32 of `data` — `crc32_raw(a ^ b) ==
 /// crc32_raw(a) ^ crc32_raw(b)` for equal-length `a`, `b`.
 pub fn crc32_raw(data: &[u8]) -> u32 {
     IEEE_RAW.with(|c| c.checksum(data))
-}
-
-/// CRC32C (Castagnoli) of `data`.
-pub fn crc32c(data: &[u8]) -> u32 {
-    CASTAGNOLI.with(|c| c.checksum(data))
-}
-
-// --- CRC combination (zlib's gf2-matrix method) -------------------------
-
-fn gf2_matrix_times(mat: &[u32; 32], mut vec: u32) -> u32 {
-    let mut sum = 0;
-    let mut i = 0;
-    while vec != 0 {
-        if vec & 1 != 0 {
-            sum ^= mat[i];
-        }
-        vec >>= 1;
-        i += 1;
-    }
-    sum
-}
-
-fn gf2_matrix_square(square: &mut [u32; 32], mat: &[u32; 32]) {
-    for n in 0..32 {
-        square[n] = gf2_matrix_times(mat, mat[n]);
-    }
-}
-
-/// Combine `crc1 = crc32(A)` and `crc2 = crc32(B)` into `crc32(A ++ B)`
-/// where `len2 = B.len()`, without touching the data. Used to CRC a large
-/// I/O from its per-block CRCs when blocks are *concatenated* (the paper's
-/// blocks are XOR-aggregated instead — see [`SegmentChecker`] — but RPC
-/// payload assembly wants concatenation).
-pub fn combine(crc1: u32, crc2: u32, len2: u64) -> u32 {
-    if len2 == 0 {
-        return crc1;
-    }
-    let mut even = [0u32; 32];
-    let mut odd = [0u32; 32];
-
-    // odd = operator for one zero bit.
-    odd[0] = POLY_IEEE;
-    let mut row = 1u32;
-    for item in odd.iter_mut().skip(1) {
-        *item = row;
-        row <<= 1;
-    }
-    gf2_matrix_square(&mut even, &odd); // 2 bits
-    gf2_matrix_square(&mut odd, &even); // 4 bits
-
-    let mut crc1 = crc1;
-    let mut len2 = len2;
-    loop {
-        gf2_matrix_square(&mut even, &odd); // zero-byte operators
-        if len2 & 1 != 0 {
-            crc1 = gf2_matrix_times(&even, crc1);
-        }
-        len2 >>= 1;
-        if len2 == 0 {
-            break;
-        }
-        gf2_matrix_square(&mut odd, &even);
-        if len2 & 1 != 0 {
-            crc1 = gf2_matrix_times(&odd, crc1);
-        }
-        len2 >>= 1;
-        if len2 == 0 {
-            break;
-        }
-    }
-    crc1 ^ crc2
 }
 
 // --- SOLAR's segment-level aggregation check ----------------------------
@@ -568,14 +415,14 @@ pub fn block_crc_raw(block: &[u8], block_size: usize) -> u32 {
     /// chunk as many times as it takes.
     const ZEROS: [u8; 512] = [0; 512];
     IEEE_RAW.with(|c| {
-        let mut state = c.update(c.start(), block);
+        let mut state = c.checksum(block);
         let mut pad = block_size - block.len();
         while pad > 0 {
             let n = pad.min(ZEROS.len());
             state = c.update(state, &ZEROS[..n]);
             pad -= n;
         }
-        c.finish(state)
+        state
     })
 }
 
@@ -584,29 +431,31 @@ mod tests {
     use super::*;
 
     #[test]
-    fn known_vectors() {
-        // "123456789" — canonical check values.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32c(b"123456789"), 0xE306_9283);
-        assert_eq!(crc32(b""), 0);
+    fn known_vector() {
+        // "123456789" under the standard conditioning (init and xorout
+        // all-ones) is the canonical IEEE check value; the raw state
+        // function wrapped in that conditioning must reproduce it.
+        let c = Crc32::new();
+        assert_eq!(!c.update(!0, b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_raw(b""), 0);
     }
 
     #[test]
     fn incremental_matches_oneshot() {
-        let c = Crc32::ieee();
+        let c = Crc32::new();
         let data = b"hello crc world, split me up";
-        let mut st = c.start();
+        let mut st = 0;
         st = c.update(st, &data[..7]);
         st = c.update(st, &data[7..13]);
         st = c.update(st, &data[13..]);
-        assert_eq!(c.finish(st), c.checksum(data));
+        assert_eq!(st, c.checksum(data));
     }
 
     #[test]
-    fn slice_by_8_matches_bytewise() {
-        // Compare against a simple bit-at-a-time implementation.
+    fn table_kernels_match_bitwise() {
+        // Compare against a bit-at-a-time raw CRC.
         fn naive(data: &[u8]) -> u32 {
-            let mut crc = 0xFFFF_FFFFu32;
+            let mut crc = 0u32;
             for &b in data {
                 crc ^= b as u32;
                 for _ in 0..8 {
@@ -617,19 +466,20 @@ mod tests {
                     };
                 }
             }
-            crc ^ 0xFFFF_FFFF
+            crc
         }
         let data: Vec<u8> = (0..1000u32).map(|i| (i * 7 + 13) as u8).collect();
-        assert_eq!(crc32(&data), naive(&data));
+        assert_eq!(crc32_raw(&data), naive(&data));
+        assert_eq!(Crc32::new().update_slice8(0, &data), naive(&data));
     }
 
     #[test]
     fn all_kernels_agree_on_a_block() {
-        // 4096 bytes of varied data through every engine, dispatched vs
-        // the two portable kernels.
+        // 4096 bytes of varied data, dispatched vs the two portable
+        // kernels, from zero and non-zero starting states.
         let data: Vec<u8> = (0..4096u32).map(|i| (i * 31 + 7) as u8).collect();
-        for engine in [Crc32::ieee(), Crc32::ieee_raw(), Crc32::castagnoli()] {
-            let st = engine.start();
+        let engine = Crc32::new();
+        for st in [0, 0xFFFF_FFFF, 0x1234_5678] {
             let dispatched = engine.update(st, &data);
             assert_eq!(dispatched, engine.update_slice16(st, &data), "slice16");
             assert_eq!(dispatched, engine.update_slice8(st, &data), "slice8");
@@ -638,24 +488,21 @@ mod tests {
 
     #[test]
     fn dispatch_is_incremental_like_the_table() {
-        // Hardware kernels must compute the same *state function*, so
+        // The hardware kernel must compute the same *state function*, so
         // splitting at awkward offsets changes nothing.
         let data: Vec<u8> = (0..1000u32).map(|i| (i * 131) as u8).collect();
-        for engine in [Crc32::ieee(), Crc32::castagnoli()] {
-            let mut st = engine.start();
-            for chunk in data.chunks(97) {
-                st = engine.update(st, chunk);
-            }
-            assert_eq!(engine.finish(st), engine.checksum(&data));
+        let engine = Crc32::new();
+        let mut st = 0;
+        for chunk in data.chunks(97) {
+            st = engine.update(st, chunk);
         }
+        assert_eq!(st, engine.checksum(&data));
     }
 
     #[test]
     fn kernel_name_is_reported() {
-        let names = ["slice16", "sse4.2-crc32", "pclmulqdq"];
-        assert!(names.contains(&Crc32::ieee().kernel_name()));
-        assert!(names.contains(&Crc32::castagnoli().kernel_name()));
-        assert_eq!(Crc32::ieee().force_portable().kernel_name(), "slice16");
+        assert!(["slice16", "pclmulqdq"].contains(&Crc32::new().kernel_name()));
+        assert_eq!(Crc32::new().force_portable().kernel_name(), "slice16");
     }
 
     #[test]
@@ -664,29 +511,6 @@ mod tests {
         let b: Vec<u8> = (0..4096u32).map(|i| (i % 241) as u8).collect();
         let x: Vec<u8> = a.iter().zip(b.iter()).map(|(p, q)| p ^ q).collect();
         assert_eq!(crc32_raw(&x), crc32_raw(&a) ^ crc32_raw(&b));
-    }
-
-    #[test]
-    fn standard_crc_is_not_linear() {
-        // The conditioned CRC is affine, not linear — this is exactly why
-        // the aggregation check must use the raw variant.
-        let a = [1u8; 64];
-        let b = [2u8; 64];
-        let x: Vec<u8> = a.iter().zip(b.iter()).map(|(p, q)| p ^ q).collect();
-        assert_ne!(crc32(&x), crc32(&a) ^ crc32(&b));
-    }
-
-    #[test]
-    fn combine_matches_concatenation() {
-        let a = b"first part of the stream";
-        let b = b"and the second part, somewhat longer for good measure";
-        let whole: Vec<u8> = a.iter().chain(b.iter()).copied().collect();
-        assert_eq!(combine(crc32(a), crc32(b), b.len() as u64), crc32(&whole));
-    }
-
-    #[test]
-    fn combine_with_empty_tail() {
-        assert_eq!(combine(crc32(b"abc"), crc32(b""), 0), crc32(b"abc"));
     }
 
     #[test]

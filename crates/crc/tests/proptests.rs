@@ -1,44 +1,25 @@
 //! Property tests for the CRC invariants SOLAR's integrity design rests on,
-//! plus the differential suite pinning every dispatched kernel (slice-by-16
-//! portable, SSE4.2 crc32, PCLMULQDQ folding) to the slice-by-8 reference.
+//! plus the differential suite pinning the dispatched kernel (slice-by-16
+//! portable or PCLMULQDQ folding) to the slice-by-8 reference.
 
-use ebs_crc::{
-    block_crc_raw, combine, crc32, crc32_raw, Crc32, SegmentChecker, SegmentVerdict,
-    POLY_CASTAGNOLI, POLY_IEEE,
-};
+use ebs_crc::{block_crc_raw, crc32_raw, Crc32, SegmentChecker, SegmentVerdict};
 use proptest::prelude::*;
 
-/// Engines covering both polynomials and both conditionings, so the
-/// dispatched kernels (which depend on the polynomial) are all exercised.
-fn engines() -> Vec<(&'static str, Crc32)> {
-    vec![
-        ("ieee", Crc32::ieee()),
-        ("ieee_raw", Crc32::ieee_raw()),
-        ("castagnoli", Crc32::castagnoli()),
-        ("castagnoli_raw", Crc32::with_params(POLY_CASTAGNOLI, 0, 0)),
-        (
-            "ieee_odd_params",
-            Crc32::with_params(POLY_IEEE, 0x1234_5678, 0x0F0F_0F0F),
-        ),
-    ]
-}
-
 proptest! {
-    /// Differential: dispatched kernel == slice-by-16 == slice-by-8 for
-    /// every engine, over random lengths, contents and starting states.
+    /// Differential: dispatched kernel == slice-by-16 == slice-by-8 over
+    /// random lengths, contents and starting states.
     #[test]
     fn kernels_match_reference(
         data in proptest::collection::vec(any::<u8>(), 0..4500),
         state in any::<u32>(),
     ) {
-        for (name, e) in engines() {
-            let want = e.update_slice8(state, &data);
-            prop_assert_eq!(e.update(state, &data), want, "dispatch {} ({})", name, e.kernel_name());
-            prop_assert_eq!(e.update_slice16(state, &data), want, "slice16 {}", name);
-        }
+        let e = Crc32::new();
+        let want = e.update_slice8(state, &data);
+        prop_assert_eq!(e.update(state, &data), want, "dispatch ({})", e.kernel_name());
+        prop_assert_eq!(e.update_slice16(state, &data), want, "slice16");
     }
 
-    /// Differential at unaligned starting offsets: hardware kernels must
+    /// Differential at unaligned starting offsets: the hardware kernel must
     /// not care where in an allocation the data begins. Exercises every
     /// alignment 0..16 around the exact 4096-byte fast path.
     #[test]
@@ -51,43 +32,18 @@ proptest! {
             .map(|i| (seed.wrapping_mul(i as u64 + 1) >> 13) as u8)
             .collect();
         let data = &backing[offset..];
-        for (name, e) in engines() {
-            prop_assert_eq!(
-                e.update(0, data),
-                e.update_slice8(0, data),
-                "{} len={} offset={}", name, len, offset
-            );
-        }
+        let e = Crc32::new();
+        prop_assert_eq!(e.update(0, data), e.update_slice8(0, data), "len={} offset={}", len, offset);
     }
 
-    /// The checksum (conditioned) path agrees across kernels too, and
-    /// incremental dispatch at arbitrary splits equals one-shot.
+    /// Raw linearity `CRC(A ⊕ B) = CRC(A) ⊕ CRC(B)` holds with the
+    /// dispatched kernel live, on full 4 KiB blocks (its fast path).
     #[test]
-    fn dispatched_checksum_incremental(
-        data in proptest::collection::vec(any::<u8>(), 0..2048),
-        split in any::<prop::sample::Index>(),
-    ) {
-        for (name, e) in engines() {
-            let k = split.index(data.len() + 1);
-            let mut st = e.start();
-            st = e.update(st, &data[..k]);
-            st = e.update(st, &data[k..]);
-            prop_assert_eq!(e.finish(st), e.finish(e.update_slice8(e.start(), &data)),
-                "split {}", name);
-        }
-    }
-
-    /// Aggregation laws hold with hardware kernels live: raw linearity
-    /// `CRC(A ⊕ B) = CRC(A) ⊕ CRC(B)` on full 4 KiB blocks (the dispatch
-    /// fast path) and `combine` against concatenation.
-    #[test]
-    fn aggregation_laws_survive_dispatch(seed in any::<u64>()) {
+    fn linearity_survives_dispatch(seed in any::<u64>()) {
         let a: Vec<u8> = (0..4096u64).map(|i| (seed.wrapping_mul(i + 3) >> 11) as u8).collect();
         let b: Vec<u8> = (0..4096u64).map(|i| (seed.wrapping_mul(i + 7) >> 17) as u8).collect();
         let x: Vec<u8> = a.iter().zip(&b).map(|(p, q)| p ^ q).collect();
         prop_assert_eq!(crc32_raw(&x), crc32_raw(&a) ^ crc32_raw(&b));
-        let whole: Vec<u8> = a.iter().chain(b.iter()).copied().collect();
-        prop_assert_eq!(combine(crc32(&a), crc32(&b), b.len() as u64), crc32(&whole));
     }
 
     /// Raw CRC is linear over XOR for equal-length inputs — the exact
@@ -97,16 +53,6 @@ proptest! {
         let b: Vec<u8> = a.iter().map(|x| x.wrapping_add(37)).collect();
         let x: Vec<u8> = a.iter().zip(&b).map(|(p, q)| p ^ q).collect();
         prop_assert_eq!(crc32_raw(&x), crc32_raw(&a) ^ crc32_raw(&b));
-    }
-
-    /// CRC combination matches CRC of the concatenation.
-    #[test]
-    fn combine_matches_concat(
-        a in proptest::collection::vec(any::<u8>(), 0..512),
-        b in proptest::collection::vec(any::<u8>(), 0..512),
-    ) {
-        let whole: Vec<u8> = a.iter().chain(b.iter()).copied().collect();
-        prop_assert_eq!(combine(crc32(&a), crc32(&b), b.len() as u64), crc32(&whole));
     }
 
     /// A clean segment always verifies, regardless of block contents or
@@ -173,11 +119,9 @@ proptest! {
     #[test]
     fn incremental_split(data in proptest::collection::vec(any::<u8>(), 0..1024),
                          split in any::<prop::sample::Index>()) {
-        let c = ebs_crc::Crc32::ieee();
+        let c = Crc32::new();
         let k = split.index(data.len() + 1);
-        let mut st = c.start();
-        st = c.update(st, &data[..k]);
-        st = c.update(st, &data[k..]);
-        prop_assert_eq!(c.finish(st), crc32(&data));
+        let st = c.update(c.update(0, &data[..k]), &data[k..]);
+        prop_assert_eq!(st, crc32_raw(&data));
     }
 }

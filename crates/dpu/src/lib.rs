@@ -42,9 +42,6 @@ pub struct DpuCpu {
     cores: FifoResource,
 }
 
-/// ALI-DPU core count.
-pub const ALI_DPU_CORES: usize = 6;
-
 impl DpuCpu {
     /// A CPU with `cores` cores.
     pub fn new(cores: usize) -> Self {

@@ -136,12 +136,6 @@ impl DpuPcie {
         self.internal.utilization(now)
     }
 
-    /// The effective per-direction goodput ceiling the internal channel
-    /// imposes on two-crossing paths.
-    pub fn internal_goodput_ceiling(&self) -> Bandwidth {
-        Bandwidth::from_bps(self.internal.rate().as_bps() / 2)
-    }
-
     /// Reset accounting.
     pub fn reset_stats(&mut self, now: SimTime) {
         self.internal.reset_stats(now);
@@ -220,7 +214,6 @@ mod tests {
             (gbps - 32.0).abs() < 1.0,
             "expected ~32 Gbps ceiling, got {gbps}"
         );
-        assert_eq!(pcie.internal_goodput_ceiling(), Bandwidth::from_gbps(32));
     }
 
     #[test]

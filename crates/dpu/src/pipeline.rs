@@ -272,11 +272,10 @@ impl Stage for CrcStage {
 }
 
 /// The SEC stage: per-block encryption (ChaCha20 model of the opaque
-/// production cipher).
+/// production cipher) on the TX path.
 pub struct SecStage {
     engine: ebs_crypto::SecEngine,
     latency: SimDuration,
-    decrypt: bool,
 }
 
 impl SecStage {
@@ -285,16 +284,6 @@ impl SecStage {
         SecStage {
             engine,
             latency: SimDuration::from_nanos(120),
-            decrypt: false,
-        }
-    }
-
-    /// A decrypting (RX) stage.
-    pub fn decryptor(engine: ebs_crypto::SecEngine) -> Self {
-        SecStage {
-            engine,
-            latency: SimDuration::from_nanos(120),
-            decrypt: true,
         }
     }
 }
@@ -317,25 +306,15 @@ impl Stage for SecStage {
         let (engine, hdr, old) = (&self.engine, &ctx.hdr, &ctx.payload);
         let data = ebs_wire::pool::with_default_pool(|p| {
             p.take_with(old.len(), |new| {
-                if self.decrypt {
-                    engine.decrypt_block_into(hdr.vd_id, hdr.block_addr, old, new);
-                } else {
-                    engine.encrypt_block_into(hdr.vd_id, hdr.block_addr, old, new);
-                }
+                engine.encrypt_block_into(hdr.vd_id, hdr.block_addr, old, new)
             })
         });
-        if !self.decrypt {
-            ctx.hdr.flags |= ebs_wire::FLAG_ENCRYPTED;
-        }
+        ctx.hdr.flags |= ebs_wire::FLAG_ENCRYPTED;
         ctx.payload = data.freeze().into_bytes();
         StageVerdict::Forward
     }
     fn p4_summary(&self) -> String {
-        if self.decrypt {
-            "action sec_decrypt { payload = chacha20(vd_key, hdr.ebs.lba, payload); }".into()
-        } else {
-            "action sec_encrypt { payload = chacha20(vd_key, hdr.ebs.lba, payload); hdr.ebs.flags |= ENC; }".into()
-        }
+        "action sec_encrypt { payload = chacha20(vd_key, hdr.ebs.lba, payload); hdr.ebs.flags |= ENC; }".into()
     }
 }
 
@@ -503,13 +482,14 @@ mod tests {
     fn sec_roundtrip_through_stages() {
         let engine = ebs_crypto::SecEngine::new([9; 32]);
         let mut enc = Pipeline::new(vec![Box::new(SecStage::encryptor(engine.clone()))]);
-        let mut dec = Pipeline::new(vec![Box::new(SecStage::decryptor(engine))]);
         let plain = Bytes::from(vec![0x42; 4096]);
         let mut ctx = PacketCtx::new(hdr(EbsOp::WriteBlock, 1, 7), plain.clone());
         enc.process(SimTime::ZERO, &mut ctx).unwrap();
         assert_ne!(ctx.payload, plain);
-        dec.process(SimTime::ZERO, &mut ctx).unwrap();
-        assert_eq!(ctx.payload, plain);
+        assert_ne!(ctx.hdr.flags & ebs_wire::FLAG_ENCRYPTED, 0);
+        let mut back = ctx.payload.to_vec();
+        engine.decrypt_block(ctx.hdr.vd_id, ctx.hdr.block_addr, &mut back);
+        assert_eq!(back, plain[..]);
     }
 
     #[test]

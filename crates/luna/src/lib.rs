@@ -8,9 +8,8 @@
 //! * [`RpcClient`] / [`RpcServer`] — the storage RPC layer over the
 //!   shared `ebs-tcp` engine;
 //! * [`StackCosts`] — the calibrated host-overhead models that are the
-//!   *only* difference between kernel TCP and LUNA (Table 1);
-//! * [`RtcEngine`] — the share-nothing core layout with stable flow
-//!   steering.
+//!   *only* difference between kernel TCP and LUNA (Table 1), and where
+//!   LUNA's run-to-complete threading is priced.
 //!
 //! ## Zero copy, boundary by boundary
 //!
@@ -44,8 +43,6 @@
 
 mod host;
 mod rpc;
-mod rtc;
 
 pub use host::StackCosts;
 pub use rpc::{read_request, write_request, RpcClient, RpcCompletion, RpcServer};
-pub use rtc::{steer, CoreEngine, RtcEngine};

@@ -31,22 +31,18 @@ pub struct ShardSlice {
     pub storages: u32,
 }
 
-/// A fleet partitioning: per-shard server counts plus the conservative
-/// window bound. See the module docs.
+/// A fleet partitioning: per-shard server counts. See the module docs.
 #[derive(Debug, Clone)]
 pub struct ShardPlan {
     /// Per-shard slices, in shard order.
     pub shards: Vec<ShardSlice>,
-    /// Minimum one-way cross-shard latency; the widest safe exchange
-    /// window for the time-window barrier.
-    pub boundary_latency: SimDuration,
 }
 
 impl ShardPlan {
     /// Split `computes` + `storages` servers across `n_shards` pod-group
-    /// shards over fabrics built from `link`'s link specs. `n_shards` is
-    /// clamped to at least 1; empty shards are legal (they idle).
-    pub fn partition(link: &ClosConfig, computes: u32, storages: u32, n_shards: u32) -> ShardPlan {
+    /// shards. `n_shards` is clamped to at least 1; empty shards are legal
+    /// (they idle).
+    pub fn partition(computes: u32, storages: u32, n_shards: u32) -> ShardPlan {
         let n = n_shards.max(1);
         let shards = (0..n)
             .map(|s| ShardSlice {
@@ -54,10 +50,7 @@ impl ShardPlan {
                 storages: storages / n + u32::from(s < storages % n),
             })
             .collect();
-        ShardPlan {
-            shards,
-            boundary_latency: Self::boundary_latency_of(link),
-        }
+        ShardPlan { shards }
     }
 
     /// The minimum one-way latency between servers in different shards:
@@ -70,16 +63,6 @@ impl ShardPlan {
     pub fn boundary_latency_of(link: &ClosConfig) -> SimDuration {
         (link.spine_core.delay + link.core_router.delay) * 2
     }
-
-    /// Total computes across all shards.
-    pub fn total_computes(&self) -> u32 {
-        self.shards.iter().map(|s| s.computes).sum()
-    }
-
-    /// Total storages across all shards.
-    pub fn total_storages(&self) -> u32 {
-        self.shards.iter().map(|s| s.storages).sum()
-    }
 }
 
 #[cfg(test)]
@@ -88,11 +71,10 @@ mod tests {
 
     #[test]
     fn partition_conserves_totals_and_balances() {
-        let link = ClosConfig::testbed(2, 2, 4);
-        let plan = ShardPlan::partition(&link, 103, 31, 8);
+        let plan = ShardPlan::partition(103, 31, 8);
         assert_eq!(plan.shards.len(), 8);
-        assert_eq!(plan.total_computes(), 103);
-        assert_eq!(plan.total_storages(), 31);
+        assert_eq!(plan.shards.iter().map(|s| s.computes).sum::<u32>(), 103);
+        assert_eq!(plan.shards.iter().map(|s| s.storages).sum::<u32>(), 31);
         let cmax = plan.shards.iter().map(|s| s.computes).max().unwrap();
         let cmin = plan.shards.iter().map(|s| s.computes).min().unwrap();
         assert!(cmax - cmin <= 1, "front-loaded remainder only");
@@ -106,16 +88,11 @@ mod tests {
             ShardPlan::boundary_latency_of(&link),
             SimDuration::from_micros(44)
         );
-        assert_eq!(
-            ShardPlan::partition(&link, 8, 4, 2).boundary_latency,
-            SimDuration::from_micros(44)
-        );
     }
 
     #[test]
     fn zero_shards_clamps_to_one() {
-        let link = ClosConfig::testbed(2, 2, 4);
-        let plan = ShardPlan::partition(&link, 5, 3, 0);
+        let plan = ShardPlan::partition(5, 3, 0);
         assert_eq!(plan.shards.len(), 1);
         assert_eq!(
             plan.shards[0],

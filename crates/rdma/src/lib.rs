@@ -8,7 +8,8 @@
 //!   into MTU packets with packet sequence numbers (PSNs), the responder
 //!   accepts only in-order PSNs and NAKs the first gap, and the requester
 //!   recovers with **Go-Back-N** (the recovery mode of the era's RNICs
-//!   that §3.1 contrasts with Selective Repeat) or Selective Repeat;
+//!   that §3.1 contrasts with Selective Repeat): everything from the gap
+//!   onward goes again;
 //! * [`RnicModel`] — the connection-scalability cliff: RNIC caches QP
 //!   state on-chip; beyond the cache capacity, per-op latency inflates as
 //!   state thrashes to host memory (§3.1: throughput collapsed beyond
@@ -27,16 +28,6 @@ use bytes::Bytes;
 use ebs_cc::{Dcqcn, DcqcnConfig};
 use ebs_sim::{SimDuration, SimTime};
 
-/// Loss-recovery mode of the RNIC generation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Recovery {
-    /// Retransmit everything from the NAKed PSN (older RNICs).
-    GoBackN,
-    /// Retransmit only the missing packet (newer RNICs; the paper notes
-    /// the two generations cannot interoperate).
-    SelectiveRepeat,
-}
-
 /// Queue-pair configuration.
 #[derive(Debug, Clone)]
 pub struct QpConfig {
@@ -46,8 +37,6 @@ pub struct QpConfig {
     pub window_pkts: usize,
     /// Retransmission timeout.
     pub rto: SimDuration,
-    /// Loss recovery mode.
-    pub recovery: Recovery,
     /// Optional DCQCN-style ECN congestion control: when set, the QP
     /// runs a rate controller over the hardware credit window — the
     /// effective window is `min(window_pkts, dcqcn_window / mtu)`.
@@ -61,7 +50,6 @@ impl Default for QpConfig {
             mtu: 4096,
             window_pkts: 64,
             rto: SimDuration::from_millis(1),
-            recovery: Recovery::GoBackN,
             dcqcn: None,
         }
     }
@@ -190,11 +178,6 @@ impl RdmaQp {
         self.rx_msgs.pop_front()
     }
 
-    /// Unacked packets in flight.
-    pub fn inflight_pkts(&self) -> usize {
-        self.inflight.len()
-    }
-
     /// Next deadline for [`RdmaQp::on_timer`].
     pub fn poll_timer(&self) -> Option<SimTime> {
         self.rto_deadline
@@ -211,19 +194,11 @@ impl RdmaQp {
         self.rto_deadline = Some(now + self.cfg.rto);
     }
 
+    /// Go-Back-N: everything from the gap onward goes again.
     fn queue_recovery(&mut self, from_psn: u64) {
         self.rtx.clear();
-        match self.cfg.recovery {
-            Recovery::GoBackN => {
-                // Everything from the gap onward goes again.
-                for (&psn, _) in self.inflight.range(from_psn..) {
-                    self.rtx.push_back(psn);
-                }
-            }
-            Recovery::SelectiveRepeat => {
-                self.rtx.push_back(from_psn);
-            }
-        }
+        self.rtx
+            .extend(self.inflight.range(from_psn..).map(|(&psn, _)| psn));
     }
 
     /// Produce the next outgoing packet.
@@ -440,7 +415,7 @@ mod tests {
         drive(&mut a, &mut b, SimTime::ZERO, &[], 100);
         assert_eq!(b.poll_recv().unwrap(), msg);
         assert_eq!(a.stats().retransmits, 0);
-        assert_eq!(a.inflight_pkts(), 0);
+        assert_eq!(a.poll_timer(), None, "everything acked, no RTO armed");
     }
 
     #[test]
@@ -469,22 +444,6 @@ mod tests {
             "GBN must resend the tail, got {}",
             a.stats().retransmits
         );
-    }
-
-    #[test]
-    fn selective_repeat_resends_one() {
-        let cfg = QpConfig {
-            recovery: Recovery::SelectiveRepeat,
-            ..QpConfig::default()
-        };
-        let mut a = RdmaQp::new(cfg.clone());
-        let mut b = RdmaQp::new(cfg);
-        a.post_send(Bytes::from(vec![9u8; 20_000]));
-        drive(&mut a, &mut b, SimTime::ZERO, &[1], 400);
-        assert_eq!(b.poll_recv().unwrap().len(), 20_000);
-        // SR may need a couple of rounds (later packets get NAKed again
-        // while the hole fills) but stays well below GBN's full tail.
-        assert!(a.stats().retransmits <= 6, "{}", a.stats().retransmits);
     }
 
     #[test]

@@ -96,11 +96,6 @@ impl SegmentTable {
             .unwrap_or(0)
     }
 
-    /// Total segment entries (sizing input for the FPGA Block table).
-    pub fn total_segments(&self) -> usize {
-        self.disks.values().map(Vec::len).sum()
-    }
-
     /// Look up the segment holding `block_addr` of `vd_id`.
     pub fn lookup(&self, vd_id: u64, block_addr: u64) -> Result<SegmentEntry, SegmentError> {
         let segs = self.disks.get(&vd_id).ok_or(SegmentError::UnknownDisk)?;
@@ -118,7 +113,7 @@ mod tests {
         let mut t = SegmentTable::new(SEGMENT_BLOCKS);
         t.provision(1, 2048, |seg| (seg % 3) as u32); // 4 segments over 3 servers
         assert_eq!(t.disk_blocks(1), 2048);
-        assert_eq!(t.total_segments(), 4);
+        assert!(t.lookup(1, 2047).is_ok(), "4 segments cover 2048 blocks");
         let e0 = t.lookup(1, 0).unwrap();
         let e1 = t.lookup(1, 511).unwrap();
         assert_eq!(e0.segment_id, e1.segment_id, "same segment");
@@ -145,7 +140,7 @@ mod tests {
     fn ragged_last_segment() {
         let mut t = SegmentTable::new(SEGMENT_BLOCKS);
         t.provision(1, 700, |_| 0); // 2 segments, second partial
-        assert_eq!(t.total_segments(), 2);
+        assert_eq!(t.disk_blocks(1), 2 * SEGMENT_BLOCKS);
         assert!(t.lookup(1, 699).is_ok());
     }
 

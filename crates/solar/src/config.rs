@@ -25,11 +25,6 @@ pub struct SolarConfig {
     pub path_fail_threshold: u32,
     /// Probe interval while a path is failed.
     pub probe_interval: SimDuration,
-    /// Retained for ablations: sender-side dupack-style loss inference is
-    /// unsound for SOLAR (ACK order is storage-completion order), so loss
-    /// is detected at the *receiver* via per-path arrival-sequence gaps
-    /// and reported with `GapNack`. This knob no longer gates anything.
-    pub reorder_threshold: u32,
     /// Unanswered probes on a failed path before it is *remapped* to a
     /// fresh UDP source port — i.e. a different ECMP hash. Persistent
     /// paths are cheap to keep, but a silently blackholed bucket must
@@ -73,7 +68,6 @@ impl Default for SolarConfig {
             rto_max: SimDuration::from_millis(20),
             path_fail_threshold: 3,
             probe_interval: SimDuration::from_millis(10),
-            reorder_threshold: 3,
             remap_after_probes: 2,
             max_pkt_retries: u32::MAX,
             int_enabled: true,

@@ -344,8 +344,8 @@ impl ComputeNode {
         // Tile the I/O's interval with its component spans, in the same
         // attribution order the stacked bars use (QoS → SA → FN → BN →
         // SSD → completion-side SA). Durations match the IoTrace fields
-        // exactly, so `Breakdown::from_journal` reproduces
-        // `Breakdown::collect` bit for bit.
+        // exactly, so `explain_slowest` reads the same split the trace
+        // records.
         let id = p.trace_idx as u64;
         let name = match trace.kind {
             IoKind::Write => "write",

@@ -3,9 +3,9 @@
 //! The testbed emits one span per latency component per completed I/O
 //! into the observability journal (tracks `io`, `sa.qos`, `sa`, `fn`,
 //! `bn`, `ssd`, all keyed by the trace index). This module is the
-//! journal's consumer side: it re-derives the Fig. 6 breakdown without
-//! touching [`IoTrace`](crate::IoTrace), and answers the on-call
-//! question "why was the slowest I/O slow?" with a tiled timeline.
+//! journal's consumer side: without touching [`IoTrace`](crate::IoTrace)
+//! it answers the on-call question "why was the slowest I/O slow?" with a
+//! tiled timeline.
 //!
 //! The component spans *tile* the I/O's interval in attribution order
 //! (QoS → SA → FN → BN → SSD → completion-side SA), not wire order —

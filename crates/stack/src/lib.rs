@@ -253,17 +253,6 @@ mod tests {
                 "total, io {id}"
             );
         }
-
-        // And in aggregate: the journal-derived Fig. 6 breakdown equals
-        // the trace-derived one at every probed quantile.
-        for kind in [ebs_sa::IoKind::Read, ebs_sa::IoKind::Write] {
-            let a = Breakdown::collect(tb.traces(), kind, 4096);
-            let b = Breakdown::from_journal(tb.journal(), kind, 4096);
-            assert_eq!(a.total.count(), b.total.count(), "{kind:?} count");
-            for q in [0.1, 0.5, 0.9, 0.99] {
-                assert_eq!(a.at(q), b.at(q), "{kind:?} quantile {q}");
-            }
-        }
     }
 
     #[test]

@@ -50,7 +50,8 @@ pub struct ReplicationConfig {
 }
 
 /// Fleet configuration: a per-shard [`TestbedConfig`] template plus the
-/// sharding/execution knobs.
+/// sharding/execution knobs. The exchange window is not one: it is always
+/// the boundary latency of the shard fabrics.
 #[derive(Debug, Clone)]
 pub struct ShardedTestbedConfig {
     /// Template every shard is cloned from, carrying the fleet-wide
@@ -64,9 +65,6 @@ pub struct ShardedTestbedConfig {
     pub threads: usize,
     /// Cross-shard replication traffic, if any (needs `n_shards > 1`).
     pub replication: Option<ReplicationConfig>,
-    /// Exchange-window override; clamped to the boundary latency (wider
-    /// would break conservativeness). `None` = the boundary latency.
-    pub window: Option<SimDuration>,
 }
 
 impl ShardedTestbedConfig {
@@ -83,7 +81,6 @@ impl ShardedTestbedConfig {
             n_shards,
             threads: 1,
             replication: None,
-            window: None,
         }
     }
 }
@@ -119,8 +116,11 @@ pub struct ShardedTestbed {
     stats: Vec<ShardStats>,
     workers: Vec<WorkerStats>,
     threads: usize,
+    /// The exchange window: the boundary latency `Lb` of the shard
+    /// fabrics, the widest window that stays conservative. A message
+    /// lands `Lb` after it departs, so it can never land inside its own
+    /// window.
     window: SimDuration,
-    boundary_latency: SimDuration,
     /// Last committed window edge: every shard has run exactly to here.
     now: SimTime,
     windows: u64,
@@ -193,7 +193,6 @@ impl ShardedTestbed {
     /// one right-sized [`Testbed`] per shard, and wire up replication.
     pub fn new(cfg: ShardedTestbedConfig) -> ShardedTestbed {
         let plan = ShardPlan::partition(
-            &cfg.base.fabric,
             cfg.base.n_compute as u32,
             cfg.base.n_storage as u32,
             cfg.n_shards,
@@ -203,7 +202,6 @@ impl ShardedTestbed {
         let min_peer_storages = plan.shards.iter().map(|s| s.storages).min().unwrap_or(0);
 
         let mut shards = Vec::with_capacity(n);
-        let mut boundary_latency = SimDuration::ZERO;
         for (i, slice) in plan.shards.iter().enumerate() {
             // Per-shard overrides: n_compute, n_storage, fabric, seed, gateway.
             let mut c = cfg.base.clone();
@@ -220,7 +218,6 @@ impl ShardedTestbed {
                     c.fabric.pods_per_dc += 1;
                 }
             }
-            boundary_latency = ShardPlan::boundary_latency_of(&c.fabric);
             let mut tb = Testbed::new(c);
             if let Some(r) = replicate {
                 tb.enable_remote_replication(
@@ -235,7 +232,11 @@ impl ShardedTestbed {
             shards.push(tb);
         }
 
-        let window = cfg.window.unwrap_or(boundary_latency).min(boundary_latency);
+        let window = shards
+            .iter()
+            .map(|tb| ShardPlan::boundary_latency_of(&tb.config().fabric))
+            .min()
+            .expect("partition yields at least one shard");
         assert!(window > SimDuration::ZERO, "empty exchange window");
         let threads = cfg.threads.max(1);
         ShardedTestbed {
@@ -244,7 +245,6 @@ impl ShardedTestbed {
             shards,
             threads,
             window,
-            boundary_latency,
             now: SimTime::ZERO,
             windows: 0,
             exchanged: 0,
@@ -272,14 +272,9 @@ impl ShardedTestbed {
         self.now
     }
 
-    /// The exchange window in use.
+    /// The exchange window: the boundary latency of the shard fabrics.
     pub fn window(&self) -> SimDuration {
         self.window
-    }
-
-    /// The conservative window bound derived from the shard fabrics.
-    pub fn boundary_latency(&self) -> SimDuration {
-        self.boundary_latency
     }
 
     /// Per-shard execution statistics.
@@ -404,7 +399,7 @@ impl ShardedTestbed {
                 run_to_edge(tb, st, edge, !lone, |m| staged[leg_dst(&m)].push(m));
             }
             for ((tb, st), inbox) in self.shards.iter_mut().zip(&mut self.stats).zip(&mut staged) {
-                inject_sorted(tb, st, inbox, self.boundary_latency);
+                inject_sorted(tb, st, inbox, self.window);
             }
             self.now = edge;
             self.windows += 1;
@@ -423,7 +418,6 @@ impl ShardedTestbed {
     fn run_parallel(&mut self, horizon: SimTime) {
         let n = self.shards.len();
         let k = self.threads.min(n);
-        let lb = self.boundary_latency;
         let window = self.window;
         let start = self.now;
 
@@ -474,7 +468,7 @@ impl ShardedTestbed {
                             let mut inbox = std::mem::take(
                                 &mut *staging[*i].lock().expect("staging mailbox poisoned"),
                             );
-                            inject_sorted(tb, st, &mut inbox, lb);
+                            inject_sorted(tb, st, &mut inbox, window);
                         }
                         ws.windows += 1;
                     }
@@ -631,24 +625,17 @@ mod tests {
             issued > 0 && served > 0 && completed > 0,
             "full round trips"
         );
+        // The window is the boundary latency of the fabrics the shards
+        // actually run, not of the template's.
+        let lb = (0..one.shards())
+            .map(|s| ShardPlan::boundary_latency_of(&one.shard(s).config().fabric))
+            .min();
+        assert_eq!(Some(one.window()), lb);
         let d1 = one.metrics_digest();
         for threads in [2, 4] {
             let dn = four_pod_fleet(threads).metrics_digest();
             assert_eq!(d1, dn, "{threads}-thread run diverged from serial");
         }
-    }
-
-    #[test]
-    fn window_clamps_to_the_boundary_latency() {
-        let mut cfg = ShardedTestbedConfig::new(Variant::Solar, 8, 8, 2);
-        cfg.window = Some(SimDuration::from_secs(1)); // too wide: clamped
-        let fleet = ShardedTestbed::new(cfg);
-        assert_eq!(fleet.window(), fleet.boundary_latency());
-
-        let mut cfg = ShardedTestbedConfig::new(Variant::Solar, 8, 8, 2);
-        cfg.window = Some(SimDuration::from_micros(10)); // narrower is fine
-        let fleet = ShardedTestbed::new(cfg);
-        assert_eq!(fleet.window(), SimDuration::from_micros(10));
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub use ebs_wire::{PushdownHdr, PushdownOp, PushdownPlacement};
 
 use ebs_wire::{
     BLK_F_DISCARD, BLK_F_FLUSH, BLK_F_PUSHDOWN, BLK_F_PUSHDOWN_DPU, BLK_KNOWN_FEATURES,
-    BLK_S_BADCRC, BLK_S_OK, BLK_S_UNSUPP, PD_FLAG_RESPONSE, PD_FLAG_RETRANSMIT,
+    BLK_S_BADCRC, BLK_S_IOERR, BLK_S_OK, BLK_S_UNSUPP, PD_FLAG_RESPONSE, PD_FLAG_RETRANSMIT,
 };
 
 use ebs_dpu::DpuCpu;
@@ -483,6 +483,20 @@ impl BlkState {
             self.complete(&mut w.journal, now, desc, trace_idx, BLK_S_UNSUPP, 0);
             return;
         }
+        // A range that ends past its disk, names a disk this compute does
+        // not hold (`disk_blocks` is 0), or is an empty read, write or scan
+        // is the guest's error: it completes IOERR before anything splits
+        // it.
+        let empty = req.blocks == 0 && !matches!(req.kind, ReqKind::Flush | ReqKind::Discard);
+        let disk = c.seg_table.disk_blocks(req.vd_id);
+        let past_end = req
+            .first_block
+            .checked_add(u64::from(req.blocks))
+            .is_none_or(|end| end > disk);
+        if empty || past_end {
+            self.complete(&mut w.journal, now, desc, trace_idx, BLK_S_IOERR, 0);
+            return;
+        }
         // Flush and discard are served locally after a fixed latency.
         let mut local_done = |ns: u64| {
             let ev = Event::BlkLocalDone { desc, trace_idx };
@@ -497,7 +511,7 @@ impl BlkState {
                     match ebs_sa::split_range(&c.seg_table, req.vd_id, req.first_block, req.blocks)
                     {
                         Ok(s) => s,
-                        Err(e) => panic!("blk workload generated invalid pushdown: {e}"),
+                        Err(e) => panic!("blk range checked against the disk, yet: {e}"),
                     };
                 let req_id = self.next_req_id;
                 self.next_req_id += 1;

@@ -99,83 +99,6 @@ impl Breakdown {
         b
     }
 
-    /// Re-derive the Fig. 6 breakdown for (`kind`, `bytes`) I/Os from the
-    /// observability journal instead of the [`IoTrace`] records. The
-    /// testbed emits spans that tile each completed I/O (see
-    /// [`crate::diag`]), so per-I/O component sums here equal the trace
-    /// fields exactly; on an empty journal every histogram is simply
-    /// empty.
-    pub fn from_journal(journal: &ebs_obs::Journal, kind: IoKind, bytes: u32) -> Self {
-        use ebs_obs::EventKind;
-        use std::collections::BTreeMap;
-
-        let want = match kind {
-            IoKind::Read => "read",
-            IoKind::Write => "write",
-        };
-        // Size filter: submit instants carry `bytes << 1 | is_write`.
-        let mut bytes_of: BTreeMap<u64, u64> = BTreeMap::new();
-        for ev in journal.events() {
-            if ev.track != crate::diag::IO_TRACK {
-                continue;
-            }
-            if let EventKind::Instant {
-                name: "submit",
-                id,
-                arg,
-            } = ev.kind
-            {
-                bytes_of.insert(id, arg >> 1);
-            }
-        }
-        // Completed, matching I/Os and their end-to-end (ex-QoS) latency.
-        let mut totals: BTreeMap<u64, u64> = BTreeMap::new();
-        for ev in journal.events() {
-            if ev.track != crate::diag::IO_TRACK {
-                continue;
-            }
-            if let EventKind::Span { name, id, dur } = ev.kind {
-                if name == want && bytes_of.get(&id) == Some(&(bytes as u64)) {
-                    totals.insert(id, dur.as_nanos());
-                }
-            }
-        }
-        // Per-I/O component sums (`sa` appears twice per I/O: submission
-        // and completion side).
-        let mut comp: BTreeMap<u64, [u64; 4]> = BTreeMap::new();
-        for ev in journal.events() {
-            if let EventKind::Span { id, dur, .. } = ev.kind {
-                if !totals.contains_key(&id) {
-                    continue;
-                }
-                let sums = comp.entry(id).or_insert([0; 4]);
-                match ev.track {
-                    "sa" => sums[0] += dur.as_nanos(),
-                    "fn" => sums[1] += dur.as_nanos(),
-                    "bn" => sums[2] += dur.as_nanos(),
-                    "ssd" => sums[3] += dur.as_nanos(),
-                    _ => {}
-                }
-            }
-        }
-        let mut b = Breakdown {
-            sa: Histogram::new(),
-            fn_: Histogram::new(),
-            bn: Histogram::new(),
-            ssd: Histogram::new(),
-            total: Histogram::new(),
-        };
-        for (id, total) in &totals {
-            let sums = comp.get(id).copied().unwrap_or([0; 4]);
-            b.sa.record_ns(sums[0]);
-            b.fn_.record_ns(sums[1]);
-            b.bn.record_ns(sums[2]);
-            b.ssd.record_ns(sums[3]);
-            b.total.record_ns(*total);
-        }
-        b
-    }
-
     /// (sa, fn, bn, ssd, total) at quantile `q`, in microseconds.
     pub fn at(&self, q: f64) -> (f64, f64, f64, f64, f64) {
         let us = |h: &Histogram| h.quantile(q) as f64 / 1000.0;

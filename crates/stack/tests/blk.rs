@@ -6,7 +6,8 @@ use ebs_sim::SimTime;
 use ebs_stack::blk::{BlkReq, Predicate, PushdownPlacement, StorageFn};
 use ebs_stack::{BlkMountConfig, Testbed, TestbedConfig, Variant};
 use ebs_wire::{
-    BLK_F_DISCARD, BLK_F_MQ, BLK_F_PUSHDOWN, BLK_F_SEG_MAX, BLK_S_BADCRC, BLK_S_OK, BLK_S_UNSUPP,
+    BLK_F_DISCARD, BLK_F_MQ, BLK_F_PUSHDOWN, BLK_F_SEG_MAX, BLK_S_BADCRC, BLK_S_IOERR, BLK_S_OK,
+    BLK_S_UNSUPP,
 };
 
 fn testbed() -> Testbed {
@@ -54,6 +55,40 @@ fn ring_requests_ride_the_sa_path_end_to_end() {
     assert_eq!(tb.traces().len(), 2);
     assert!(tb.traces().iter().all(|t| t.completed.is_some()));
     // Ring slots conserved, nothing held by the device at quiesce.
+    assert!(tb.blk_ring_errors().is_empty());
+    let (free, cap, held) = tb.blk_ring_slots();
+    assert_eq!(held, 0);
+    assert_eq!(free, cap);
+}
+
+/// A request outside its disk — ending past the end, starting past it, or
+/// naming a disk another compute holds — completes `BLK_S_IOERR` with
+/// nothing transferred, and the ring stays whole.
+#[test]
+fn requests_outside_the_disk_complete_ioerr() {
+    let mut tb = testbed();
+    tb.blk_mount(
+        0,
+        BlkMountConfig::with_placement(PushdownPlacement::StorageNode),
+    )
+    .expect("negotiation");
+    let disk = tb.config().vd_segments * ebs_sa::SEGMENT_BLOCKS;
+    let t0 = SimTime::from_millis(1);
+    tb.schedule_blk(t0, 0, 0, BlkReq::read(0, disk - 7, 8));
+    let scan = StorageFn::scan(selective());
+    tb.schedule_blk(t0, 0, 1, BlkReq::pushdown(0, disk, 16, scan));
+    tb.schedule_blk(t0, 0, 0, BlkReq::write(1, 0, 8)); // compute 1's disk
+    run(&mut tb);
+
+    let c = tb.blk_counters();
+    assert_eq!(c.accepted, 3);
+    assert_eq!(c.completed, c.accepted);
+    for t in tb.blk_traces() {
+        assert_eq!(t.status, BLK_S_IOERR, "{}", t.label);
+        assert_eq!(t.blocks_out, 0, "{}", t.label);
+        assert!(t.completed.is_some(), "{}", t.label);
+    }
+    assert!(tb.traces().is_empty(), "nothing reached the SA path");
     assert!(tb.blk_ring_errors().is_empty());
     let (free, cap, held) = tb.blk_ring_slots();
     assert_eq!(held, 0);

@@ -5,8 +5,7 @@
 //!
 //! * [`Histogram`] — constant-memory log-bucketed latency histogram
 //!   (median / p95 / p99 with ≤ ~1.6% error);
-//! * [`OnlineStats`] / [`Ecdf`] — exact summary stats and CDF curves;
-//! * [`BinnedSeries`] — time-binned counters for the monitoring figures;
+//! * [`Ecdf`] — exact CDF curves;
 //! * [`TextTable`] — the aligned-table renderer used by the benchmark
 //!   harness to print paper-style output.
 
@@ -14,11 +13,9 @@
 #![warn(missing_docs)]
 
 mod hist;
-mod series;
 mod summary;
 mod table;
 
 pub use hist::Histogram;
-pub use series::BinnedSeries;
-pub use summary::{Ecdf, OnlineStats};
-pub use table::{f1, f2, us, TextTable};
+pub use summary::Ecdf;
+pub use table::{f1, f2, TextTable};

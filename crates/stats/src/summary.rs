@@ -1,83 +1,4 @@
-//! Small online statistics and exact CDFs.
-
-/// Online mean/variance accumulator (Welford's algorithm).
-#[derive(Debug, Clone, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Add one observation.
-    pub fn add(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Observation count.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 when fewer than 2 samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Minimum (0 when empty).
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Maximum (0 when empty).
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-}
+//! Exact CDFs.
 
 /// An exact empirical CDF built from stored samples; used for the size
 /// distribution figures where sample counts are modest.
@@ -148,26 +69,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn online_stats_basic() {
-        let mut s = OnlineStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.add(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-9);
-        assert!((s.stddev() - 2.0).abs() < 1e-9);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn online_stats_empty() {
-        let s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-    }
-
-    #[test]
     fn ecdf_fractions() {
         let mut e = Ecdf::new();
         for x in [1.0, 2.0, 3.0, 4.0] {
@@ -196,17 +97,6 @@ mod tests {
         }
         let curve = e.curve(&[4.0, 16.0, 64.0]);
         assert_eq!(curve, vec![(4.0, 0.5), (16.0, 0.75), (64.0, 1.0)]);
-    }
-
-    #[test]
-    fn online_stats_single_sample() {
-        let mut s = OnlineStats::new();
-        s.add(3.5);
-        assert_eq!(s.count(), 1);
-        assert_eq!(s.mean(), 3.5);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.stddev(), 0.0);
-        assert_eq!((s.min(), s.max()), (3.5, 3.5));
     }
 
     #[test]

@@ -87,12 +87,6 @@ impl TextTable {
     }
 }
 
-/// Format nanoseconds as microseconds with one decimal, the unit used in
-/// the paper's latency tables.
-pub fn us(ns: u64) -> String {
-    format!("{:.1}", ns as f64 / 1000.0)
-}
-
 /// Format a float with one decimal.
 pub fn f1(x: f64) -> String {
     format!("{x:.1}")
@@ -129,7 +123,6 @@ mod tests {
 
     #[test]
     fn formats() {
-        assert_eq!(us(70_100), "70.1");
         assert_eq!(f1(3.15159), "3.2");
         assert_eq!(f2(3.15159), "3.15");
     }

@@ -1,8 +1,7 @@
 //! Property tests on the measurement plumbing: quantile error bounds and
 //! accumulator correctness, checked against exact computations.
 
-use ebs_sim::{SimDuration, SimTime};
-use ebs_stats::{BinnedSeries, Ecdf, Histogram, OnlineStats};
+use ebs_stats::{Ecdf, Histogram};
 use proptest::prelude::*;
 
 proptest! {
@@ -59,20 +58,6 @@ proptest! {
         }
     }
 
-    /// OnlineStats matches a two-pass computation.
-    #[test]
-    fn online_stats_match_two_pass(values in proptest::collection::vec(-1e6f64..1e6, 2..200)) {
-        let mut s = OnlineStats::new();
-        for &v in &values {
-            s.add(v);
-        }
-        let n = values.len() as f64;
-        let mean = values.iter().sum::<f64>() / n;
-        let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n;
-        prop_assert!((s.mean() - mean).abs() < 1e-6 * (1.0 + mean.abs()));
-        prop_assert!((s.variance() - var).abs() < 1e-4 * (1.0 + var.abs()));
-    }
-
     /// ECDF is a valid CDF: monotone, 0-to-1, and exact at sample points.
     #[test]
     fn ecdf_is_a_cdf(values in proptest::collection::vec(0.0f64..1e6, 1..200)) {
@@ -89,22 +74,5 @@ proptest! {
             prop_assert!(f >= prev);
             prev = f;
         }
-    }
-
-    /// Binned series conserve mass: sum of bin totals equals sum of inputs.
-    #[test]
-    fn binned_series_conserve(
-        points in proptest::collection::vec((0u64..10_000_000, 0.0f64..100.0), 1..200),
-    ) {
-        let mut s = BinnedSeries::new(SimDuration::from_millis(1));
-        let mut total = 0.0;
-        for &(us, v) in &points {
-            s.add(SimTime::from_micros(us), v);
-            total += v;
-        }
-        let binned: f64 = s.totals().iter().sum();
-        prop_assert!((binned - total).abs() < 1e-6 * (1.0 + total));
-        let events: u64 = s.counts().iter().sum();
-        prop_assert_eq!(events, points.len() as u64);
     }
 }

@@ -18,7 +18,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use bytes::Bytes;
 use ebs_sim::{SimDuration, SimTime};
-use ebs_wire::{ByteChain, TcpFlags, ViewQueue};
+use ebs_wire::{ByteChain, ViewQueue};
 
 use crate::seq::unwrap_seq;
 
@@ -68,8 +68,35 @@ impl Default for TcpConfig {
     }
 }
 
-/// A TCP segment as exchanged between engines (structured form; see
-/// `ebs-wire` for the byte encoding).
+/// TCP flag bits (the ones this engine sends or honours).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TcpFlags(pub u8);
+
+impl TcpFlags {
+    /// SYN — synchronize sequence numbers.
+    pub const SYN: TcpFlags = TcpFlags(0x02);
+    /// RST — abort the connection.
+    pub const RST: TcpFlags = TcpFlags(0x04);
+    /// PSH — push buffered data to the application.
+    pub const PSH: TcpFlags = TcpFlags(0x08);
+    /// ACK — acknowledgment field is valid.
+    pub const ACK: TcpFlags = TcpFlags(0x10);
+
+    /// True if every bit of `other` is set in `self`.
+    pub const fn contains(self, other: TcpFlags) -> bool {
+        self.0 & other.0 == other.0
+    }
+}
+
+impl core::ops::BitOr for TcpFlags {
+    type Output = TcpFlags;
+    fn bitor(self, rhs: TcpFlags) -> TcpFlags {
+        TcpFlags(self.0 | rhs.0)
+    }
+}
+
+/// A TCP segment as exchanged between engines (structured form: the
+/// simulator moves segments, never encoded headers).
 #[derive(Debug, Clone)]
 pub struct Segment {
     /// Wire sequence number of the first payload byte (or of SYN).

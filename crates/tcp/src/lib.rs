@@ -17,7 +17,7 @@
 mod engine;
 mod seq;
 
-pub use engine::{Segment, TcpConfig, TcpEngine, TcpState, TcpStats};
+pub use engine::{Segment, TcpConfig, TcpEngine, TcpFlags, TcpState, TcpStats};
 pub use seq::{seq_le, seq_lt, unwrap_seq, wrap_seq};
 
 #[cfg(test)]
@@ -82,6 +82,14 @@ mod tests {
             out.extend_from_slice(&b);
         }
         out
+    }
+
+    #[test]
+    fn flags_ops() {
+        let f = TcpFlags::SYN | TcpFlags::ACK;
+        assert!(f.contains(TcpFlags::SYN));
+        assert!(f.contains(TcpFlags::ACK));
+        assert!(!f.contains(TcpFlags::RST));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 
 use bytes::{Buf, BufMut};
 
-use crate::ip::WireError;
+use crate::WireError;
 
 // --- feature bits ----------------------------------------------------------
 

@@ -8,7 +8,7 @@
 
 use bytes::{Buf, BufMut};
 
-use crate::ip::WireError;
+use crate::WireError;
 
 /// EBS operation carried by a SOLAR packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -49,11 +49,6 @@ impl EbsOp {
             8 => EbsOp::GapNack,
             _ => return Err(WireError::Malformed),
         })
-    }
-
-    /// True for ops that carry a block payload.
-    pub fn carries_data(self) -> bool {
-        matches!(self, EbsOp::WriteBlock | EbsOp::ReadResp)
     }
 }
 
@@ -252,13 +247,5 @@ mod tests {
             EbsHeader::decode(&mut &short[..]),
             Err(WireError::Truncated)
         );
-    }
-
-    #[test]
-    fn data_ops() {
-        assert!(EbsOp::WriteBlock.carries_data());
-        assert!(EbsOp::ReadResp.carries_data());
-        assert!(!EbsOp::WriteAck.carries_data());
-        assert!(!EbsOp::Probe.carries_data());
     }
 }

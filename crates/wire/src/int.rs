@@ -7,7 +7,7 @@
 
 use bytes::{Buf, BufMut};
 
-use crate::ip::WireError;
+use crate::WireError;
 
 /// One hop's telemetry record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

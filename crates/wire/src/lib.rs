@@ -2,8 +2,6 @@
 //!
 //! Byte-level codecs shared by the simulator and the real-socket examples:
 //!
-//! * [`Ipv4Header`] / [`UdpHeader`] / [`TcpHeader`] — minimal but honest
-//!   L3/L4 headers (network byte order, internet checksum on IPv4);
 //! * [`EbsHeader`] — SOLAR's per-packet storage header: one packet carries
 //!   one self-contained 4 KiB block with its address and CRC (§4.4's
 //!   "one-block-one-packet" fusion of packet and block);
@@ -27,7 +25,6 @@ pub mod blk;
 mod chain;
 mod ebs;
 mod int;
-mod ip;
 pub mod pool;
 mod rpc;
 pub mod slab;
@@ -41,25 +38,37 @@ pub use blk::{
 pub use chain::{ByteChain, ViewQueue};
 pub use ebs::{EbsHeader, EbsOp, FLAG_ECN_ECHO, FLAG_ENCRYPTED, FLAG_INT_REQUEST, FLAG_RETRANSMIT};
 pub use int::{IntHop, IntStack, MAX_INT_HOPS};
-pub use ip::{internet_checksum, Ipv4Header, TcpFlags, TcpHeader, UdpHeader, WireError};
 pub use pool::{BlockPool, PoolStats, PooledBuf, PooledBytes};
 pub use rpc::{FrameDecoder, RpcFrame, RpcMethod};
 pub use slab::{Handle, Slab};
 
+/// Errors produced when decoding malformed input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WireError {
+    /// Input shorter than the fixed header.
+    Truncated,
+    /// A version / length / kind field is inconsistent.
+    Malformed,
+}
+
+impl core::fmt::Display for WireError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self {
+            WireError::Truncated => write!(f, "truncated packet"),
+            WireError::Malformed => write!(f, "malformed header"),
+        }
+    }
+}
+
+impl std::error::Error for WireError {}
+
 /// The EBS data block size: 4 KiB, matching the SSD sector size (§2.2).
 pub const BLOCK_SIZE: usize = 4096;
 
-/// Jumbo frame MTU used by SOLAR so one block (+ headers) fits in a single
-/// packet. The paper picks 4 KiB blocks in ≤ 9 KiB jumbo frames and
-/// deliberately avoids 8 KiB blocks to balance congestion risk (§4.8).
-pub const JUMBO_MTU: usize = 9000;
-
-/// Ethernet + IPv4 + UDP + EBS header overhead for one SOLAR data packet.
-pub const SOLAR_OVERHEAD: usize = 14 + ip_udp_overhead() + ebs::EbsHeader::LEN;
-
-const fn ip_udp_overhead() -> usize {
-    ip::Ipv4Header::LEN + ip::UdpHeader::LEN
-}
+/// Ethernet (14) + IPv4 (20, no options) + UDP (8) + EBS header overhead
+/// for one SOLAR data packet. Hosts count these bytes on the wire; only
+/// the EBS header is ever encoded here.
+pub const SOLAR_OVERHEAD: usize = 14 + 20 + 8 + ebs::EbsHeader::LEN;
 
 #[cfg(test)]
 mod tests {
@@ -67,8 +76,10 @@ mod tests {
 
     #[test]
     fn one_block_fits_one_jumbo_frame() {
-        // The invariant the whole SOLAR design rests on.
-        const { assert!(BLOCK_SIZE + SOLAR_OVERHEAD <= JUMBO_MTU) }
+        // The invariant the whole SOLAR design rests on: the paper picks
+        // 4 KiB blocks in ≤ 9 KiB jumbo frames and deliberately avoids
+        // 8 KiB blocks to balance congestion risk (§4.8).
+        const { assert!(BLOCK_SIZE + SOLAR_OVERHEAD <= 9000) }
     }
 
     #[test]

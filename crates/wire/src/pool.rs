@@ -390,11 +390,6 @@ pub fn take_block() -> PooledBuf {
     with_default_pool(BlockPool::take)
 }
 
-/// A zeroed 4 KiB block as `Bytes`, recycled via the default pool.
-pub fn block_zeroed() -> Bytes {
-    with_default_pool(|p| p.take_zeroed().freeze().into_bytes())
-}
-
 /// Copy `data` into a pooled block and return it as `Bytes`. Falls back to
 /// a plain allocation when `data` exceeds 4 KiB.
 pub fn block_from(data: &[u8]) -> Bytes {
@@ -553,7 +548,6 @@ mod tests {
     fn default_pool_helpers_recycle() {
         let before = default_pool_stats();
         for _ in 0..10 {
-            drop(block_zeroed());
             drop(block_from(b"abc"));
         }
         let after = default_pool_stats();

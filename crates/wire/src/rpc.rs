@@ -17,7 +17,7 @@
 use bytes::{Buf, BufMut, Bytes};
 
 use crate::chain::ViewQueue;
-use crate::ip::WireError;
+use crate::WireError;
 
 /// RPC method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
