@@ -11,24 +11,23 @@ use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ebs_sim::SimTime;
 
-/// The CRC kernel shoot-out: slice-by-8 (the seed's engine), the portable
-/// slice-by-16 fallback, and the runtime-dispatched kernel (PCLMULQDQ
-/// folding where the CPU has it) — all over the canonical 4 KiB block.
+/// The CRC kernel shoot-out: slice-by-8 (the seed's engine), then every
+/// kernel the CPU can run — portable slice-by-16, PCLMULQDQ and VPCLMULQDQ
+/// folding, the last being the one `Crc32::new` dispatches to — all over
+/// the canonical 4 KiB block.
 fn bench_crc_kernels(c: &mut Criterion) {
     let mut g = c.benchmark_group("crc32_4k");
     let block = vec![0xA5u8; 4096];
     g.throughput(Throughput::Bytes(4096));
-    let raw = ebs_crc::Crc32::new();
-    let portable = ebs_crc::Crc32::new().force_portable();
+    let reference = ebs_crc::Crc32::new();
     g.bench_function("raw_slice8", |b| {
-        b.iter(|| portable.update_slice8(0, std::hint::black_box(&block)))
+        b.iter(|| reference.update_slice8(0, std::hint::black_box(&block)))
     });
-    g.bench_function("raw_slice16", |b| {
-        b.iter(|| portable.checksum(std::hint::black_box(&block)))
-    });
-    g.bench_function(format!("raw_dispatch_{}", raw.kernel_name()), |b| {
-        b.iter(|| raw.checksum(std::hint::black_box(&block)))
-    });
+    for engine in ebs_crc::Crc32::every_kernel() {
+        g.bench_function(format!("raw_{}", engine.kernel_name()), |b| {
+            b.iter(|| engine.checksum(std::hint::black_box(&block)))
+        });
+    }
     g.finish();
 }
 
