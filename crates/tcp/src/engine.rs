@@ -13,6 +13,12 @@
 //! RTO with exponential backoff and Karn's rule, fast retransmit on three
 //! duplicate ACKs, Reno congestion control (slow start / congestion
 //! avoidance / fast recovery), receive-window flow control.
+//!
+//! After an RTO the engine applies NewReno's partial-ACK rule (RFC 6582
+//! §3.2): every new ACK below the `snd_nxt` the timeout saw resends the
+//! next unacked segment. A flight with k holes then recovers in one RTO
+//! plus k round trips; without the rule each hole cost one more timeout,
+//! and Karn's rule kept the RTO doubling across them.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -263,6 +269,9 @@ pub struct TcpEngine {
     rtx_queue: BTreeSet<u64>,
     dupacks: u32,
     in_recovery: bool,
+    /// `snd_nxt` when the last RTO fired, until a new ACK reaches it: a
+    /// new ACK below it is partial and resends the next unacked segment.
+    rto_recover: Option<u64>,
     /// Swift-style delay-based controller when `cfg.swift` selects it;
     /// `None` runs the inline Reno machinery.
     swift: Option<ebs_cc::Swift>,
@@ -314,6 +323,7 @@ impl TcpEngine {
             rtx_queue: BTreeSet::new(),
             dupacks: 0,
             in_recovery: false,
+            rto_recover: None,
             swift,
             rcv_nxt: 0,
             ooo: BTreeMap::new(),
@@ -453,6 +463,7 @@ impl TcpEngine {
             return;
         }
         self.rtx_queue.insert(first);
+        self.rto_recover = Some(self.hot.snd_nxt);
         if let Some(sw) = self.swift.as_mut() {
             sw.on_timeout();
             self.hot.cwnd = sw.window();
@@ -651,6 +662,16 @@ impl TcpEngine {
                 self.stats.bytes_acked += newly;
                 self.hot.snd_una = ack_off;
                 self.dupacks = 0;
+                if let Some(mark) = self.rto_recover {
+                    if ack_off < mark {
+                        // Partial ACK after a timeout: the next hole.
+                        if let Some(next) = self.inflight.front_off() {
+                            self.rtx_queue.insert(next);
+                        }
+                    } else {
+                        self.rto_recover = None;
+                    }
+                }
                 if let Some(rtt) = sample {
                     self.update_rtt(rtt);
                     if let Some(sw) = self.swift.as_mut() {
