@@ -38,11 +38,8 @@ fn solar_fio_read_is_clean_and_fast() {
     // Steady state on a healthy fabric: zero retransmissions — neither
     // RTO-spurious (storage-tail RTO floor) nor gap-nack-spurious
     // (receiver-side detection never misfires on reorder-free paths).
-    let dbg = tb.solar_debug(0).join("\n");
-    assert!(
-        dbg.contains("retransmits: 0"),
-        "spurious retransmissions under clean load:\n{dbg}"
-    );
+    let retransmits = tb.solar_retransmits(0);
+    assert_eq!(retransmits, 0, "spurious retransmissions under clean load");
 }
 
 #[test]

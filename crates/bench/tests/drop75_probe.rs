@@ -31,13 +31,6 @@ fn drop75_solar_zero_hangs() {
     );
     tb.run_until(SimTime::from_secs(3));
     let hung = tb.hung_ios(SimDuration::from_secs(1));
-    if hung > 0 {
-        for c in 0..n_compute {
-            for line in tb.solar_debug(c) {
-                eprintln!("c{c} {line}");
-            }
-        }
-    }
     assert_eq!(hung, 0, "solar must ride through 75% loss (paper Table 2)");
     assert!(
         tb.fabric().drops().random_loss > 500,

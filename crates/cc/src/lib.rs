@@ -141,15 +141,6 @@ impl AnyCc {
             CcAlgo::Fixed => AnyCc::Fixed(Fixed::new(cfg.fixed)),
         }
     }
-
-    /// The inner HPCC controller, when that is the selected algorithm
-    /// (diagnostics: SOLAR exposes per-path INT utilization).
-    pub fn as_hpcc(&self) -> Option<&Hpcc> {
-        match self {
-            AnyCc::Hpcc(h) => Some(h),
-            _ => None,
-        }
-    }
 }
 
 impl CongestionControl for AnyCc {

@@ -19,17 +19,21 @@
 //! contained block — is unchanged.
 
 use ebs_sim::FxHashMap;
+use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, VecDeque};
 
 use bytes::Bytes;
 use ebs_sim::{SimDuration, SimTime};
-use ebs_wire::{EbsHeader, EbsOp, IntStack, FLAG_ECN_ECHO, FLAG_INT_REQUEST, FLAG_RETRANSMIT};
+use ebs_wire::{
+    EbsHeader, EbsOp, IntStack, BLOCK_SIZE, FLAG_ECN_ECHO, FLAG_INT_REQUEST, FLAG_RETRANSMIT,
+};
 
 use crate::config::SolarConfig;
-use crate::path::{PathSet, PathView, PktKey};
+use crate::path::{PathSet, PktKey};
 
 /// A packet the host must put on the wire (UDP source port selects the
-/// path: `base_port + hdr.path_id`).
+/// path: `BASE_PORT + hdr.path_id`).
 #[derive(Debug, Clone)]
 pub struct OutPacket {
     /// EBS header (path_id / path_seq already assigned).
@@ -135,23 +139,29 @@ pub struct SolarStats {
     pub probes_sent: u64,
 }
 
+/// The one record per packet of an unfinished RPC. Its header is the
+/// packet as last sent: `hdr.path_id` / `hdr.path_seq` name the path
+/// and path sequence of the latest transmission.
 #[derive(Debug)]
 struct Outstanding {
     hdr: EbsHeader,
     payload: Bytes,
     credit_bytes: u64,
     sent_at: SimTime,
-    path: u8,
-    path_seq: u32,
-    /// Route epoch of `path` at transmit time (see [`Path::epoch`]).
+    /// Route epoch of the path at transmit time (see [`PathSet::epoch`]).
     path_epoch: u32,
+    /// Times the packet was lost; nonzero marks a retransmission.
     retries: u32,
     generation: u64,
-    retransmitted: bool,
     in_flight: bool,
     /// Path that most recently timed this packet out; the retransmit
     /// prefers any other path.
     avoid_path: Option<u8>,
+    /// The Addr-table entry of a read: where the block lands in guest
+    /// memory. In real SOLAR the table lives in FPGA BRAM (Table 3
+    /// charges it 5.1% LUT / 8.1% BRAM); it is the *only* per-request
+    /// state the design needs.
+    guest_addr: u64,
 }
 
 #[derive(Debug)]
@@ -160,31 +170,10 @@ struct RpcState {
     total: u16,
     done: u16,
     submitted: SimTime,
-    failed: bool,
 }
 
-#[derive(Debug, PartialEq, Eq)]
-struct TimerEntry {
-    at_ns: u64,
-    key: PktKey,
-    generation: u64,
-}
-
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap by time.
-        other
-            .at_ns
-            .cmp(&self.at_ns)
-            .then_with(|| other.key.cmp(&self.key))
-            .then_with(|| other.generation.cmp(&self.generation))
-    }
-}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
+/// An RTO deadline: (at ns, packet, transmit generation), earliest first.
+type TimerEntry = Reverse<(u64, PktKey, u64)>;
 
 /// One block of a WRITE submission.
 #[derive(Debug, Clone)]
@@ -192,7 +181,7 @@ pub struct WriteBlock {
     /// Virtual-disk block address.
     pub block_addr: u64,
     /// Block payload (may be an empty placeholder in pure-latency sims;
-    /// `len` is taken from the config block size in that case).
+    /// `len` is [`ebs_wire::BLOCK_SIZE`] in that case).
     pub payload: Bytes,
     /// Raw CRC32 of the (padded) payload, as the CRC stage computed it.
     pub crc: u32,
@@ -213,10 +202,6 @@ pub struct SolarClient {
     cfg: SolarConfig,
     paths: PathSet,
     outstanding: FxHashMap<PktKey, Outstanding>,
-    /// The Addr table: (rpc, pkt) → guest address for in-flight reads. In
-    /// real SOLAR this lives in FPGA BRAM (Table 3 charges it 5.1% LUT /
-    /// 8.1% BRAM); it is the *only* per-request state the design needs.
-    addr_table: FxHashMap<PktKey, u64>,
     txq: VecDeque<PktKey>,
     timers: BinaryHeap<TimerEntry>,
     rpcs: FxHashMap<u64, RpcState>,
@@ -233,12 +218,11 @@ impl SolarClient {
     /// Panics if `cfg.n_paths` is zero or exceeds 256.
     pub fn new(cfg: SolarConfig) -> Self {
         assert!(cfg.n_paths > 0 && cfg.n_paths <= 256, "1..=256 paths");
-        let paths = PathSet::new(cfg.n_paths, &cfg);
+        let paths = PathSet::new(cfg.n_paths, &cfg.cc_config());
         SolarClient {
             cfg,
             paths,
             outstanding: FxHashMap::default(),
-            addr_table: FxHashMap::default(),
             txq: VecDeque::new(),
             timers: BinaryHeap::new(),
             rpcs: FxHashMap::default(),
@@ -252,11 +236,6 @@ impl SolarClient {
     /// Counters.
     pub fn stats(&self) -> SolarStats {
         self.stats
-    }
-
-    /// Per-path views (diagnostics / tests).
-    pub fn paths(&self) -> Vec<PathView<'_>> {
-        self.paths.views().collect()
     }
 
     /// In-flight plus queued packets.
@@ -281,70 +260,8 @@ impl SolarClient {
         segment_id: u64,
         blocks: Vec<WriteBlock>,
     ) {
-        assert!(!blocks.is_empty(), "empty write");
-        assert!(
-            !self.rpcs.contains_key(&rpc_id),
-            "rpc_id {rpc_id} already in flight"
-        );
-        let total = blocks.len() as u16;
-        self.rpcs.insert(
-            rpc_id,
-            RpcState {
-                kind: RpcKind::Write,
-                total,
-                done: 0,
-                submitted: now,
-                failed: false,
-            },
-        );
-        for (i, b) in blocks.into_iter().enumerate() {
-            let len = if b.payload.is_empty() {
-                self.cfg.block_size as u32
-            } else {
-                b.payload.len() as u32
-            };
-            let key = PktKey {
-                rpc_id,
-                pkt_id: i as u16,
-            };
-            let hdr = EbsHeader {
-                version: EbsHeader::VERSION,
-                op: EbsOp::WriteBlock,
-                flags: if self.cfg.int_enabled {
-                    FLAG_INT_REQUEST
-                } else {
-                    0
-                },
-                path_id: 0,
-                vd_id,
-                rpc_id,
-                pkt_id: key.pkt_id,
-                total_pkts: total,
-                block_addr: b.block_addr,
-                len,
-                payload_crc: b.crc,
-                path_seq: 0,
-                segment_id,
-            };
-            self.outstanding.insert(
-                key,
-                Outstanding {
-                    hdr,
-                    payload: b.payload,
-                    credit_bytes: len as u64 + ebs_wire::SOLAR_OVERHEAD as u64,
-                    sent_at: now,
-                    path: 0,
-                    path_seq: 0,
-                    path_epoch: 0,
-                    retries: 0,
-                    generation: 0,
-                    retransmitted: false,
-                    in_flight: false,
-                    avoid_path: None,
-                },
-            );
-            self.txq.push_back(key);
-        }
+        let blocks = blocks.into_iter().map(|b| (b, 0));
+        self.submit(now, RpcKind::Write, rpc_id, vd_id, segment_id, blocks);
     }
 
     /// Submit a READ: one request packet per block; responses DMA to the
@@ -360,82 +277,99 @@ impl SolarClient {
         segment_id: u64,
         blocks: Vec<ReadBlock>,
     ) {
-        assert!(!blocks.is_empty(), "empty read");
+        // A request carries no payload, so it gets the length of the
+        // block its response brings back.
+        let blocks = blocks.into_iter().map(|b| {
+            let request = WriteBlock {
+                block_addr: b.block_addr,
+                payload: Bytes::new(),
+                crc: 0,
+            };
+            (request, b.guest_addr)
+        });
+        self.submit(now, RpcKind::Read, rpc_id, vd_id, segment_id, blocks);
+    }
+
+    /// Queue one packet per (block, guest address). A packet's window
+    /// credit is its block plus headers; for a read that is the
+    /// *response* size, the direction that congests.
+    fn submit(
+        &mut self,
+        now: SimTime,
+        kind: RpcKind,
+        rpc_id: u64,
+        vd_id: u64,
+        segment_id: u64,
+        blocks: impl ExactSizeIterator<Item = (WriteBlock, u64)>,
+    ) {
+        assert!(blocks.len() > 0, "empty {kind:?}");
         assert!(
             !self.rpcs.contains_key(&rpc_id),
             "rpc_id {rpc_id} already in flight"
         );
         let total = blocks.len() as u16;
-        self.rpcs.insert(
-            rpc_id,
-            RpcState {
-                kind: RpcKind::Read,
-                total,
-                done: 0,
-                submitted: now,
-                failed: false,
-            },
-        );
-        for (i, b) in blocks.into_iter().enumerate() {
-            let key = PktKey {
-                rpc_id,
-                pkt_id: i as u16,
+        let rpc = RpcState {
+            kind,
+            total,
+            done: 0,
+            submitted: now,
+        };
+        self.rpcs.insert(rpc_id, rpc);
+        let op = match kind {
+            RpcKind::Write => EbsOp::WriteBlock,
+            RpcKind::Read => EbsOp::ReadReq,
+        };
+        let flags = if self.cfg.int_enabled {
+            FLAG_INT_REQUEST
+        } else {
+            0
+        };
+        for (pkt_id, (b, guest_addr)) in (0..).zip(blocks) {
+            let len = if b.payload.is_empty() {
+                BLOCK_SIZE
+            } else {
+                b.payload.len()
             };
             let hdr = EbsHeader {
                 version: EbsHeader::VERSION,
-                op: EbsOp::ReadReq,
-                flags: if self.cfg.int_enabled {
-                    FLAG_INT_REQUEST
-                } else {
-                    0
-                },
+                op,
+                flags,
                 path_id: 0,
                 vd_id,
                 rpc_id,
-                pkt_id: key.pkt_id,
+                pkt_id,
                 total_pkts: total,
                 block_addr: b.block_addr,
-                len: self.cfg.block_size as u32,
-                payload_crc: 0,
+                len: len as u32,
+                payload_crc: b.crc,
                 path_seq: 0,
                 // The Addr table entry travels with the client; segment_id
                 // routes the lookup server-side.
                 segment_id,
             };
-            self.outstanding.insert(
-                key,
-                Outstanding {
-                    hdr,
-                    payload: Bytes::new(),
-                    // Reads credit the *response* size against the window:
-                    // that is the direction that congests.
-                    credit_bytes: self.cfg.block_size as u64 + ebs_wire::SOLAR_OVERHEAD as u64,
-                    sent_at: now,
-                    path: 0,
-                    path_seq: 0,
-                    path_epoch: 0,
-                    retries: 0,
-                    generation: 0,
-                    retransmitted: false,
-                    in_flight: false,
-                    avoid_path: None,
-                },
-            );
-            // Addr-table entry: remember where the block lands.
-            self.addr_insert(key, b.guest_addr);
+            let o = Outstanding {
+                hdr,
+                payload: b.payload,
+                credit_bytes: (len + ebs_wire::SOLAR_OVERHEAD) as u64,
+                sent_at: now,
+                path_epoch: 0,
+                retries: 0,
+                generation: 0,
+                in_flight: false,
+                avoid_path: None,
+                guest_addr,
+            };
+            let key = PktKey { rpc_id, pkt_id };
+            self.outstanding.insert(key, o);
             self.txq.push_back(key);
         }
-    }
-
-    fn addr_insert(&mut self, key: PktKey, guest_addr: u64) {
-        self.addr_table.insert(key, guest_addr);
     }
 
     /// Earliest instant `on_timer` must run (packet RTOs and path probes).
     /// The RTO part is always a packet still in flight: acks, NACKs and
     /// timeouts prune the heap tops they made stale.
     pub fn poll_timer(&self) -> Option<SimTime> {
-        let t1 = self.timers.peek().map(|e| SimTime::from_nanos(e.at_ns));
+        let t1 = (self.timers.peek()).map(|&Reverse((at_ns, ..))| SimTime::from_nanos(at_ns));
         let t2 = self.paths.min_next_probe();
         match (t1, t2) {
             (Some(a), Some(b)) => Some(a.min(b)),
@@ -451,8 +385,7 @@ impl SolarClient {
         loop {
             self.prune_timers();
             match self.timers.peek() {
-                Some(top) if top.at_ns <= now.as_nanos() => {
-                    let key = top.key;
+                Some(&Reverse((at_ns, key, _))) if at_ns <= now.as_nanos() => {
                     self.timers.pop();
                     self.handle_timeout(now, key);
                 }
@@ -469,74 +402,70 @@ impl SolarClient {
     /// live top is no earlier than it, so `poll_timer` then names a live
     /// deadline and the host sets no timer for an acked packet.
     fn prune_timers(&mut self) {
-        while let Some(top) = self.timers.peek() {
-            let o = self.outstanding.get(&top.key);
-            if o.is_some_and(|o| o.generation == top.generation && o.in_flight) {
+        while let Some(&Reverse((_, key, generation))) = self.timers.peek() {
+            let o = self.outstanding.get(&key);
+            if o.is_some_and(|o| o.generation == generation && o.in_flight) {
                 break;
             }
             self.timers.pop();
         }
     }
 
-    fn handle_timeout(&mut self, now: SimTime, key: PktKey) {
-        let Some(o) = self.outstanding.get_mut(&key) else {
-            return; // completed between the timer check and here
-        };
-        self.stats.timeouts += 1;
-        let old_path = o.path;
-        let old_seq = o.path_seq;
-        let old_epoch = o.path_epoch;
-        let credit = o.credit_bytes;
+    /// Take in-flight packet `key` off its path: one more try spent, its
+    /// window credit returned. `None` if it is not in flight.
+    fn lose(&mut self, key: PktKey) -> Option<&mut Outstanding> {
+        let o = self.outstanding.get_mut(&key).filter(|o| o.in_flight)?;
         o.in_flight = false;
-        o.retransmitted = true;
         o.retries += 1;
-        o.avoid_path = Some(old_path);
-        let out_of_budget = o.retries > self.cfg.max_pkt_retries;
-        let rpc_id = o.hdr.rpc_id;
-        self.paths.release(old_path as usize, old_seq, credit);
-        let failed_now = self
-            .paths
-            .on_timeout(old_path as usize, now, old_epoch, &self.cfg);
-        if failed_now {
-            self.stats.path_failovers += 1;
-            self.events
-                .push_back(SolarEvent::PathDown { path_id: old_path });
+        let path = o.hdr.path_id as usize;
+        self.paths.release(path, o.hdr.path_seq, o.credit_bytes);
+        Some(o)
+    }
+
+    /// A lost packet goes back to the head of the transmit queue, or
+    /// fails its RPC once past the retry budget.
+    fn retransmit_or_fail(&mut self, key: PktKey) {
+        if self.outstanding[&key].retries > self.cfg.max_pkt_retries {
+            self.fail_rpc(key.rpc_id);
+        } else {
+            self.stats.retransmits += 1;
+            self.txq.push_front(key);
         }
-        if out_of_budget {
-            self.fail_rpc(rpc_id);
+    }
+
+    /// An RTO fired or the responder NACKed `key`: the loss counts
+    /// against the path's liveness, and the retransmit avoids that path.
+    fn handle_timeout(&mut self, now: SimTime, key: PktKey) {
+        let Some(o) = self.lose(key) else {
             return;
+        };
+        let path_id = o.hdr.path_id;
+        o.avoid_path = Some(path_id);
+        let sent_epoch = o.path_epoch;
+        self.stats.timeouts += 1;
+        if self.paths.on_timeout(path_id as usize, now, sent_epoch) {
+            self.stats.path_failovers += 1;
+            self.events.push_back(SolarEvent::PathDown { path_id });
         }
-        // Selective retransmission, preferably on a different path.
-        self.stats.retransmits += 1;
-        self.txq.push_front(key);
+        self.retransmit_or_fail(key);
     }
 
     fn fail_rpc(&mut self, rpc_id: u64) {
-        if let Some(rpc) = self.rpcs.get_mut(&rpc_id) {
-            if !rpc.failed {
-                rpc.failed = true;
-                self.stats.rpcs_failed += 1;
-                self.events.push_back(SolarEvent::RpcFailed { rpc_id });
+        let Some(rpc) = self.rpcs.remove(&rpc_id) else {
+            return;
+        };
+        self.stats.rpcs_failed += 1;
+        self.events.push_back(SolarEvent::RpcFailed { rpc_id });
+        for pkt_id in 0..rpc.total {
+            let Some(o) = self.outstanding.remove(&PktKey { rpc_id, pkt_id }) else {
+                continue; // already acknowledged
+            };
+            if o.in_flight {
+                let path = o.hdr.path_id as usize;
+                self.paths.release(path, o.hdr.path_seq, o.credit_bytes);
             }
-        }
-        // Drop all of this RPC's outstanding packets.
-        let keys: Vec<PktKey> = self
-            .outstanding
-            .keys()
-            .filter(|k| k.rpc_id == rpc_id)
-            .copied()
-            .collect();
-        for k in keys {
-            if let Some(o) = self.outstanding.remove(&k) {
-                if o.in_flight {
-                    self.paths
-                        .release(o.path as usize, o.path_seq, o.credit_bytes);
-                }
-            }
-            self.addr_table.remove(&k);
         }
         self.txq.retain(|k| k.rpc_id != rpc_id);
-        self.rpcs.remove(&rpc_id);
     }
 
     /// Pick the best up path with window for `bytes`: lowest smoothed RTT,
@@ -624,9 +553,9 @@ impl SolarClient {
     pub fn poll_transmit(&mut self, now: SimTime) -> Option<OutPacket> {
         // 1. Probes for failed paths (one compare when none is due).
         if let Some(i) = self.paths.first_due_probe(now) {
-            self.paths.probe_sent(i, now, &self.cfg);
+            self.paths.probe_sent(i, now);
             self.stats.probes_sent += 1;
-            let src_port = self.paths.src_port(i, &self.cfg);
+            let src_port = self.paths.src_port(i);
             return Some(OutPacket {
                 hdr: EbsHeader {
                     version: EbsHeader::VERSION,
@@ -678,8 +607,6 @@ impl SolarClient {
         let bytes = o.credit_bytes;
         let is_retx = o.retries > 0;
         let seq = self.paths.register_tx(path_id as usize, key, bytes);
-        o.path = path_id;
-        o.path_seq = seq;
         o.path_epoch = self.paths.epoch(path_id as usize);
         o.sent_at = now;
         o.generation = generation;
@@ -690,13 +617,10 @@ impl SolarClient {
             o.hdr.flags |= FLAG_RETRANSMIT;
         }
         let rto = self.paths.rto(path_id as usize);
-        self.timers.push(TimerEntry {
-            at_ns: (now + rto).as_nanos(),
-            key,
-            generation,
-        });
+        self.timers
+            .push(Reverse(((now + rto).as_nanos(), key, generation)));
         self.stats.pkts_sent += 1;
-        let src_port = self.paths.src_port(path_id as usize, &self.cfg);
+        let src_port = self.paths.src_port(path_id as usize);
         Some(OutPacket {
             hdr: o.hdr,
             // O(1) handle clone of the (possibly pooled) block — first
@@ -727,11 +651,9 @@ impl SolarClient {
                     rpc_id: pkt.hdr.rpc_id,
                     pkt_id: pkt.hdr.pkt_id,
                 };
-                if self.outstanding.get(&key).is_some_and(|o| o.in_flight) {
-                    self.handle_timeout(now, key); // treat as immediate loss
-                }
+                self.handle_timeout(now, key); // treat as immediate loss
             }
-            EbsOp::GapNack => self.on_gap_nack(now, &pkt.hdr),
+            EbsOp::GapNack => self.on_gap_nack(&pkt.hdr),
             EbsOp::WriteBlock | EbsOp::ReadReq | EbsOp::Probe => {
                 // Initiator never receives these; drop.
             }
@@ -744,35 +666,27 @@ impl SolarClient {
             rpc_id: pkt.hdr.rpc_id,
             pkt_id: pkt.hdr.pkt_id,
         };
-        let Some(o) = self.outstanding.get(&key) else {
-            return; // duplicate ack / ack after rpc failure
+        let o = match self.outstanding.entry(key) {
+            Entry::Occupied(e) if e.get().in_flight => e.remove(),
+            // Duplicate ack, ack after RPC failure, or the packet waits in
+            // the transmit queue for retransmission: a stale ack.
+            _ => return,
         };
-        if !o.in_flight {
-            return; // waiting in txq for retransmission: stale ack — accept it anyway
-        }
-        let Some(o) = self.outstanding.remove(&key) else {
-            return; // just observed above; gone means nothing to release
-        };
-        let path = o.path as usize;
-        self.paths.release(path, o.path_seq, o.credit_bytes);
-        let sample = if o.retransmitted {
-            None
-        } else {
-            Some(now.saturating_since(o.sent_at))
-        };
+        let path = o.hdr.path_id as usize;
+        self.paths.release(path, o.hdr.path_seq, o.credit_bytes);
+        // Karn's rule: a retransmission's round trip is no RTT sample.
+        let sample = (o.retries == 0).then(|| now.saturating_since(o.sent_at));
         // The responder copies the request header into the ack, so a
         // RED mark picked up by either direction surfaces here.
         let ecn = pkt.hdr.flags & FLAG_ECN_ECHO != 0;
-        self.paths
-            .on_ack(path, now, sample, pkt.int.as_ref(), ecn, &self.cfg);
+        self.paths.on_ack(path, now, sample, pkt.int.as_ref(), ecn);
 
         if is_read {
-            let guest_addr = self.addr_table.remove(&key).unwrap_or(0);
             self.events.push_back(SolarEvent::BlockReceived {
                 rpc_id: key.rpc_id,
                 pkt_id: key.pkt_id,
                 block_addr: pkt.hdr.block_addr,
-                guest_addr,
+                guest_addr: o.guest_addr,
                 data: pkt.payload,
                 crc: pkt.hdr.payload_crc,
             });
@@ -781,7 +695,7 @@ impl SolarClient {
         // RPC progress.
         if let Some(rpc) = self.rpcs.get_mut(&key.rpc_id) {
             rpc.done += 1;
-            if rpc.done == rpc.total && !rpc.failed {
+            if rpc.done == rpc.total {
                 let kind = rpc.kind;
                 let latency = now.saturating_since(rpc.submitted);
                 self.rpcs.remove(&key.rpc_id);
@@ -801,7 +715,7 @@ impl SolarClient {
     /// RTO. ACK completion order carries *no* ordering information (it is
     /// storage completion order), which is why loss inference lives at
     /// the receiver, not in dupack counting.
-    fn on_gap_nack(&mut self, _now: SimTime, hdr: &EbsHeader) {
+    fn on_gap_nack(&mut self, hdr: &EbsHeader) {
         let path_idx = hdr.path_id as usize;
         if path_idx >= self.paths.len() {
             return;
@@ -811,25 +725,10 @@ impl SolarClient {
         if gap_start >= gap_end {
             return;
         }
-        let lost = self.paths.outstanding_in(path_idx, gap_start, gap_end);
-        for k in lost {
-            let Some(o) = self.outstanding.get_mut(&k) else {
-                continue;
-            };
-            if !o.in_flight {
-                continue;
-            }
-            self.stats.reorder_losses += 1;
-            o.in_flight = false;
-            o.retransmitted = true;
-            o.retries += 1;
-            let (p, s, c, rpc) = (o.path, o.path_seq, o.credit_bytes, o.hdr.rpc_id);
-            self.paths.release(p as usize, s, c);
-            if self.outstanding[&k].retries > self.cfg.max_pkt_retries {
-                self.fail_rpc(rpc);
-            } else {
-                self.stats.retransmits += 1;
-                self.txq.push_front(k);
+        for k in self.paths.outstanding_in(path_idx, gap_start, gap_end) {
+            if self.lose(k).is_some() {
+                self.stats.reorder_losses += 1;
+                self.retransmit_or_fail(k);
             }
         }
     }
@@ -839,34 +738,10 @@ impl SolarClient {
         self.events.pop_front()
     }
 
-    /// Number of live Addr-table entries (in-flight read blocks).
+    /// Number of live Addr-table entries (read blocks not yet received).
     pub fn addr_table_entries(&self) -> usize {
-        self.addr_table.len()
-    }
-
-    /// Debug: one line per outstanding packet (diagnostics only).
-    pub fn debug_outstanding(&self) -> Vec<String> {
-        self.outstanding
-            .iter()
-            .map(|(k, o)| {
-                format!(
-                    "rpc={} pkt={} retries={} in_flight={} path={} seq={} sent_at={} avoid={:?}",
-                    k.rpc_id,
-                    k.pkt_id,
-                    o.retries,
-                    o.in_flight,
-                    o.path,
-                    o.path_seq,
-                    o.sent_at,
-                    o.avoid_path
-                )
-            })
-            .collect()
-    }
-
-    /// Debug: transmit-queue length (diagnostics only).
-    pub fn debug_txq_len(&self) -> usize {
-        self.txq.len()
+        let reads = self.outstanding.values();
+        reads.filter(|o| o.hdr.op == EbsOp::ReadReq).count()
     }
 }
 
@@ -884,15 +759,16 @@ impl ebs_obs::Sample for SolarClient {
         m.counter_add("solar", "rpcs_failed", s.rpcs_failed);
         m.counter_add("solar", "path_failovers", s.path_failovers);
         m.counter_add("solar", "probes_sent", s.probes_sent);
-        let up = self.paths.views().filter(|p| p.is_up()).count();
+        let p = &self.paths;
+        let up = (0..p.len()).filter(|&i| p.is_up(i)).count();
         m.gauge_set("solar", "paths_up", up as f64);
         m.gauge_set("solar", "inflight_rpcs", self.rpcs.len() as f64);
-        for p in self.paths.views() {
-            if let Some(srtt) = p.srtt() {
+        for i in 0..p.len() {
+            if let Some(srtt) = p.srtt(i) {
                 m.observe("solar", "path_srtt_ns", srtt.as_nanos());
             }
-            m.observe("solar", "path_inflight_bytes", p.inflight_bytes());
-            m.observe("solar", "path_window_bytes", p.window());
+            m.observe("solar", "path_inflight_bytes", p.inflight_bytes(i));
+            m.observe("solar", "path_window_bytes", p.window(i));
         }
     }
 }
@@ -963,7 +839,9 @@ mod tests {
         /// RPCs fail and paths go down and are probed: after every call,
         /// `poll_timer` is exactly the earliest live deadline. Advances
         /// span an RTT sample (< 200 µs), an RTO (< 3 ms) and a probe
-        /// interval (< 15 ms).
+        /// interval (< 15 ms). After every step each loss — a timeout or
+        /// NACK, or a gap NACK — has been either retransmitted or has
+        /// failed its RPC, exactly once.
         #[test]
         fn live_timer_is_earliest_live_deadline(
             steps in proptest::collection::vec((0u32..21, any::<usize>(), any::<bool>(), any::<u64>()), 1..200),
@@ -1032,6 +910,8 @@ mod tests {
                     _ => {} // nothing on the wire to answer
                 }
                 prop_assert_eq!(c.poll_timer(), live_deadline(&c, &sent_rto));
+                let s = c.stats();
+                prop_assert_eq!(s.timeouts + s.reorder_losses, s.retransmits + s.rpcs_failed);
             }
         }
     }

@@ -5,31 +5,34 @@ use ebs_sim::SimDuration;
 
 pub use ebs_cc::HpccConfig;
 
+/// Source UDP port of path 0; path `i` uses `BASE_PORT + i`.
+pub(crate) const BASE_PORT: u16 = 47000;
+/// RTO before any RTT estimate exists on a path.
+pub(crate) const RTO_INITIAL: SimDuration = SimDuration::from_millis(1);
+/// RTO floor. The per-packet RTT includes storage service (a WRITE ack
+/// returns after 3-replica commit; a READ response after a NAND read),
+/// so the floor must clear the storage tail, not just the network's.
+pub(crate) const RTO_MIN: SimDuration = SimDuration::from_micros(500);
+/// RTO ceiling. Storage round trips are ~100us; capping backoff at 20ms
+/// bounds any packet's worst-case delivery (even a long streak of losses
+/// stays well under the 1s hang threshold).
+pub(crate) const RTO_MAX: SimDuration = SimDuration::from_millis(20);
+/// Consecutive timeouts on one path that mark it failed (§4.5 "uses
+/// consecutive timeouts to infer a path failure").
+pub(crate) const PATH_FAIL_THRESHOLD: u32 = 3;
+/// Probe interval while a path is failed.
+pub(crate) const PROBE_INTERVAL: SimDuration = SimDuration::from_millis(10);
+/// Unanswered probes on a failed path before it is *remapped* to a fresh
+/// UDP source port — i.e. a different ECMP hash. Persistent paths are
+/// cheap to keep, but a silently blackholed bucket must eventually be
+/// abandoned, not just probed.
+pub(crate) const REMAP_AFTER_PROBES: u32 = 2;
+
 /// SOLAR transport configuration.
 #[derive(Debug, Clone)]
 pub struct SolarConfig {
     /// Persistent paths per (compute, block-server) pair (§4.5 uses 4).
     pub n_paths: usize,
-    /// Source UDP port of path 0; path `i` uses `base_port + i`.
-    pub base_port: u16,
-    /// Storage block size (4096).
-    pub block_size: usize,
-    /// RTO before any RTT estimate exists on a path.
-    pub rto_initial: SimDuration,
-    /// RTO floor.
-    pub rto_min: SimDuration,
-    /// RTO ceiling.
-    pub rto_max: SimDuration,
-    /// Consecutive timeouts on one path that mark it failed (§4.5 "uses
-    /// consecutive timeouts to infer a path failure").
-    pub path_fail_threshold: u32,
-    /// Probe interval while a path is failed.
-    pub probe_interval: SimDuration,
-    /// Unanswered probes on a failed path before it is *remapped* to a
-    /// fresh UDP source port — i.e. a different ECMP hash. Persistent
-    /// paths are cheap to keep, but a silently blackholed bucket must
-    /// eventually be abandoned, not just probed.
-    pub remap_after_probes: u32,
     /// Per-packet retransmit budget before the RPC is failed upward.
     /// Production EBS never abandons an I/O (the guest observes a hang,
     /// not an error — §3.3), so the default is effectively unbounded;
@@ -54,21 +57,6 @@ impl Default for SolarConfig {
     fn default() -> Self {
         SolarConfig {
             n_paths: 4,
-            base_port: 47000,
-            block_size: 4096,
-            rto_initial: SimDuration::from_millis(1),
-            // The per-packet RTT includes storage service (a WRITE ack
-            // returns after 3-replica commit; a READ response after a
-            // NAND read), so the floor must clear the storage tail, not
-            // just the network's.
-            rto_min: SimDuration::from_micros(500),
-            // Storage round trips are ~100us; capping backoff at 20ms
-            // bounds any packet's worst-case delivery (even a long streak
-            // of losses stays well under the 1s hang threshold).
-            rto_max: SimDuration::from_millis(20),
-            path_fail_threshold: 3,
-            probe_interval: SimDuration::from_millis(10),
-            remap_after_probes: 2,
             max_pkt_retries: u32::MAX,
             int_enabled: true,
             cc: CcAlgo::Hpcc,

@@ -17,7 +17,7 @@
 //!   consecutive timeouts declare a path failed and traffic shifts in
 //!   milliseconds — no waiting for routing convergence (§3.3's incident);
 //! * per-packet ACKs echo INT telemetry and drive an HPCC-style
-//!   fine-grained congestion controller per path ([`Hpcc`]).
+//!   fine-grained congestion controller per path ([`ebs_cc::Hpcc`]).
 //!
 //! The engine is sans-io (smoltcp-style): hosts feed packets and timer
 //! fires, and drain outgoing packets and events. `ebs-stack` runs it
@@ -36,11 +36,7 @@ pub use client::{
     InPacket, OutPacket, ReadBlock, RpcKind, SolarClient, SolarEvent, SolarStats, WriteBlock,
 };
 pub use config::{HpccConfig, SolarConfig};
-// The controller moved to `ebs-cc` behind the `CongestionControl` trait
-// (it is one of four algorithms the `cc` config knob selects); re-export
-// the historical names so `use ebs_solar::Hpcc` keeps working.
-pub use ebs_cc::{CcAlgo, Hpcc};
-pub use path::{PathSet, PathStatus, PathView, PktKey};
+pub use ebs_cc::CcAlgo;
 pub use responder::{ServerAction, SolarResponder};
 
 #[cfg(test)]
@@ -312,7 +308,12 @@ mod tests {
             "probe must revive the path: {events:?}"
         );
         assert!(c.stats().probes_sent >= 1);
-        assert!(c.paths()[0].is_up());
+        let last_path0 = events.iter().rev().find_map(|e| match e {
+            SolarEvent::PathDown { path_id: 0 } => Some(false),
+            SolarEvent::PathUp { path_id: 0 } => Some(true),
+            _ => None,
+        });
+        assert_eq!(last_path0, Some(true), "path 0 ends up");
     }
 
     #[test]

@@ -24,27 +24,17 @@
 
 use std::collections::BTreeMap;
 
-use ebs_cc::{AckSignal, AnyCc, CongestionControl};
+use ebs_cc::{AckSignal, AnyCc, CcConfig, CongestionControl};
 use ebs_sim::{SimDuration, SimTime};
 
-use crate::config::SolarConfig;
-
-/// Liveness of one path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PathStatus {
-    /// Healthy; eligible for spraying.
-    Up,
-    /// Declared failed after consecutive timeouts; probed until it
-    /// answers.
-    Failed {
-        /// When the path was declared failed.
-        since: SimTime,
-    },
-}
+use crate::config::{
+    BASE_PORT, PATH_FAIL_THRESHOLD, PROBE_INTERVAL, REMAP_AFTER_PROBES, RTO_INITIAL, RTO_MAX,
+    RTO_MIN,
+};
 
 /// Identifies one in-flight packet (rpc, pkt) for bookkeeping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct PktKey {
+pub(crate) struct PktKey {
     /// RPC id.
     pub rpc_id: u64,
     /// Packet index within the RPC.
@@ -66,8 +56,6 @@ struct PathCold {
     next_seq: u32,
     /// Outstanding path sequence numbers, for out-of-order loss detection.
     outstanding_seqs: BTreeMap<u32, PktKey>,
-    /// When the path was declared failed (valid while not up).
-    failed_since: SimTime,
     /// Unanswered probes since the path failed.
     probes_unanswered: u32,
     /// How many times this path has been re-hashed onto a new source
@@ -86,11 +74,11 @@ struct PathCold {
 /// The full per-client path table (see the module docs for the layout).
 ///
 /// All methods take the path index `i` (`0..len()`); the UDP source port
-/// is `base_port + i` plus the remap offset.
+/// is `BASE_PORT + i` plus the remap offset.
 #[derive(Debug)]
-pub struct PathSet {
+pub(crate) struct PathSet {
     // --- hot: read by every spray / probe / timer poll ------------------
-    /// Liveness flag (the hot projection of [`PathStatus`]).
+    /// Liveness: a failed path is probed until it answers.
     pub(crate) up: Vec<bool>,
     /// Smoothed RTT in ns; `NAN` until the first sample.
     pub(crate) srtt_ns: Vec<f64>,
@@ -107,18 +95,16 @@ pub struct PathSet {
 }
 
 impl PathSet {
-    /// `n` fresh, healthy paths.
-    pub fn new(n: usize, cfg: &SolarConfig) -> Self {
-        let cc_cfg = cfg.cc_config();
+    /// `n` fresh, healthy paths, each running the controller `cc` selects.
+    pub fn new(n: usize, cc: &CcConfig) -> Self {
         let cold: Vec<PathCold> = (0..n)
             .map(|_| PathCold {
                 rttvar_ns: 0.0,
-                rto: cfg.rto_initial,
+                rto: RTO_INITIAL,
                 consecutive_timeouts: 0,
-                cc: AnyCc::new(&cc_cfg),
+                cc: AnyCc::new(cc),
                 next_seq: 0,
                 outstanding_seqs: BTreeMap::new(),
-                failed_since: SimTime::ZERO,
                 probes_unanswered: 0,
                 remap_generation: 0,
                 epoch: 0,
@@ -141,25 +127,12 @@ impl PathSet {
         self.up.len()
     }
 
-    /// True when the set holds no paths (never, for a valid client).
-    pub fn is_empty(&self) -> bool {
-        self.up.is_empty()
-    }
-
     /// The UDP source port path `i` currently uses. Remapping bumps the
     /// port by `n_paths` so the flow hashes onto a different ECMP bucket
     /// while the path id on the wire stays stable.
-    pub fn src_port(&self, i: usize, cfg: &SolarConfig) -> u16 {
-        cfg.base_port
-            + i as u16
-            + self.cold[i]
-                .remap_generation
-                .wrapping_mul(cfg.n_paths as u16)
-    }
-
-    /// Times path `i` has been remapped (diagnostics).
-    pub fn remap_generation(&self, i: usize) -> u16 {
-        self.cold[i].remap_generation
+    pub fn src_port(&self, i: usize) -> u16 {
+        let remap = self.cold[i].remap_generation;
+        BASE_PORT + i as u16 + remap.wrapping_mul(self.len() as u16)
     }
 
     /// Current route epoch of path `i`: bumped on every remap or revival
@@ -168,17 +141,6 @@ impl PathSet {
     /// ignores stale-epoch timeouts.
     pub fn epoch(&self, i: usize) -> u32 {
         self.cold[i].epoch
-    }
-
-    /// Liveness of path `i`.
-    pub fn status(&self, i: usize) -> PathStatus {
-        if self.up[i] {
-            PathStatus::Up
-        } else {
-            PathStatus::Failed {
-                since: self.cold[i].failed_since,
-            }
-        }
     }
 
     /// True if path `i` may carry new packets.
@@ -202,24 +164,9 @@ impl PathSet {
         self.window[i]
     }
 
-    /// Last INT-derived utilization the congestion controller saw
-    /// (0.0 unless the HPCC controller is selected — only HPCC consumes
-    /// INT).
-    pub fn last_utilization(&self, i: usize) -> f64 {
-        self.cold[i]
-            .cc
-            .as_hpcc()
-            .map_or(0.0, |h| h.last_utilization())
-    }
-
     /// Unacked bytes currently attributed to path `i`.
     pub fn inflight_bytes(&self, i: usize) -> u64 {
         self.inflight[i]
-    }
-
-    /// Consecutive timeout count (diagnostics).
-    pub fn consecutive_timeouts(&self, i: usize) -> u32 {
-        self.cold[i].consecutive_timeouts
     }
 
     /// Allocate the next per-path sequence number and account the bytes.
@@ -261,7 +208,6 @@ impl PathSet {
         sample: Option<SimDuration>,
         int: Option<&ebs_wire::IntStack>,
         ecn: bool,
-        cfg: &SolarConfig,
     ) {
         let c = &mut self.cold[i];
         c.consecutive_timeouts = 0;
@@ -286,8 +232,8 @@ impl PathSet {
             // starts a flap-and-collapse spiral.
             let rto_ns = (srtt + 4.0 * c.rttvar_ns.max(1000.0)).max(2.0 * srtt);
             c.rto = SimDuration::from_nanos(rto_ns as u64)
-                .max(cfg.rto_min)
-                .min(cfg.rto_max);
+                .max(RTO_MIN)
+                .min(RTO_MAX);
         }
         c.cc.on_ack(
             now,
@@ -307,36 +253,23 @@ impl PathSet {
     /// and/or revived): it still backs off the RTO — the *packet* is in
     /// trouble either way — but carries no evidence about the current
     /// route's liveness.
-    pub fn on_timeout(
-        &mut self,
-        i: usize,
-        now: SimTime,
-        sent_epoch: u32,
-        cfg: &SolarConfig,
-    ) -> bool {
+    pub fn on_timeout(&mut self, i: usize, now: SimTime, sent_epoch: u32) -> bool {
         let c = &mut self.cold[i];
         c.cc.on_timeout();
         self.window[i] = c.cc.window() as u64;
-        c.rto = c.rto.mul_f64(2.0).min(cfg.rto_max);
+        c.rto = c.rto.mul_f64(2.0).min(RTO_MAX);
         if sent_epoch != c.epoch {
             return false;
         }
         c.consecutive_timeouts += 1;
-        if c.consecutive_timeouts >= cfg.path_fail_threshold && self.up[i] {
+        if c.consecutive_timeouts >= PATH_FAIL_THRESHOLD && self.up[i] {
             self.up[i] = false;
-            c.failed_since = now;
-            let at = (now + cfg.probe_interval).as_nanos();
+            let at = (now + PROBE_INTERVAL).as_nanos();
             self.next_probe_ns[i] = at;
             self.probe_min_ns = self.probe_min_ns.min(at);
             return true;
         }
         false
-    }
-
-    /// Next probe instant of path `i` while failed.
-    pub fn next_probe(&self, i: usize) -> Option<SimTime> {
-        let at = self.next_probe_ns[i];
-        (at != NO_PROBE).then(|| SimTime::from_nanos(at))
     }
 
     /// Earliest probe deadline across all failed paths (O(1)).
@@ -359,14 +292,14 @@ impl PathSet {
     }
 
     /// A probe was just sent on path `i`; schedule the next one. After
-    /// `remap_after_probes` unanswered probes the path abandons its ECMP
+    /// `REMAP_AFTER_PROBES` unanswered probes the path abandons its ECMP
     /// bucket: the source port moves, so the next probe tries a fresh
     /// fabric route.
-    pub fn probe_sent(&mut self, i: usize, now: SimTime, cfg: &SolarConfig) {
-        self.next_probe_ns[i] = (now + cfg.probe_interval).as_nanos();
+    pub fn probe_sent(&mut self, i: usize, now: SimTime) {
+        self.next_probe_ns[i] = (now + PROBE_INTERVAL).as_nanos();
         let c = &mut self.cold[i];
         c.probes_unanswered += 1;
-        if c.probes_unanswered >= cfg.remap_after_probes {
+        if c.probes_unanswered >= REMAP_AFTER_PROBES {
             c.remap_generation = c.remap_generation.wrapping_add(1);
             c.probes_unanswered = 0;
             c.epoch = c.epoch.wrapping_add(1);
@@ -384,81 +317,25 @@ impl PathSet {
         c.epoch = c.epoch.wrapping_add(1);
         self.recompute_probe_min();
     }
-
-    /// Read-only views for diagnostics (testbed debug dumps, tests).
-    pub fn views(&self) -> impl Iterator<Item = PathView<'_>> {
-        (0..self.len()).map(move |i| PathView { set: self, i })
-    }
-}
-
-/// Read-only view of one path (diagnostics; the hot paths use the
-/// index-based [`PathSet`] accessors directly).
-#[derive(Debug, Clone, Copy)]
-pub struct PathView<'a> {
-    set: &'a PathSet,
-    i: usize,
-}
-
-impl PathView<'_> {
-    /// Path index (the UDP source port is `base_port + id`).
-    pub fn id(&self) -> u8 {
-        self.i as u8
-    }
-    /// Liveness.
-    pub fn status(&self) -> PathStatus {
-        self.set.status(self.i)
-    }
-    /// True if the path may carry new packets.
-    pub fn is_up(&self) -> bool {
-        self.set.is_up(self.i)
-    }
-    /// Smoothed RTT estimate.
-    pub fn srtt(&self) -> Option<SimDuration> {
-        self.set.srtt(self.i)
-    }
-    /// Current retransmission timeout.
-    pub fn rto(&self) -> SimDuration {
-        self.set.rto(self.i)
-    }
-    /// Congestion window in bytes.
-    pub fn window(&self) -> u64 {
-        self.set.window(self.i)
-    }
-    /// Last INT-derived utilization.
-    pub fn last_utilization(&self) -> f64 {
-        self.set.last_utilization(self.i)
-    }
-    /// Unacked bytes currently attributed to this path.
-    pub fn inflight_bytes(&self) -> u64 {
-        self.set.inflight_bytes(self.i)
-    }
-    /// Next probe instant while failed.
-    pub fn next_probe(&self) -> Option<SimTime> {
-        self.set.next_probe(self.i)
-    }
-    /// Consecutive timeout count.
-    pub fn consecutive_timeouts(&self) -> u32 {
-        self.set.consecutive_timeouts(self.i)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SolarConfig;
 
-    fn cfg() -> SolarConfig {
-        SolarConfig::default()
+    fn paths(n: usize) -> PathSet {
+        PathSet::new(n, &SolarConfig::default().cc_config())
     }
 
-    fn one_path() -> (SolarConfig, PathSet) {
-        let c = cfg();
-        let p = PathSet::new(1, &c);
-        (c, p)
+    fn next_probe(p: &PathSet, i: usize) -> Option<SimTime> {
+        let at = p.next_probe_ns[i];
+        (at != NO_PROBE).then(|| SimTime::from_nanos(at))
     }
 
     #[test]
     fn tx_accounting() {
-        let (_, mut p) = one_path();
+        let mut p = paths(1);
         let k = PktKey {
             rpc_id: 1,
             pkt_id: 0,
@@ -481,7 +358,7 @@ mod tests {
 
     #[test]
     fn rtt_drives_rto() {
-        let (c, mut p) = one_path();
+        let mut p = paths(1);
         for _ in 0..16 {
             p.on_ack(
                 0,
@@ -489,86 +366,84 @@ mod tests {
                 Some(SimDuration::from_micros(20)),
                 None,
                 false,
-                &c,
             );
         }
         let rto = p.rto(0);
         // Converged rttvar makes srtt+4*var small; the floor clamps it.
-        assert_eq!(rto, c.rto_min, "rto {rto}");
+        assert_eq!(rto, RTO_MIN, "rto {rto}");
         assert_eq!(p.srtt(0).unwrap(), SimDuration::from_micros(20));
     }
 
     #[test]
     fn consecutive_timeouts_fail_path() {
-        let (c, mut p) = one_path();
-        assert!(!p.on_timeout(0, SimTime::from_micros(1), p.epoch(0), &c));
-        assert!(!p.on_timeout(0, SimTime::from_micros(2), p.epoch(0), &c));
+        let mut p = paths(1);
+        assert!(!p.on_timeout(0, SimTime::from_micros(1), p.epoch(0)));
+        assert!(!p.on_timeout(0, SimTime::from_micros(2), p.epoch(0)));
         assert!(
-            p.on_timeout(0, SimTime::from_micros(3), p.epoch(0), &c),
+            p.on_timeout(0, SimTime::from_micros(3), p.epoch(0)),
             "third timeout fails path"
         );
         assert!(!p.is_up(0));
         // Further timeouts do not re-fail.
-        assert!(!p.on_timeout(0, SimTime::from_micros(4), p.epoch(0), &c));
+        assert!(!p.on_timeout(0, SimTime::from_micros(4), p.epoch(0)));
     }
 
     #[test]
     fn ack_resets_timeout_streak() {
-        let (c, mut p) = one_path();
-        p.on_timeout(0, SimTime::from_micros(1), p.epoch(0), &c);
-        p.on_timeout(0, SimTime::from_micros(2), p.epoch(0), &c);
-        p.on_ack(0, SimTime::from_micros(3), None, None, false, &c);
-        assert_eq!(p.consecutive_timeouts(0), 0);
-        assert!(!p.on_timeout(0, SimTime::from_micros(4), p.epoch(0), &c));
+        let mut p = paths(1);
+        p.on_timeout(0, SimTime::from_micros(1), p.epoch(0));
+        p.on_timeout(0, SimTime::from_micros(2), p.epoch(0));
+        p.on_ack(0, SimTime::from_micros(3), None, None, false);
+        assert_eq!(p.cold[0].consecutive_timeouts, 0);
+        assert!(!p.on_timeout(0, SimTime::from_micros(4), p.epoch(0)));
         assert!(p.is_up(0));
     }
 
     #[test]
     fn probe_cycle() {
-        let (c, mut p) = one_path();
+        let mut p = paths(1);
         for i in 0..3 {
-            p.on_timeout(0, SimTime::from_micros(i), p.epoch(0), &c);
+            p.on_timeout(0, SimTime::from_micros(i), p.epoch(0));
         }
-        let probe_at = p.next_probe(0).expect("failed paths probe");
+        let probe_at = next_probe(&p, 0).expect("failed paths probe");
         assert!(probe_at > SimTime::from_micros(2));
         assert_eq!(p.min_next_probe(), Some(probe_at));
         assert_eq!(p.first_due_probe(probe_at), Some(0));
         assert_eq!(p.first_due_probe(SimTime::from_micros(3)), None);
-        p.probe_sent(0, probe_at, &c);
-        assert!(p.next_probe(0).unwrap() > probe_at);
+        p.probe_sent(0, probe_at);
+        assert!(next_probe(&p, 0).unwrap() > probe_at);
         p.revive(0);
         assert!(p.is_up(0));
-        assert!(p.next_probe(0).is_none());
+        assert!(next_probe(&p, 0).is_none());
         assert!(p.min_next_probe().is_none());
     }
 
     #[test]
     fn timeout_backs_off_rto() {
-        let (c, mut p) = one_path();
+        let mut p = paths(1);
         let r0 = p.rto(0);
-        p.on_timeout(0, SimTime::from_micros(1), p.epoch(0), &c);
+        p.on_timeout(0, SimTime::from_micros(1), p.epoch(0));
         assert_eq!(p.rto(0), r0.mul_f64(2.0));
     }
 
     #[test]
     fn probe_min_tracks_multiple_paths() {
-        let c = cfg();
-        let mut p = PathSet::new(3, &c);
+        let mut p = paths(3);
         // Fail paths 2 then 1 at different instants.
         for t in [1, 2, 3] {
-            p.on_timeout(2, SimTime::from_micros(t), p.epoch(2), &c);
+            p.on_timeout(2, SimTime::from_micros(t), p.epoch(2));
         }
         for t in [10, 11, 12] {
-            p.on_timeout(1, SimTime::from_micros(t), p.epoch(1), &c);
+            p.on_timeout(1, SimTime::from_micros(t), p.epoch(1));
         }
-        let p2 = p.next_probe(2).unwrap();
+        let p2 = next_probe(&p, 2).unwrap();
         assert_eq!(
             p.min_next_probe(),
             Some(p2),
             "earliest failure probes first"
         );
         // Index order, not deadline order, picks among due probes.
-        let late = p.next_probe(1).unwrap();
+        let late = next_probe(&p, 1).unwrap();
         assert_eq!(p.first_due_probe(late), Some(1));
         p.revive(2);
         assert_eq!(p.min_next_probe(), Some(late));

@@ -423,38 +423,6 @@ impl ClientConn {
             _ => 0,
         }
     }
-
-    /// Per-(peer, path) SOLAR diagnostics (nothing for the others).
-    pub(crate) fn solar_debug(&self, out: &mut Vec<String>) {
-        let ClientConn::Solar { ends, client, .. } = self else {
-            return;
-        };
-        let storage = ends.storage;
-        out.push(format!(
-            "peer {} stats {:?} txq={} outstanding={}",
-            storage,
-            client.stats(),
-            client.debug_txq_len(),
-            client.outstanding_packets()
-        ));
-        for line in client.debug_outstanding() {
-            out.push(format!("  OUT {line}"));
-        }
-        for p in client.paths() {
-            out.push(format!(
-                "  peer {} path {} window={} inflight={} u={:.2} srtt={:?} up={} next_probe={:?} rto={}",
-                storage,
-                p.id(),
-                p.window(),
-                p.inflight_bytes(),
-                p.last_utilization(),
-                p.srtt(),
-                p.is_up(),
-                p.next_probe(),
-                p.rto(),
-            ));
-        }
-    }
 }
 
 /// Completion tail the frame transports share: read data crosses the

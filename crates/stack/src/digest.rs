@@ -98,16 +98,6 @@ impl Testbed {
         conns.map(|c| c.solar_retransmits()).sum()
     }
 
-    /// Per-(peer, path) SOLAR diagnostics: (storage, path id, window,
-    /// inflight, last utilization, srtt µs) plus client stats.
-    pub fn solar_debug(&self, compute: usize) -> Vec<String> {
-        let mut out = Vec::new();
-        for conn in self.computes[compute].conns.values() {
-            conn.solar_debug(&mut out);
-        }
-        out
-    }
-
     /// Reset CPU/PCIe accounting on all compute servers (post-warm-up).
     pub fn reset_compute_stats(&mut self) {
         let now = self.now();

@@ -28,6 +28,13 @@ use ebs_wire::{ByteChain, ViewQueue};
 
 use crate::seq::unwrap_seq;
 
+/// RTO ceiling.
+const RTO_MAX: SimDuration = SimDuration::from_secs(4);
+/// Advertised receive buffer in bytes.
+const RECV_WINDOW: usize = 1 << 20;
+/// Cap on buffered out-of-order bytes.
+const MAX_OOO_BYTES: usize = 1 << 20;
+
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct TcpConfig {
@@ -42,12 +49,6 @@ pub struct TcpConfig {
     pub rto_initial: SimDuration,
     /// RTO floor.
     pub rto_min: SimDuration,
-    /// RTO ceiling.
-    pub rto_max: SimDuration,
-    /// Advertised receive buffer in bytes.
-    pub recv_window: usize,
-    /// Cap on buffered out-of-order bytes.
-    pub max_ooo_bytes: usize,
     /// Consecutive RTOs before the connection is declared dead.
     pub max_retries: u32,
     /// Replace inline Reno with a Swift-style delay-based controller
@@ -65,9 +66,6 @@ impl Default for TcpConfig {
             initial_cwnd_segs: 10,
             rto_initial: SimDuration::from_millis(50),
             rto_min: SimDuration::from_millis(5),
-            rto_max: SimDuration::from_secs(4),
-            recv_window: 1 << 20,
-            max_ooo_bytes: 1 << 20,
             max_retries: 10,
             swift: None,
         }
@@ -311,7 +309,7 @@ impl TcpEngine {
             hot: FlowHot {
                 snd_una: 0,
                 snd_nxt: 0,
-                peer_window: cfg.recv_window as u64,
+                peer_window: RECV_WINDOW as u64,
                 recover: 0,
                 cwnd,
                 ssthresh: f64::INFINITY,
@@ -407,9 +405,7 @@ impl TcpEngine {
     }
 
     fn advertised_window(&self) -> u32 {
-        self.cfg
-            .recv_window
-            .saturating_sub(self.rx_ready.len() + self.ooo_bytes) as u32
+        RECV_WINDOW.saturating_sub(self.rx_ready.len() + self.ooo_bytes) as u32
     }
 
     fn data_seq(&self, offset: u64) -> u32 {
@@ -442,7 +438,7 @@ impl TcpEngine {
             // Re-send SYN.
             self.syn_pending = true;
             self.retries += 1;
-            self.rto = self.rto.mul_f64(2.0).min(self.cfg.rto_max);
+            self.rto = self.rto.mul_f64(2.0).min(RTO_MAX);
             self.arm_rto(now);
             if self.retries > self.cfg.max_retries {
                 self.state = TcpState::Closed;
@@ -474,7 +470,7 @@ impl TcpEngine {
         }
         self.in_recovery = false;
         self.dupacks = 0;
-        self.rto = self.rto.mul_f64(2.0).min(self.cfg.rto_max);
+        self.rto = self.rto.mul_f64(2.0).min(RTO_MAX);
         self.arm_rto(now);
     }
 
@@ -739,7 +735,7 @@ impl TcpEngine {
             } else if off > self.rcv_nxt as i64 {
                 // Out of order: buffer if capacity allows (this buffer is
                 // exactly the state SOLAR removes from hardware).
-                if self.ooo_bytes + seg.payload.len() <= self.cfg.max_ooo_bytes {
+                if self.ooo_bytes + seg.payload.len() <= MAX_OOO_BYTES {
                     let off = off as u64;
                     if let std::collections::btree_map::Entry::Vacant(e) = self.ooo.entry(off) {
                         self.ooo_bytes += seg.payload.len();
@@ -793,7 +789,7 @@ impl TcpEngine {
         let rto_ns = srtt + 4.0 * self.hot.rttvar_ns;
         self.rto = SimDuration::from_nanos(rto_ns as u64)
             .max(self.cfg.rto_min)
-            .min(self.cfg.rto_max);
+            .min(RTO_MAX);
     }
 }
 
