@@ -27,8 +27,7 @@
 //!
 //! [`ShardPlan::boundary_latency_of`]: ebs_net::ShardPlan::boundary_latency_of
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Condvar, Mutex};
 
 use ebs_net::ShardPlan;
 use ebs_obs::Journal;
@@ -61,7 +60,8 @@ pub struct ShardedTestbedConfig {
     pub base: TestbedConfig,
     /// Number of shards to split the fleet into.
     pub n_shards: u32,
-    /// Worker threads (1 = serial in-place execution, same results).
+    /// Worker threads (1 = serial in-place execution, same results). The
+    /// calling thread counts as one: `threads = k` spawns `k − 1`.
     pub threads: usize,
     /// Cross-shard replication traffic, if any (needs `n_shards > 1`).
     pub replication: Option<ReplicationConfig>,
@@ -410,106 +410,140 @@ impl ShardedTestbed {
             (t_worker.elapsed().as_nanos() as u64).saturating_sub(self.workers[0].busy_ns);
     }
 
-    /// Parallel executor: persistent scoped workers, two barrier waits
-    /// per window (window start / outboxes staged). Workers own disjoint
-    /// shard sets; the staging mailboxes are the only shared state and
-    /// every inbox is sorted before injection, so results are
-    /// byte-identical to [`ShardedTestbed::run_serial`].
+    /// Parallel executor: the caller is worker 0 and `k − 1` scoped
+    /// threads are the rest, one barrier wait per window. Within a window
+    /// a worker claims shards from its home range front to back, then
+    /// steals from the back of the fullest range. Whoever claims a shard
+    /// first injects its inbox from the previous window (mailboxes are
+    /// double-buffered by window parity), then runs it. Every inbox is
+    /// sorted before injection, so which thread ran a shard never reaches
+    /// the simulation: results are byte-identical to
+    /// [`ShardedTestbed::run_serial`].
     fn run_parallel(&mut self, horizon: SimTime) {
         let n = self.shards.len();
         let k = self.threads.min(n);
         let window = self.window;
-        let start = self.now;
-
-        let staging: Vec<Mutex<Vec<RemoteMsg>>> = (0..n).map(|_| Mutex::new(Vec::new())).collect();
-        let barrier = Barrier::new(k + 1);
-        // Next window edge in raw nanoseconds; u64::MAX = stop.
-        let edge = AtomicU64::new(0);
-
-        // Deal shards round-robin so a straggler pod doesn't serialize
-        // one worker.
-        let mut owned: Vec<Vec<(usize, Testbed, ShardStats)>> =
-            (0..k).map(|_| Vec::new()).collect();
-        for (i, tb) in self.shards.drain(..).enumerate() {
-            owned[i % k].push((i, tb, self.stats[i]));
+        let mut edges = Vec::new();
+        let mut now = self.now;
+        while now < horizon {
+            now = (now + window).min(horizon);
+            edges.push(now);
         }
+        let home = |w: usize| w * n / k..(w + 1) * n / k;
 
-        let mut finished: Vec<Vec<(usize, Testbed, ShardStats)>> = Vec::with_capacity(k);
-        let mut worker_stats: Vec<(usize, WorkerStats)> = Vec::with_capacity(k);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(k);
-            for (w, mut set) in owned.into_iter().enumerate() {
-                let staging = &staging;
-                let barrier = &barrier;
-                let edge = &edge;
-                handles.push(scope.spawn(move || {
-                    let mut ws = WorkerStats::default();
-                    loop {
-                        let b0 = crate::wallclock::now();
-                        barrier.wait(); // window start (edge published)
-                        ws.stall_ns += b0.elapsed().as_nanos() as u64;
-                        let e = edge.load(Ordering::Acquire);
-                        if e == u64::MAX {
-                            break;
-                        }
-                        let e = SimTime::from_nanos(e);
-                        for (_, tb, st) in set.iter_mut() {
-                            ws.busy_ns += run_to_edge(tb, st, e, true, |m| {
-                                staging[leg_dst(&m)]
-                                    .lock()
-                                    .expect("staging mailbox poisoned")
-                                    .push(m);
-                            });
-                        }
-                        let b1 = crate::wallclock::now();
-                        barrier.wait(); // all outboxes staged
-                        ws.stall_ns += b1.elapsed().as_nanos() as u64;
-                        for (i, tb, st) in set.iter_mut() {
-                            let mut inbox = std::mem::take(
-                                &mut *staging[*i].lock().expect("staging mailbox poisoned"),
-                            );
-                            inject_sorted(tb, st, &mut inbox, window);
-                        }
-                        ws.windows += 1;
-                    }
-                    (w, set, ws)
-                }));
-            }
-
-            let mut now = start;
-            while now < horizon {
-                let e = (now + window).min(horizon);
-                edge.store(e.as_nanos(), Ordering::Release);
-                barrier.wait(); // release workers into the window
-                barrier.wait(); // staging complete; workers go on to inject
-                now = e;
-                self.windows += 1;
-            }
-            edge.store(u64::MAX, Ordering::Release);
-            barrier.wait();
-            self.now = now;
-            for h in handles {
-                let (w, set, ws) = h.join().expect("worker panicked");
-                worker_stats.push((w, ws));
-                finished.push(set);
-            }
-        });
-
-        // Reassemble the fleet in shard order.
-        let mut slots: Vec<Option<Testbed>> = (0..n).map(|_| None).collect();
-        for set in finished {
-            for (i, tb, st) in set {
-                self.stats[i] = st;
-                slots[i] = Some(tb);
-            }
-        }
-        self.shards = slots
-            .into_iter()
-            .map(|s| s.expect("every shard returned"))
+        let slots: Vec<Mutex<(&mut Testbed, &mut ShardStats)>> = self
+            .shards
+            .iter_mut()
+            .zip(&mut self.stats)
+            .map(Mutex::new)
             .collect();
+        let mail: [Vec<Mutex<Vec<RemoteMsg>>>; 2] =
+            std::array::from_fn(|_| (0..n).map(|_| Mutex::new(Vec::new())).collect());
+        // (window the ranges were dealt for, unclaimed shards per worker).
+        // The barrier puts every claim of window j before any of j + 1, so
+        // the first claim of a window deals the home ranges afresh.
+        let claims = Mutex::new((usize::MAX, Vec::new()));
+        let claim = |j: usize, w: usize| {
+            let mut g = claims.lock().expect("claim ranges poisoned");
+            let (dealt, ranges) = &mut *g;
+            if *dealt != j {
+                *dealt = j;
+                *ranges = (0..k).map(home).collect();
+            }
+            ranges[w].next().or_else(|| {
+                let fullest = ranges.iter_mut().max_by_key(|r| r.len())?;
+                fullest.next_back()
+            })
+        };
+        let barrier = WindowBarrier {
+            parties: k,
+            state: Mutex::default(),
+            cv: Condvar::new(),
+        };
+
+        let work = |w: usize| {
+            let _poison = PoisonOnUnwind(&barrier);
+            let mut ws = WorkerStats::default();
+            let inject = |(tb, st): &mut (&mut Testbed, &mut ShardStats), inbox: &Mutex<_>| {
+                inject_sorted(tb, st, &mut inbox.lock().expect("mailbox poisoned"), window);
+            };
+            for (j, &edge) in edges.iter().enumerate() {
+                let (inbox, outbox) = (&mail[(j + 1) % 2], &mail[j % 2]);
+                while let Some(i) = claim(j, w) {
+                    let mut slot = slots[i].lock().expect("shard slot poisoned");
+                    inject(&mut slot, &inbox[i]);
+                    let (tb, st) = &mut *slot;
+                    ws.busy_ns += run_to_edge(tb, st, edge, true, |m| {
+                        outbox[leg_dst(&m)]
+                            .lock()
+                            .expect("mailbox poisoned")
+                            .push(m);
+                    });
+                }
+                let b0 = crate::wallclock::now();
+                barrier.wait();
+                ws.stall_ns += b0.elapsed().as_nanos() as u64;
+                ws.windows += 1;
+            }
+            // The last window's mail: between calls every inbox is
+            // injected, as after the serial executor.
+            let last = &mail[(edges.len() + 1) % 2];
+            for i in home(w) {
+                inject(&mut slots[i].lock().expect("shard slot poisoned"), &last[i]);
+            }
+            ws
+        };
+
         self.workers = vec![WorkerStats::default(); k];
-        for (w, ws) in worker_stats {
-            self.workers[w] = ws;
+        std::thread::scope(|scope| {
+            let (caller, spawned) = self.workers.split_first_mut().expect("two or more workers");
+            for (w, ws) in spawned.iter_mut().enumerate() {
+                scope.spawn(move || *ws = work(w + 1));
+            }
+            *caller = work(0);
+        });
+        self.windows += edges.len() as u64;
+        self.now = self.now.max(horizon);
+    }
+}
+
+/// The window barrier: `Mutex` + `Condvar`, poisoned by a worker that
+/// unwinds (see [`PoisonOnUnwind`]) so the others panic instead of
+/// waiting forever for a party that is gone.
+struct WindowBarrier {
+    parties: usize,
+    /// (arrivals so far, poisoned). A wait ends at the next multiple of
+    /// `parties` arrivals.
+    state: Mutex<(usize, bool)>,
+    cv: Condvar,
+}
+
+impl WindowBarrier {
+    fn wait(&self) {
+        let mut s = self.state.lock().expect("window barrier poisoned");
+        s.0 += 1;
+        let release = s.0.div_ceil(self.parties) * self.parties;
+        if s.0 == release {
+            self.cv.notify_all();
+        }
+        let woken = self.cv.wait_while(s, |s| s.0 < release && !s.1);
+        // The guard drops here, before the assert can panic.
+        let poisoned = woken.expect("window barrier poisoned").1;
+        assert!(!poisoned, "another fleet worker panicked");
+    }
+}
+
+/// Poisons the window barrier if its worker unwinds.
+struct PoisonOnUnwind<'a>(&'a WindowBarrier);
+
+impl Drop for PoisonOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            // The barrier never panics holding its lock; ignore the error.
+            if let Ok(mut s) = self.0.state.lock() {
+                s.1 = true;
+            }
+            self.0.cv.notify_all();
         }
     }
 }
@@ -597,7 +631,9 @@ mod tests {
         }
     }
 
-    fn four_pod_fleet(threads: usize) -> ShardedTestbed {
+    /// The 4-pod fleet with cross-shard replication, run to 20 ms in
+    /// `slices` equal `run_until` calls.
+    fn four_pod_fleet(threads: usize, slices: u64) -> ShardedTestbed {
         let mut cfg = ShardedTestbedConfig::new(Variant::Solar, 8, 8, 4);
         cfg.threads = threads;
         cfg.replication = Some(ReplicationConfig {
@@ -609,13 +645,15 @@ mod tests {
         for s in 0..fleet.shards() {
             load(fleet.shard_mut(s), LIGHT);
         }
-        fleet.run_until(SimTime::from_millis(20));
+        for k in 1..=slices {
+            fleet.run_until(SimTime::ZERO + SimDuration::from_millis(20) * k / slices);
+        }
         fleet
     }
 
     #[test]
     fn thread_counts_are_byte_identical() {
-        let one = four_pod_fleet(1);
+        let one = four_pod_fleet(1, 1);
         assert!(
             one.exchanged() > 0,
             "fixture must exercise cross-shard traffic"
@@ -631,19 +669,71 @@ mod tests {
             .map(|s| ShardPlan::boundary_latency_of(&one.shard(s).config().fabric))
             .min();
         assert_eq!(Some(one.window()), lb);
-        let d1 = one.metrics_digest();
-        for threads in [2, 4] {
-            let dn = four_pod_fleet(threads).metrics_digest();
-            assert_eq!(d1, dn, "{threads}-thread run diverged from serial");
+        // One call, and 24 as the fleet benchmark cuts its timed segment:
+        // each call must leave its last window's mail injected. Three
+        // threads on four shards make uneven home ranges.
+        for slices in [1, 24] {
+            let d1 = four_pod_fleet(1, slices).metrics_digest();
+            for threads in [2, 3, 4] {
+                let dn = four_pod_fleet(threads, slices).metrics_digest();
+                assert_eq!(d1, dn, "{threads} threads, {slices} calls: diverged");
+            }
         }
     }
 
     #[test]
     fn merged_journal_is_deterministic_across_thread_counts() {
-        let a = four_pod_fleet(1);
-        let b = four_pod_fleet(4);
+        let a = four_pod_fleet(1, 1);
+        let b = four_pod_fleet(4, 1);
         let ja: Vec<_> = a.merged_journal().events().copied().collect();
         let jb: Vec<_> = b.merged_journal().events().copied().collect();
         assert_eq!(ja, jb);
+    }
+
+    #[test]
+    fn worker_stats_account_for_every_window() {
+        let busy = |f: &ShardedTestbed| f.shard_stats().iter().map(|s| s.busy_ns).sum::<u64>();
+        for threads in [2, 3, 8] {
+            let mut fleet = four_pod_fleet(threads, 1);
+            let (windows0, busy0) = (fleet.windows(), busy(&fleet));
+            fleet.run_until(SimTime::from_millis(30));
+            let windows = fleet.windows() - windows0;
+            let ws = fleet.worker_stats();
+            assert_eq!(ws.len(), threads.min(fleet.shards()));
+            assert!(
+                windows > 0 && ws.iter().all(|w| w.windows == windows),
+                "{ws:?}"
+            );
+            // Both sides sum the same `run_to_edge` spans.
+            let worker_busy: u64 = ws.iter().map(|w| w.busy_ns).sum();
+            assert_eq!(worker_busy, busy(&fleet) - busy0, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn a_panicking_shard_fails_a_parallel_run_instead_of_hanging_it() {
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        // Shard 1 is the caller's home, shard 3 a spawned worker's.
+        for shard in [1, 3] {
+            let (done, finished) = channel();
+            let run = std::thread::spawn(move || {
+                let mut cfg = ShardedTestbedConfig::new(Variant::Solar, 8, 8, 4);
+                cfg.threads = 2;
+                let mut fleet = ShardedTestbed::new(cfg);
+                // No such device: delivering the failure panics.
+                fleet.shard_mut(shard).schedule_failure(
+                    SimTime::from_millis(2),
+                    ebs_net::DeviceId(1_000_000),
+                    FailureMode::FailStop,
+                );
+                fleet.run_until(SimTime::from_millis(5));
+                done.send(()).expect("the test waits for the run");
+            });
+            match finished.recv_timeout(std::time::Duration::from_secs(60)) {
+                Err(RecvTimeoutError::Disconnected) => assert!(run.join().is_err()),
+                Ok(()) => panic!("shard {shard} must panic the run"),
+                Err(RecvTimeoutError::Timeout) => panic!("shard {shard}'s panic hung the run"),
+            }
+        }
     }
 }
