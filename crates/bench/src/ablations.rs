@@ -8,6 +8,7 @@ use ebs_stack::{FioConfig, Testbed, TestbedConfig, Variant};
 use ebs_stats::{f1, TextTable};
 
 use crate::output::ExperimentOutput;
+use crate::tail;
 
 /// Ablation A: number of persistent paths (1/2/4/8) vs disruption when a
 /// ToR silently blackholes a quarter of the ECMP buckets. More paths =
@@ -56,10 +57,7 @@ pub fn paths_ablation(quick: bool) -> ExperimentOutput {
             .map(|l| l.as_micros_f64())
             .collect();
         lats.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let p99 = lats
-            .get((lats.len() as f64 * 0.99) as usize)
-            .copied()
-            .unwrap_or(f64::NAN);
+        let p99 = tail(&lats, 0.99).unwrap_or(f64::NAN);
         let worst = lats.last().copied().unwrap_or(f64::NAN);
         let retx: u64 = (0..4).map(|c| tb.solar_retransmits(c)).sum();
         table.row([
@@ -138,8 +136,8 @@ pub fn hpcc_ablation(quick: bool) -> ExperimentOutput {
             .map(|l| l.as_micros_f64())
             .collect();
         lats.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let p50 = lats[lats.len() / 2];
-        let p99 = lats[(lats.len() as f64 * 0.99) as usize];
+        let p50 = tail(&lats, 0.5).unwrap_or(f64::NAN);
+        let p99 = tail(&lats, 0.99).unwrap_or(f64::NAN);
         let bg_bytes: u64 = (1..=n_bg).map(|b| tb.compute_progress(b).1).sum();
         let goodput = bg_bytes as f64 / tb.now().as_secs_f64() / 1e6;
         table.row([

@@ -29,7 +29,7 @@ use ebs_stats::{f1, TextTable};
 use ebs_wire::PushdownPlacement;
 
 use crate::output::ExperimentOutput;
-use crate::{ExperimentReport, RunReport};
+use crate::{tail, ExperimentReport, RunReport};
 
 /// The placements compared, in table order.
 pub const PLACEMENTS: [PushdownPlacement; 3] = [
@@ -114,11 +114,7 @@ pub fn blk_cell(
         .filter_map(|t| t.completed.map(|done| (done - t.submitted).as_micros_f64()))
         .collect();
     lats.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    let p99 = if lats.is_empty() {
-        f64::NAN
-    } else {
-        lats[((lats.len() as f64 * 0.99) as usize).min(lats.len() - 1)]
-    };
+    let p99 = tail(&lats, 0.99).unwrap_or(f64::NAN);
     let blocks_out: u64 = tb
         .blk_traces()
         .iter()

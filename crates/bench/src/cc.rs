@@ -25,7 +25,7 @@ use ebs_stats::{f1, TextTable};
 use ebs_workload::adversarial::{self, AdversarialConfig};
 
 use crate::output::ExperimentOutput;
-use crate::{ExperimentReport, RunReport};
+use crate::{tail, ExperimentReport, RunReport};
 
 /// The algorithms compared, in table order.
 pub const ALGOS: [CcAlgo; 4] = [CcAlgo::Hpcc, CcAlgo::Swift, CcAlgo::Dcqcn, CcAlgo::Fixed];
@@ -89,11 +89,7 @@ pub fn cc_cell(algo: CcAlgo, events: &[ebs_workload::IoEvent], duration_us: u64)
         .map(|l| l.as_micros_f64())
         .collect();
     lats.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    let p99 = if lats.is_empty() {
-        f64::NAN
-    } else {
-        lats[((lats.len() as f64 * 0.99) as usize).min(lats.len() - 1)]
-    };
+    let p99 = tail(&lats, 0.99).unwrap_or(f64::NAN);
     let completed: u64 = (0..N_COMPUTE).map(|c| tb.compute_progress(c).0).sum();
     let bytes: u64 = tb
         .traces()

@@ -10,6 +10,7 @@ use ebs_workload::{
 use rand::Rng;
 
 use crate::output::ExperimentOutput;
+use crate::tail;
 
 /// Fig. 3: hourly EBS vs total traffic and I/O rates over a week.
 ///
@@ -244,13 +245,14 @@ pub fn fig8() -> (ExperimentOutput, Vec<(String, f64)>) {
             .collect();
         durations.sort_by(|a, b| a.partial_cmp(b).unwrap());
         vms.sort();
+        let median_vms = tail(&vms, 0.5).expect("every tier has failure events");
         summary.row([
             tier.label().to_string(),
             durations.len().to_string(),
-            f1(durations[durations.len() / 2]),
-            vms[vms.len() / 2].to_string(),
+            f1(tail(&durations, 0.5).unwrap_or(f64::NAN)),
+            median_vms.to_string(),
         ]);
-        metrics.push((format!("{key}_median_vms_hung"), vms[vms.len() / 2] as f64));
+        metrics.push((format!("{key}_median_vms_hung"), median_vms as f64));
     }
     let output = ExperimentOutput {
         id: "fig8",

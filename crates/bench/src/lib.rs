@@ -183,6 +183,14 @@ pub fn suite_main(name: &str, json_file: &str, run: impl Fn(bool) -> RunReport) 
     }
 }
 
+/// The `q`-quantile of ascending `sorted` samples by the bench suites'
+/// one rank rule, `sorted[min(⌊n·q⌋, n−1)]`; `None` when empty. (Not
+/// `Ecdf::quantile`'s `round(q·(n−1))`: the pinned tails use this one.)
+fn tail<T: Copy>(sorted: &[T], q: f64) -> Option<T> {
+    let i = (sorted.len() as f64 * q) as usize;
+    sorted.get(i.min(sorted.len().saturating_sub(1))).copied()
+}
+
 fn variant_key(v: ebs_stack::Variant) -> &'static str {
     match v {
         ebs_stack::Variant::Kernel => "kernel",
@@ -238,8 +246,8 @@ fn exp_tab2(quick: bool) -> ExperimentReport {
     metrics.push(("luna_hung_total".to_string(), luna_total as f64));
     metrics.push(("solar_hung_total".to_string(), solar_total as f64));
     ExperimentReport {
-        // Rebuilding the table re-runs nothing: tab2_with would, so
-        // render from the counts we already have.
+        // The counts are already in hand, so rendering the table re-runs
+        // nothing.
         output: reliability::tab2_render(&counts, quick),
         metrics,
     }
@@ -295,14 +303,4 @@ pub fn run_report(quick: bool) -> RunReport {
     });
     experiments.push(exp_fig7(&fig6_nums, &fig14_nums));
     RunReport { quick, experiments }
-}
-
-/// Run every experiment in paper order, returning just the printable
-/// outputs.
-pub fn run_all(quick: bool) -> Vec<ExperimentOutput> {
-    run_report(quick)
-        .experiments
-        .into_iter()
-        .map(|e| e.output)
-        .collect()
 }

@@ -11,6 +11,7 @@ use ebs_workload::StackPerf;
 use rand::Rng;
 
 use crate::output::ExperimentOutput;
+use crate::tail;
 
 /// Measured medians used by downstream experiments (Fig. 7) and the
 /// shape tests.
@@ -446,8 +447,8 @@ fn fig15_point(v: Variant, heavy: bool, quick: bool) -> (f64, f64) {
         .map(|l| l.as_micros_f64())
         .collect();
     lats.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let median = lats[lats.len() / 2];
-    let p99 = lats[(lats.len() as f64 * 0.99) as usize];
+    let median = tail(&lats, 0.5).unwrap_or(f64::NAN);
+    let p99 = tail(&lats, 0.99).unwrap_or(f64::NAN);
     (median, p99)
 }
 

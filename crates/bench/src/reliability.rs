@@ -181,14 +181,7 @@ pub fn tab2_counts(scenarios: &[Scenario], quick: bool) -> Vec<(Scenario, usize,
     })
 }
 
-/// Table 2 over an arbitrary scenario subset (the determinism test uses a
-/// cheap subset; [`tab2`] uses all seven rows).
-pub fn tab2_with(scenarios: &[Scenario], quick: bool) -> ExperimentOutput {
-    tab2_render(&tab2_counts(scenarios, quick), quick)
-}
-
-/// Render already-computed Table 2 counts (so a harness that timed the
-/// runs itself doesn't re-run them to build the table).
+/// Render Table 2 from counts [`tab2_counts`] already computed.
 pub fn tab2_render(counts: &[(Scenario, usize, usize)], quick: bool) -> ExperimentOutput {
     let mut table = TextTable::new([
         "failure scenario",
@@ -220,9 +213,4 @@ pub fn tab2_render(counts: &[(Scenario, usize, usize)], quick: bool) -> Experime
             "Absolute counts scale with testbed size and load; the paper's qualitative result is Solar = 0 in every row.".into(),
         ],
     }
-}
-
-/// Table 2 in full.
-pub fn tab2(quick: bool) -> ExperimentOutput {
-    tab2_with(&Scenario::ALL, quick)
 }

@@ -18,7 +18,7 @@ use bytes::Bytes;
 use ebs_cc::CcAlgo;
 use ebs_crc::{block_crc_raw, SegmentChecker, SegmentVerdict};
 use ebs_dpu::{BitFlipInjector, CrcStage, PacketCtx, Pipeline, Stage};
-use ebs_net::{DeviceId, FailureMode};
+use ebs_net::DeviceId;
 use ebs_sa::{IoKind, IoRequest, QosSpec};
 use ebs_sim::{rng, SimDuration, SimTime};
 use ebs_stack::blk::{BlkReq, Predicate, StorageFn};
@@ -32,9 +32,9 @@ use rand::Rng;
 use crate::oracle::{check_traces, conserve, Violation};
 use crate::schedule::{throttle_spec, DeviceTier, FaultKind, Schedule};
 
-/// Routing convergence used for [`FaultKind::Reboot`]: link-down is
-/// announced, so the fabric reroutes in tens of milliseconds (§4.5's
-/// fast case), unlike a silent fail-stop.
+/// Routing convergence used for a reboot ([`FaultKind::Fabric`] with
+/// `reboot` set): link-down is announced, so the fabric reroutes in tens
+/// of milliseconds (§4.5's fast case), unlike a silent fail-stop.
 const REBOOT_CONVERGENCE: SimDuration = SimDuration::from_millis(50);
 
 /// Blocks per segment in the bit-flip campaign's aggregation check (the
@@ -332,51 +332,20 @@ pub fn run_schedule_sharded(schedule: &Schedule, n_shards: u32, threads: usize) 
     let mut corrupt_caught = 0u64;
     for (i, f) in schedule.faults.iter().enumerate() {
         let at = t0 + f.at;
-        let heal_at = at + f.kind.heal_after();
+        let heal_at = at + f.heal_after;
         match &f.kind {
-            FaultKind::FailStop {
-                tier, device_index, ..
-            } => {
-                if let Some((tb, dev)) = tier_target(&mut fleet, *tier, *device_index) {
-                    tb.schedule_failure(at, dev, FailureMode::FailStop);
-                    tb.schedule_heal(heal_at, dev);
-                }
-            }
-            FaultKind::Reboot {
-                tier, device_index, ..
-            } => {
-                if let Some((tb, dev)) = tier_target(&mut fleet, *tier, *device_index) {
-                    tb.schedule_failure_with(at, dev, FailureMode::FailStop, REBOOT_CONVERGENCE);
-                    tb.schedule_heal(heal_at, dev);
-                }
-            }
-            FaultKind::Blackhole {
+            FaultKind::Fabric {
                 tier,
                 device_index,
-                fraction,
-                salt,
-                ..
+                mode,
+                reboot,
             } => {
                 if let Some((tb, dev)) = tier_target(&mut fleet, *tier, *device_index) {
-                    tb.schedule_failure(
-                        at,
-                        dev,
-                        FailureMode::Blackhole {
-                            fraction: *fraction,
-                            salt: *salt,
-                        },
-                    );
-                    tb.schedule_heal(heal_at, dev);
-                }
-            }
-            FaultKind::RandomLoss {
-                tier,
-                device_index,
-                rate,
-                ..
-            } => {
-                if let Some((tb, dev)) = tier_target(&mut fleet, *tier, *device_index) {
-                    tb.schedule_failure(at, dev, FailureMode::RandomLoss { rate: *rate });
+                    if *reboot {
+                        tb.schedule_failure_with(at, dev, *mode, REBOOT_CONVERGENCE);
+                    } else {
+                        tb.schedule_failure(at, dev, *mode);
+                    }
                     tb.schedule_heal(heal_at, dev);
                 }
             }
@@ -384,22 +353,19 @@ pub fn run_schedule_sharded(schedule: &Schedule, n_shards: u32, threads: usize) 
                 compute,
                 iops,
                 mbps,
-                ..
             } => {
                 let (s, local) = locate(&computes, *compute);
                 let tb = fleet.shard_mut(s);
                 tb.schedule_qos(at, local, throttle_spec(*iops, *mbps));
                 tb.schedule_qos(heal_at, local, QosSpec::unlimited());
             }
-            FaultKind::StorageSlowdown {
-                storage, factor, ..
-            } => {
+            FaultKind::StorageSlowdown { storage, factor } => {
                 let (s, local) = locate(&storages, *storage);
                 let tb = fleet.shard_mut(s);
                 tb.schedule_storage_degrade(at, local, *factor);
                 tb.schedule_storage_degrade(heal_at, local, 1.0);
             }
-            FaultKind::PcieStall { compute, extra, .. } => {
+            FaultKind::PcieStall { compute, extra } => {
                 let (s, local) = locate(&computes, *compute);
                 let tb = fleet.shard_mut(s);
                 tb.schedule_pcie_stall(at, local, *extra);

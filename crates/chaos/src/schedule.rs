@@ -9,6 +9,7 @@
 //! without running anything.
 
 use ebs_cc::CcAlgo;
+use ebs_net::FailureMode;
 use ebs_sim::{rng, Bandwidth, SimDuration};
 use ebs_stack::Variant;
 use rand::Rng;
@@ -37,54 +38,25 @@ impl DeviceTier {
     }
 }
 
-/// One injectable fault, with its heal baked in: generated schedules
-/// always recover (zero-violation runs are the expected outcome; the
-/// oracles then certify the recovery). `docs/FAILURES.md` catalogues the
-/// underlying injectors.
+/// What one injected fault does. Its timing lives on [`FaultEvent`]:
+/// generated schedules always heal (zero-violation runs are the
+/// expected outcome; the oracles then certify the recovery).
+/// `docs/FAILURES.md` catalogues the underlying injectors.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FaultKind {
-    /// Fabric fail-stop; routing converges at the fabric's default pace.
-    FailStop {
+    /// A fabric failure at one switch: `mode` is what the device does
+    /// (fail-stop, silent blackhole, random loss). A `reboot` is an
+    /// announced fail-stop: link-down is detected fast, so routing
+    /// converges in 50 ms rather than at the fabric's default pace.
+    Fabric {
         /// Device tier.
         tier: DeviceTier,
         /// Index into the tier's device list (mod its length).
         device_index: usize,
-        /// Injection-to-heal duration.
-        heal_after: SimDuration,
-    },
-    /// Fail-stop with fast link-down detection (reboot/upgrade): routing
-    /// converges in 50 ms.
-    Reboot {
-        /// Device tier.
-        tier: DeviceTier,
-        /// Index into the tier's device list (mod its length).
-        device_index: usize,
-        /// Injection-to-heal duration.
-        heal_after: SimDuration,
-    },
-    /// Silent partial blackhole (broken ECMP bucket / line card).
-    Blackhole {
-        /// Device tier.
-        tier: DeviceTier,
-        /// Index into the tier's device list (mod its length).
-        device_index: usize,
-        /// Fraction of flows dropped (0..1].
-        fraction: f64,
-        /// Salt mixing which flows are hit.
-        salt: u64,
-        /// Injection-to-heal duration.
-        heal_after: SimDuration,
-    },
-    /// Uniform random packet loss on one device.
-    RandomLoss {
-        /// Device tier.
-        tier: DeviceTier,
-        /// Index into the tier's device list (mod its length).
-        device_index: usize,
-        /// Per-packet drop probability.
-        rate: f64,
-        /// Injection-to-heal duration.
-        heal_after: SimDuration,
+        /// The device's failure behaviour until it heals.
+        mode: FailureMode,
+        /// Announced fail-stop (reboot/upgrade) with fast convergence.
+        reboot: bool,
     },
     /// SA QoS throttle on one compute server's virtual disk; heals back
     /// to an unlimited spec.
@@ -95,8 +67,6 @@ pub enum FaultKind {
         iops: u64,
         /// Throttled bandwidth budget (megabits per second).
         mbps: u64,
-        /// Injection-to-heal duration.
-        heal_after: SimDuration,
     },
     /// Storage brown-out: the block server's service time stretches by
     /// `factor`, then heals to 1.0.
@@ -105,8 +75,6 @@ pub enum FaultKind {
         storage: usize,
         /// Service-time multiplier while degraded (> 1.0).
         factor: f64,
-        /// Injection-to-heal duration.
-        heal_after: SimDuration,
     },
     /// DPU PCIe stall on one compute server: every transfer pays `extra`,
     /// then heals to zero.
@@ -115,8 +83,6 @@ pub enum FaultKind {
         compute: usize,
         /// Extra latency per PCIe transfer while stalled.
         extra: SimDuration,
-        /// Injection-to-heal duration.
-        heal_after: SimDuration,
     },
     /// FPGA bit-flip campaign (§4.7): `blocks` blocks flow through the
     /// CRC pipeline with a flip injector at `rate`; the corruption oracle
@@ -131,46 +97,19 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// Injection-to-heal duration (zero for the instantaneous bit-flip
-    /// campaign).
-    pub fn heal_after(&self) -> SimDuration {
-        match self {
-            FaultKind::FailStop { heal_after, .. }
-            | FaultKind::Reboot { heal_after, .. }
-            | FaultKind::Blackhole { heal_after, .. }
-            | FaultKind::RandomLoss { heal_after, .. }
-            | FaultKind::QosThrottle { heal_after, .. }
-            | FaultKind::StorageSlowdown { heal_after, .. }
-            | FaultKind::PcieStall { heal_after, .. } => *heal_after,
-            FaultKind::BitFlip { .. } => SimDuration::ZERO,
-        }
-    }
-
     /// Short class label (stable; used in JSON and logs).
     pub fn class(&self) -> &'static str {
         match self {
-            FaultKind::FailStop { .. } => "fail_stop",
-            FaultKind::Reboot { .. } => "reboot",
-            FaultKind::Blackhole { .. } => "blackhole",
-            FaultKind::RandomLoss { .. } => "random_loss",
+            FaultKind::Fabric { reboot: true, .. } => "reboot",
+            FaultKind::Fabric { mode, .. } => match mode {
+                FailureMode::FailStop => "fail_stop",
+                FailureMode::Blackhole { .. } => "blackhole",
+                FailureMode::RandomLoss { .. } => "random_loss",
+            },
             FaultKind::QosThrottle { .. } => "qos_throttle",
             FaultKind::StorageSlowdown { .. } => "storage_slowdown",
             FaultKind::PcieStall { .. } => "pcie_stall",
             FaultKind::BitFlip { .. } => "bit_flip",
-        }
-    }
-
-    /// Set the heal duration (shrinker support; no-op for bit flips).
-    pub(crate) fn set_heal_after(&mut self, d: SimDuration) {
-        match self {
-            FaultKind::FailStop { heal_after, .. }
-            | FaultKind::Reboot { heal_after, .. }
-            | FaultKind::Blackhole { heal_after, .. }
-            | FaultKind::RandomLoss { heal_after, .. }
-            | FaultKind::QosThrottle { heal_after, .. }
-            | FaultKind::StorageSlowdown { heal_after, .. }
-            | FaultKind::PcieStall { heal_after, .. } => *heal_after = d,
-            FaultKind::BitFlip { .. } => {}
         }
     }
 }
@@ -180,6 +119,9 @@ impl FaultKind {
 pub struct FaultEvent {
     /// Injection instant, as an offset from simulation start.
     pub at: SimDuration,
+    /// Injection-to-heal duration (zero for the instantaneous bit-flip
+    /// campaign).
+    pub heal_after: SimDuration,
     /// What happens.
     pub kind: FaultKind,
 }
@@ -268,7 +210,7 @@ impl Schedule {
     pub fn last_heal(&self) -> SimDuration {
         self.faults
             .iter()
-            .map(|f| f.at + f.kind.heal_after())
+            .map(|f| f.at + f.heal_after)
             .max()
             .unwrap_or(SimDuration::ZERO)
     }
@@ -329,14 +271,14 @@ impl Schedule {
                 "{{\"at_ns\":{},\"class\":\"{}\",\"heal_after_ns\":{}",
                 f.at.as_nanos(),
                 f.kind.class(),
-                f.kind.heal_after().as_nanos()
+                f.heal_after.as_nanos()
             );
             match &f.kind {
-                FaultKind::FailStop {
-                    tier, device_index, ..
-                }
-                | FaultKind::Reboot {
-                    tier, device_index, ..
+                FaultKind::Fabric {
+                    tier,
+                    device_index,
+                    mode,
+                    ..
                 } => {
                     let _ = write!(
                         s,
@@ -344,42 +286,20 @@ impl Schedule {
                         tier.label(),
                         device_index
                     );
-                }
-                FaultKind::Blackhole {
-                    tier,
-                    device_index,
-                    fraction,
-                    salt,
-                    ..
-                } => {
-                    let _ = write!(
-                        s,
-                        ",\"tier\":\"{}\",\"device_index\":{},\"fraction\":{},\"salt\":{}",
-                        tier.label(),
-                        device_index,
-                        fraction,
-                        salt
-                    );
-                }
-                FaultKind::RandomLoss {
-                    tier,
-                    device_index,
-                    rate,
-                    ..
-                } => {
-                    let _ = write!(
-                        s,
-                        ",\"tier\":\"{}\",\"device_index\":{},\"rate\":{}",
-                        tier.label(),
-                        device_index,
-                        rate
-                    );
+                    match mode {
+                        FailureMode::FailStop => {}
+                        FailureMode::Blackhole { fraction, salt } => {
+                            let _ = write!(s, ",\"fraction\":{},\"salt\":{}", fraction, salt);
+                        }
+                        FailureMode::RandomLoss { rate } => {
+                            let _ = write!(s, ",\"rate\":{}", rate);
+                        }
+                    }
                 }
                 FaultKind::QosThrottle {
                     compute,
                     iops,
                     mbps,
-                    ..
                 } => {
                     let _ = write!(
                         s,
@@ -387,12 +307,10 @@ impl Schedule {
                         compute, iops, mbps
                     );
                 }
-                FaultKind::StorageSlowdown {
-                    storage, factor, ..
-                } => {
+                FaultKind::StorageSlowdown { storage, factor } => {
                     let _ = write!(s, ",\"storage\":{},\"factor\":{}", storage, factor);
                 }
-                FaultKind::PcieStall { compute, extra, .. } => {
+                FaultKind::PcieStall { compute, extra } => {
                     let _ = write!(
                         s,
                         ",\"compute\":{},\"extra_ns\":{}",
@@ -440,8 +358,16 @@ fn sample_fault(r: &mut rand::rngs::SmallRng, cfg: &ChaosConfig) -> Option<Fault
     };
     let device_index = r.gen_range(0..64);
     let pick = r.gen_range(0..total);
-    let kind = sample_kind(r, cfg, pick, tier, device_index, heal);
-    Some(FaultEvent { at, kind })
+    let kind = sample_kind(r, cfg, pick, tier, device_index);
+    let heal_after = match kind {
+        FaultKind::BitFlip { .. } => SimDuration::ZERO,
+        _ => heal,
+    };
+    Some(FaultEvent {
+        at,
+        heal_after,
+        kind,
+    })
 }
 
 /// Weighted-pick dispatch: walk the cumulative weight vector and sample
@@ -452,42 +378,31 @@ fn sample_kind(
     mut pick: u32,
     tier: DeviceTier,
     device_index: usize,
-    heal: SimDuration,
 ) -> FaultKind {
     let w = cfg.weights;
+    let fabric = |mode, reboot| FaultKind::Fabric {
+        tier,
+        device_index,
+        mode,
+        reboot,
+    };
     if pick < w.fail_stop {
-        return FaultKind::FailStop {
-            tier,
-            device_index,
-            heal_after: heal,
-        };
+        return fabric(FailureMode::FailStop, false);
     }
     pick -= w.fail_stop;
     if pick < w.reboot {
-        return FaultKind::Reboot {
-            tier,
-            device_index,
-            heal_after: heal,
-        };
+        return fabric(FailureMode::FailStop, true);
     }
     pick -= w.reboot;
     if pick < w.blackhole {
-        return FaultKind::Blackhole {
-            tier,
-            device_index,
-            fraction: [0.25, 0.5, 1.0][r.gen_range(0..3)],
-            salt: r.gen::<u64>(),
-            heal_after: heal,
-        };
+        let fraction = [0.25, 0.5, 1.0][r.gen_range(0..3)];
+        let salt = r.gen::<u64>();
+        return fabric(FailureMode::Blackhole { fraction, salt }, false);
     }
     pick -= w.blackhole;
     if pick < w.random_loss {
-        return FaultKind::RandomLoss {
-            tier,
-            device_index,
-            rate: 0.01 + r.gen::<f64>() * 0.24,
-            heal_after: heal,
-        };
+        let rate = 0.01 + r.gen::<f64>() * 0.24;
+        return fabric(FailureMode::RandomLoss { rate }, false);
     }
     pick -= w.random_loss;
     if pick < w.qos_throttle {
@@ -495,7 +410,6 @@ fn sample_kind(
             compute: r.gen_range(0..cfg.n_compute.max(1)),
             iops: r.gen_range(500..4000),
             mbps: r.gen_range(400..3200),
-            heal_after: heal,
         };
     }
     pick -= w.qos_throttle;
@@ -503,7 +417,6 @@ fn sample_kind(
         return FaultKind::StorageSlowdown {
             storage: r.gen_range(0..cfg.n_storage.max(1)),
             factor: 2.0 + r.gen::<f64>() * 14.0,
-            heal_after: heal,
         };
     }
     pick -= w.storage_slowdown;
@@ -515,7 +428,6 @@ fn sample_kind(
                 SimDuration::from_micros(20),
                 SimDuration::from_micros(500),
             ),
-            heal_after: heal,
         };
     }
     FaultKind::BitFlip {
@@ -558,8 +470,8 @@ mod tests {
             for f in &s.faults {
                 assert!(f.at >= cfg.fault_start && f.at <= cfg.fault_end);
                 if !matches!(f.kind, FaultKind::BitFlip { .. }) {
-                    assert!(f.kind.heal_after() >= cfg.min_fault_duration);
-                    assert!(f.kind.heal_after() <= cfg.max_fault_duration);
+                    assert!(f.heal_after >= cfg.min_fault_duration);
+                    assert!(f.heal_after <= cfg.max_fault_duration);
                 }
             }
             assert!(s.quiesce_at() >= s.horizon + s.recovery_deadline);

@@ -96,14 +96,12 @@ pub fn shrink(schedule: &Schedule) -> Option<ShrinkOutcome> {
         loop {
             let mut halved = false;
             for i in 0..best.faults.len() {
-                let cur = best.faults[i].kind.heal_after();
+                let cur = best.faults[i].heal_after;
                 if cur <= MIN_HEAL {
                     continue;
                 }
                 let mut candidate = best.clone();
-                candidate.faults[i]
-                    .kind
-                    .set_heal_after(cur.mul_f64(0.5).max(MIN_HEAL));
+                candidate.faults[i].heal_after = cur.mul_f64(0.5).max(MIN_HEAL);
                 if let Some(o) = sh.violates(&candidate) {
                     best = candidate;
                     outcome = o;

@@ -4,6 +4,7 @@
 //! at most 3 fault events, and (c) emit `chaos-repro-<seed>.json`.
 
 use ebs_chaos::{run_schedule, shrink, write_repro, DeviceTier, FaultEvent, FaultKind, Schedule};
+use ebs_net::FailureMode;
 use ebs_sim::SimDuration;
 use ebs_stack::Variant;
 
@@ -13,39 +14,42 @@ use ebs_stack::Variant;
 fn planted() -> Schedule {
     let blackhole = |device_index: usize| FaultEvent {
         at: SimDuration::from_millis(10),
-        kind: FaultKind::Blackhole {
+        heal_after: SimDuration::from_secs(60),
+        kind: FaultKind::Fabric {
             tier: DeviceTier::Tor,
             device_index,
-            fraction: 1.0,
-            salt: 0,
-            heal_after: SimDuration::from_secs(60),
+            mode: FailureMode::Blackhole {
+                fraction: 1.0,
+                salt: 0,
+            },
+            reboot: false,
         },
     };
     let mut faults: Vec<FaultEvent> = (0..4).map(blackhole).collect();
     // Benign riders the shrinker must strip away.
     faults.push(FaultEvent {
         at: SimDuration::from_millis(12),
+        heal_after: SimDuration::from_millis(20),
         kind: FaultKind::StorageSlowdown {
             storage: 0,
             factor: 4.0,
-            heal_after: SimDuration::from_millis(20),
         },
     });
     faults.push(FaultEvent {
         at: SimDuration::from_millis(14),
+        heal_after: SimDuration::from_millis(20),
         kind: FaultKind::PcieStall {
             compute: 1,
             extra: SimDuration::from_micros(100),
-            heal_after: SimDuration::from_millis(20),
         },
     });
     faults.push(FaultEvent {
         at: SimDuration::from_millis(8),
+        heal_after: SimDuration::from_millis(20),
         kind: FaultKind::QosThrottle {
             compute: 0,
             iops: 1000,
             mbps: 800,
-            heal_after: SimDuration::from_millis(20),
         },
     });
     faults.sort_by_key(|f| f.at);
@@ -96,11 +100,13 @@ fn planted_blackhole_shrinks_to_minimal_repro() {
         shrunk.minimal.to_json()
     );
     assert!(
-        shrunk
-            .minimal
-            .faults
-            .iter()
-            .all(|f| matches!(f.kind, FaultKind::Blackhole { .. })),
+        shrunk.minimal.faults.iter().all(|f| matches!(
+            f.kind,
+            FaultKind::Fabric {
+                mode: FailureMode::Blackhole { .. },
+                ..
+            }
+        )),
         "only the blackholes can carry the violation: {}",
         shrunk.minimal.to_json()
     );
