@@ -97,8 +97,8 @@ pub fn hpcc_ablation(quick: bool) -> ExperimentOutput {
         let n_bg = 5;
         let mut cfg = TestbedConfig::small(Variant::Solar, 1 + n_bg, 3);
         cfg.solar.int_enabled = int_enabled;
-        cfg.solar.hpcc.line_rate =
-            ebs_sim::Bandwidth::from_bps(cfg.solar.hpcc.line_rate.as_bps() * window_scale);
+        cfg.solar.line_rate =
+            ebs_sim::Bandwidth::from_bps(cfg.solar.line_rate.as_bps() * window_scale);
         cfg.seed = 44;
         let mut tb = Testbed::new(cfg);
         for b in 0..n_bg {

@@ -52,11 +52,6 @@ fn cc_testbed(algo: CcAlgo) -> Testbed {
     cfg.seed = 92;
     cfg.ecn.enabled = true;
     cfg.solar.cc = algo;
-    // Swift's stock 25 µs target is a fabric-delay target; the SOLAR ack
-    // path also carries SSD + server-stack time, so an end-to-end delay
-    // controller needs a target above the unloaded storage RTT or it
-    // pins the window at the floor.
-    cfg.solar.swift.target_delay = SimDuration::from_micros(250);
     Testbed::new(cfg)
 }
 

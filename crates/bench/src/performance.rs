@@ -4,7 +4,7 @@
 
 use ebs_sa::{IoKind, IoRequest, BLOCK_SIZE};
 use ebs_sim::{Bandwidth, SimDuration, SimTime};
-use ebs_stack::{Breakdown, FioConfig, Testbed, TestbedConfig, Variant};
+use ebs_stack::{Breakdown, FioConfig, IoTrace, Testbed, TestbedConfig, Variant};
 use ebs_stats::{f1, TextTable};
 use ebs_storage::{BnConfig, SsdConfig};
 use ebs_workload::StackPerf;
@@ -169,6 +169,14 @@ fn rpc_only_config(variant: Variant, server_gbps: u64) -> TestbedConfig {
     cfg
 }
 
+/// One traced I/O's RPC latency in µs: end to end minus its own
+/// (software) SA stage, the nulled storage contributing ~0. `None` while
+/// the I/O is outstanding.
+fn rpc_latency_us(tr: &IoTrace) -> Option<f64> {
+    tr.latency()
+        .map(|lat| lat.saturating_sub(tr.sa).as_micros_f64())
+}
+
 /// Table 1: FN RPC latency and consumed cores, kernel vs LUNA, at 2×25GE
 /// and 2×100GE, single 4KB RPC and line-rate stress.
 pub fn tab1(quick: bool) -> (ExperimentOutput, Vec<(String, f64)>) {
@@ -195,15 +203,7 @@ pub fn tab1(quick: bool) -> (ExperimentOutput, Vec<(String, f64)>) {
                 t += SimDuration::from_millis(1);
             }
             tb.run_until(t + SimDuration::from_millis(50));
-            let done: Vec<f64> = tb
-                .traces()
-                .iter()
-                .filter_map(|tr| tr.latency())
-                // RPC latency = e2e minus the (software) SA stage; the
-                // nulled storage contributes ~0.
-                .zip(tb.traces().iter())
-                .map(|(lat, tr)| (lat.saturating_sub(tr.sa)).as_micros_f64())
-                .collect();
+            let done: Vec<f64> = tb.traces().iter().filter_map(rpc_latency_us).collect();
             let avg = done.iter().sum::<f64>() / done.len() as f64;
             metrics.push((
                 format!(
@@ -235,10 +235,10 @@ pub fn tab1(quick: bool) -> (ExperimentOutput, Vec<(String, f64)>) {
             let warmup = SimTime::from_millis(20);
             tb.run_until(warmup);
             tb.reset_compute_stats();
-            let (ios0, bytes0) = tb.compute_progress(0);
+            let (_, bytes0) = tb.compute_progress(0);
             let horizon = warmup + SimDuration::from_millis(if quick { 40 } else { 120 });
             tb.run_until(horizon);
-            let (ios1, bytes1) = tb.compute_progress(0);
+            let (_, bytes1) = tb.compute_progress(0);
             let window = tb.now().saturating_since(warmup).as_secs_f64();
             let gbps_done = (bytes1 - bytes0) as f64 * 8.0 / window / 1e9;
             let cores = tb.consumed_cores(0);
@@ -265,8 +265,6 @@ pub fn tab1(quick: bool) -> (ExperimentOutput, Vec<(String, f64)>) {
                 f1(avg),
                 f1(cores.max(1.0)),
             ]);
-            let _ = ios0;
-            let _ = ios1;
         }
         tables.push((format!("Tested using {nic}"), table));
     }
@@ -535,4 +533,37 @@ pub fn stack_perfs(fig6: &Fig6Numbers, fig14: &Fig14Numbers) -> (StackPerf, Stac
             iops: solar_iops,
         },
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn trace(submitted_us: u64, completed_us: Option<u64>, sa_us: u64) -> IoTrace {
+        IoTrace {
+            compute: 0,
+            kind: IoKind::Write,
+            bytes: 4096,
+            submitted: SimTime::from_micros(submitted_us),
+            completed: completed_us.map(SimTime::from_micros),
+            qos_delay: SimDuration::ZERO,
+            sa: SimDuration::from_micros(sa_us),
+            fn_: SimDuration::ZERO,
+            bn: SimDuration::ZERO,
+            ssd: SimDuration::ZERO,
+        }
+    }
+
+    #[test]
+    fn rpc_latency_subtracts_each_traces_own_sa() {
+        // The outstanding first trace must not shift the second trace's
+        // latency onto the first trace's SA time.
+        let traces = [
+            trace(0, None, 7),
+            trace(10, Some(40), 5),
+            trace(20, Some(30), 2),
+        ];
+        let got: Vec<f64> = traces.iter().filter_map(rpc_latency_us).collect();
+        assert_eq!(got, vec![25.0, 8.0]);
+    }
 }

@@ -15,58 +15,27 @@
 
 use ebs_sim::{Bandwidth, SimDuration, SimTime};
 
-use crate::{AckSignal, CongestionControl};
+use crate::{AckSignal, CongestionControl, MIN_WINDOW};
 
-/// DCQCN-style parameters (per flow / QP).
-#[derive(Debug, Clone, Copy)]
-pub struct DcqcnConfig {
-    /// EWMA gain `g` for the marked-fraction estimate α.
-    pub g: f64,
-    /// Minimum interval between multiplicative cuts (DCQCN's rate-
-    /// reduction timer; marks inside the interval only update α).
-    pub reduction_period: SimDuration,
-    /// Interval between recovery steps while unmarked.
-    pub increase_period: SimDuration,
-    /// Recovery steps spent in fast recovery (binary search toward the
-    /// pre-cut target) before additive increase kicks in.
-    pub fast_recovery_stages: u32,
-    /// Additive increase per step once past fast recovery, in bytes.
-    pub ai_bytes: f64,
-    /// Line rate (with `base_rtt` gives the BDP and the window cap).
-    pub line_rate: Bandwidth,
-    /// Base (unloaded) RTT.
-    pub base_rtt: SimDuration,
-    /// Lower bound on the window (bytes).
-    pub min_window: f64,
-}
-
-impl Default for DcqcnConfig {
-    fn default() -> Self {
-        DcqcnConfig {
-            g: 1.0 / 16.0,
-            // DCQCN's RP timer is 55us; round to the sim's RTT scale.
-            reduction_period: SimDuration::from_micros(50),
-            increase_period: SimDuration::from_micros(50),
-            fast_recovery_stages: 5,
-            ai_bytes: 4096.0,
-            line_rate: Bandwidth::from_gbps(25),
-            base_rtt: SimDuration::from_micros(20),
-            min_window: 2.0 * 4096.0,
-        }
-    }
-}
-
-impl DcqcnConfig {
-    /// The bandwidth-delay product: initial window.
-    pub fn bdp_bytes(&self) -> f64 {
-        self.line_rate.bytes_per_sec() * self.base_rtt.as_secs_f64()
-    }
-}
+/// EWMA gain `g` for the marked-fraction estimate α.
+const G: f64 = 1.0 / 16.0;
+/// Minimum interval between multiplicative cuts (DCQCN's rate-reduction
+/// timer, 55 us, rounded to the sim's RTT scale; marks inside the
+/// interval only update α).
+const REDUCTION_PERIOD: SimDuration = SimDuration::from_micros(50);
+/// Interval between recovery steps while unmarked.
+const INCREASE_PERIOD: SimDuration = SimDuration::from_micros(50);
+/// Recovery steps spent in fast recovery (binary search toward the
+/// pre-cut target) before additive increase kicks in.
+const FAST_RECOVERY_STAGES: u32 = 5;
+/// Additive increase per step once past fast recovery, in bytes.
+const AI_BYTES: f64 = 4096.0;
 
 /// Per-flow DCQCN state.
 #[derive(Debug)]
 pub struct Dcqcn {
-    cfg: DcqcnConfig,
+    /// Window cap, bytes (`max_window`).
+    w_max: f64,
     /// Current window, bytes.
     window: f64,
     /// Recovery target: the window held when the last cut was taken.
@@ -82,24 +51,20 @@ pub struct Dcqcn {
 }
 
 impl Dcqcn {
-    /// A fresh controller starting at the BDP with α = 1 (DCQCN starts
-    /// conservative: the first mark cuts hard, then α decays).
-    pub fn new(cfg: DcqcnConfig) -> Self {
-        let bdp = cfg.bdp_bytes();
+    /// A fresh controller for a flow at `line_rate`, starting at the BDP
+    /// clamped into the envelope with α = 1 (DCQCN starts conservative:
+    /// the first mark cuts hard, then α decays).
+    pub fn new(line_rate: Bandwidth) -> Self {
+        let start = crate::start_window(line_rate);
         Dcqcn {
-            cfg,
-            window: bdp,
-            target: bdp,
+            w_max: crate::max_window(line_rate),
+            window: start,
+            target: start,
             alpha: 1.0,
             stage: 0,
             last_cut: SimTime::ZERO,
             last_increase: SimTime::ZERO,
         }
-    }
-
-    /// Current window in bytes.
-    pub fn window(&self) -> f64 {
-        self.window
     }
 
     /// Current marked-fraction estimate α (diagnostics / tests).
@@ -109,42 +74,34 @@ impl Dcqcn {
 
     /// Feed one ACK's echoed ECN bit.
     pub fn on_ecn_ack(&mut self, now: SimTime, marked: bool) {
-        let w_max = 4.0 * self.cfg.bdp_bytes();
         if marked {
             // α tracks the marked fraction: move toward 1.
-            self.alpha = (1.0 - self.cfg.g) * self.alpha + self.cfg.g;
+            self.alpha = (1.0 - G) * self.alpha + G;
             // Cut at most once per reduction period; marks within the
             // period describe the same queue excursion.
-            if now.saturating_since(self.last_cut) >= self.cfg.reduction_period {
+            if now.saturating_since(self.last_cut) >= REDUCTION_PERIOD {
                 self.target = self.window;
                 self.window =
-                    (self.window * (1.0 - self.alpha / 2.0)).clamp(self.cfg.min_window, w_max);
+                    (self.window * (1.0 - self.alpha / 2.0)).clamp(MIN_WINDOW, self.w_max);
                 self.stage = 0;
                 self.last_cut = now;
                 self.last_increase = now;
             }
         } else {
             // α decays toward 0 on unmarked feedback.
-            self.alpha *= 1.0 - self.cfg.g;
-            if now.saturating_since(self.last_increase) >= self.cfg.increase_period {
+            self.alpha *= 1.0 - G;
+            if now.saturating_since(self.last_increase) >= INCREASE_PERIOD {
                 self.stage += 1;
-                if self.stage > self.cfg.fast_recovery_stages {
+                if self.stage > FAST_RECOVERY_STAGES {
                     // Additive increase: probe past the pre-cut target.
-                    self.target += self.cfg.ai_bytes;
+                    self.target += AI_BYTES;
                 }
                 // Both phases step halfway toward the target (DCQCN's
                 // rate update R = (R + Rt) / 2).
-                self.window = ((self.window + self.target) / 2.0).clamp(self.cfg.min_window, w_max);
+                self.window = ((self.window + self.target) / 2.0).clamp(MIN_WINDOW, self.w_max);
                 self.last_increase = now;
             }
         }
-    }
-
-    /// Timeout: halve toward the floor, same posture as HPCC.
-    pub fn on_timeout(&mut self) {
-        self.window = (self.window / 2.0).max(self.cfg.min_window);
-        self.target = self.window;
-        self.stage = 0;
     }
 }
 
@@ -156,12 +113,15 @@ impl CongestionControl for Dcqcn {
         self.on_ecn_ack(now, sig.ecn);
     }
 
+    /// Timeout: halve toward the floor, same posture as HPCC.
     fn on_timeout(&mut self) {
-        Dcqcn::on_timeout(self);
+        self.window = (self.window / 2.0).max(MIN_WINDOW);
+        self.target = self.window;
+        self.stage = 0;
     }
 
     fn window(&self) -> f64 {
-        Dcqcn::window(self)
+        self.window
     }
 
     fn name(&self) -> &'static str {
@@ -172,12 +132,12 @@ impl CongestionControl for Dcqcn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LINE_RATE;
 
     #[test]
     fn starts_at_bdp() {
-        let cfg = DcqcnConfig::default();
-        let d = Dcqcn::new(cfg);
-        assert!((d.window() - cfg.bdp_bytes()).abs() < 1.0);
+        let d = Dcqcn::new(LINE_RATE);
+        assert!((d.window() - crate::bdp(LINE_RATE)).abs() < 1.0);
     }
 
     #[test]
@@ -185,7 +145,7 @@ mod tests {
         // Hand-computed: α starts at 1; the first mark (one reduction
         // period past t=0) first updates α = (1-1/16)·1 + 1/16 = 1, then
         // cuts by α/2: 62_500 · 0.5 = 31_250.
-        let mut d = Dcqcn::new(DcqcnConfig::default());
+        let mut d = Dcqcn::new(LINE_RATE);
         d.on_ecn_ack(SimTime::from_micros(50), true);
         assert!((d.window() - 31_250.0).abs() < 1e-6, "{}", d.window());
     }
@@ -193,7 +153,7 @@ mod tests {
     #[test]
     fn alpha_decays_without_marks() {
         // Hand-computed: α = 1 → ·(15/16) per clean ACK.
-        let mut d = Dcqcn::new(DcqcnConfig::default());
+        let mut d = Dcqcn::new(LINE_RATE);
         d.on_ecn_ack(SimTime::from_micros(1), false);
         assert!((d.alpha() - 15.0 / 16.0).abs() < 1e-12);
         d.on_ecn_ack(SimTime::from_micros(2), false);
@@ -202,7 +162,7 @@ mod tests {
 
     #[test]
     fn decayed_alpha_cuts_shallower() {
-        let mut d = Dcqcn::new(DcqcnConfig::default());
+        let mut d = Dcqcn::new(LINE_RATE);
         // Decay α with a stretch of clean feedback (spaced past the
         // increase period so recovery also runs — irrelevant here, the
         // cut fraction is what's under test).
@@ -222,7 +182,7 @@ mod tests {
     fn fast_recovery_halves_back_to_target() {
         // Cut to 31_250 with target 62_500, then recover: each step goes
         // halfway back — 46_875, 54_687.5, 58_593.75...
-        let mut d = Dcqcn::new(DcqcnConfig::default());
+        let mut d = Dcqcn::new(LINE_RATE);
         d.on_ecn_ack(SimTime::from_micros(50), true);
         d.on_ecn_ack(SimTime::from_micros(100), false);
         assert!((d.window() - 46_875.0).abs() < 1e-6, "{}", d.window());
@@ -232,7 +192,7 @@ mod tests {
 
     #[test]
     fn additive_increase_probes_past_target() {
-        let mut d = Dcqcn::new(DcqcnConfig::default());
+        let mut d = Dcqcn::new(LINE_RATE);
         d.on_ecn_ack(SimTime::from_micros(50), true);
         // Run recovery well past the fast-recovery stages.
         for i in 0..32u64 {
@@ -243,7 +203,7 @@ mod tests {
 
     #[test]
     fn marks_inside_reduction_period_update_alpha_only() {
-        let mut d = Dcqcn::new(DcqcnConfig::default());
+        let mut d = Dcqcn::new(LINE_RATE);
         d.on_ecn_ack(SimTime::from_micros(50), true);
         let w1 = d.window();
         // 10us later: inside the 50us reduction period.
@@ -254,15 +214,14 @@ mod tests {
 
     #[test]
     fn window_never_below_floor() {
-        let cfg = DcqcnConfig::default();
-        let mut d = Dcqcn::new(cfg);
+        let mut d = Dcqcn::new(LINE_RATE);
         for i in 0..128u64 {
             d.on_ecn_ack(SimTime::from_micros(50 * (i + 1)), true);
         }
-        assert!(d.window() >= cfg.min_window);
+        assert!(d.window() >= MIN_WINDOW);
         for _ in 0..32 {
             d.on_timeout();
         }
-        assert!(d.window() >= cfg.min_window);
+        assert!(d.window() >= MIN_WINDOW);
     }
 }

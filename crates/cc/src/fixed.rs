@@ -1,28 +1,11 @@
 //! The null controller: a constant window.
 //!
-//! Preserves the pre-trait behavior of hosts that ran without
-//! congestion control — SOLAR with `int_enabled = false` (window parked
-//! at the BDP) and the RDMA baseline's static `window_pkts` — and
-//! doubles as the control arm of the CC comparison matrix.
+//! Preserves the pre-trait behavior of SOLAR with `int_enabled = false`
+//! (window parked at the per-path BDP) and doubles as the control arm of
+//! the CC comparison matrix.
 
 use crate::{AckSignal, CongestionControl};
-use ebs_sim::SimTime;
-
-/// Fixed-window parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct FixedConfig {
-    /// The constant window, bytes.
-    pub window_bytes: f64,
-}
-
-impl Default for FixedConfig {
-    fn default() -> Self {
-        FixedConfig {
-            // SOLAR's per-path BDP at 25G × 20us.
-            window_bytes: 62_500.0,
-        }
-    }
-}
+use ebs_sim::{Bandwidth, SimTime};
 
 /// A window that never moves.
 #[derive(Debug)]
@@ -31,20 +14,13 @@ pub struct Fixed {
 }
 
 impl Fixed {
-    /// A controller pinned at `cfg.window_bytes`.
-    pub fn new(cfg: FixedConfig) -> Self {
+    /// A controller pinned at `line_rate`'s BDP, clamped into the
+    /// envelope.
+    pub fn new(line_rate: Bandwidth) -> Self {
         Fixed {
-            window: cfg.window_bytes,
+            window: crate::start_window(line_rate),
         }
     }
-
-    /// Current window in bytes (constant).
-    pub fn window(&self) -> f64 {
-        self.window
-    }
-
-    /// Timeouts do not move a fixed window.
-    pub fn on_timeout(&mut self) {}
 }
 
 impl CongestionControl for Fixed {
@@ -67,9 +43,8 @@ mod tests {
 
     #[test]
     fn window_is_constant() {
-        let mut f = Fixed::new(FixedConfig {
-            window_bytes: 1234.0,
-        });
+        let mut f = Fixed::new(crate::LINE_RATE);
+        let w = f.window();
         f.on_timeout();
         CongestionControl::on_ack(
             &mut f,
@@ -80,6 +55,6 @@ mod tests {
                 ecn: true,
             },
         );
-        assert_eq!(f.window(), 1234.0);
+        assert_eq!(f.window(), w);
     }
 }

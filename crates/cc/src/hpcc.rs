@@ -14,51 +14,18 @@
 
 use ebs_sim::FxHashMap;
 
-use ebs_sim::{Bandwidth, SimDuration, SimTime};
+use ebs_sim::{Bandwidth, SimTime};
 use ebs_wire::IntStack;
 
-use crate::{AckSignal, CongestionControl};
+use crate::{AckSignal, CongestionControl, BASE_RTT, MIN_WINDOW};
 
-/// HPCC-style congestion control parameters (per path).
-#[derive(Debug, Clone, Copy)]
-pub struct HpccConfig {
-    /// Target utilization η (HPCC uses 0.95).
-    pub eta: f64,
-    /// Additive increase per ACK, in bytes (W_ai).
-    pub wai_bytes: f64,
-    /// Maximum additive-increase stages before a multiplicative update is
-    /// forced (HPCC's maxStage).
-    pub max_stage: u32,
-    /// Line rate of the bottleneck-free path (sets the initial window).
-    pub line_rate: Bandwidth,
-    /// Base (unloaded) RTT; with `line_rate` gives the BDP.
-    pub base_rtt: SimDuration,
-    /// Lower bound on the window so a path can always probe (bytes).
-    pub min_window: f64,
-}
-
-impl Default for HpccConfig {
-    fn default() -> Self {
-        HpccConfig {
-            eta: 0.95,
-            wai_bytes: 4096.0,
-            max_stage: 5,
-            // Per-path share of a 2x25GE NIC spraying over 4 paths: the
-            // *initial* window is one path's fair share of the NIC; HPCC
-            // grows it when INT shows headroom.
-            line_rate: Bandwidth::from_gbps(25),
-            base_rtt: SimDuration::from_micros(20),
-            min_window: 2.0 * 4096.0,
-        }
-    }
-}
-
-impl HpccConfig {
-    /// The bandwidth-delay product: initial and reference maximum window.
-    pub fn bdp_bytes(&self) -> f64 {
-        self.line_rate.bytes_per_sec() * self.base_rtt.as_secs_f64()
-    }
-}
+/// Target utilization η.
+const ETA: f64 = 0.95;
+/// Additive increase per ACK, in bytes (W_ai).
+const WAI_BYTES: f64 = 4096.0;
+/// Additive-increase stages before a multiplicative update is forced
+/// (HPCC's maxStage).
+const MAX_STAGE: u32 = 5;
 
 /// Previous INT observation of one hop (to difference the tx counter).
 #[derive(Debug, Clone, Copy)]
@@ -70,7 +37,8 @@ struct HopSnapshot {
 /// Per-path HPCC state.
 #[derive(Debug)]
 pub struct Hpcc {
-    cfg: HpccConfig,
+    /// Window cap, bytes (`max_window`).
+    w_max: f64,
     /// Current window, bytes.
     window: f64,
     /// Reference window updated once per RTT.
@@ -83,23 +51,19 @@ pub struct Hpcc {
 }
 
 impl Hpcc {
-    /// A fresh controller starting at the BDP.
-    pub fn new(cfg: HpccConfig) -> Self {
-        let bdp = cfg.bdp_bytes();
+    /// A fresh controller for a path at `line_rate`, starting at the BDP
+    /// clamped into the envelope.
+    pub fn new(line_rate: Bandwidth) -> Self {
+        let start = crate::start_window(line_rate);
         Hpcc {
-            cfg,
-            window: bdp,
-            wc: bdp,
+            w_max: crate::max_window(line_rate),
+            window: start,
+            wc: start,
             inc_stage: 0,
             last_wc_update: SimTime::ZERO,
             prev_hops: FxHashMap::default(),
             last_u: 0.0,
         }
-    }
-
-    /// Current window in bytes.
-    pub fn window(&self) -> f64 {
-        self.window
     }
 
     /// Last computed utilization (diagnostics / tests).
@@ -113,23 +77,19 @@ impl Hpcc {
             return; // first sample of every hop: no rate yet
         };
         self.last_u = u;
-        let eta = self.cfg.eta;
         // The window may grow past the per-path starting BDP when INT
-        // shows headroom (paths share the NIC unevenly), but is bounded
-        // to keep a sick path from absorbing unbounded inflight.
-        let w_max = 4.0 * self.cfg.bdp_bytes();
-        if u >= eta || self.inc_stage >= self.cfg.max_stage {
+        // shows headroom (paths share the NIC unevenly), up to `w_max`.
+        if u >= ETA || self.inc_stage >= MAX_STAGE {
             // Multiplicative move toward target utilization.
-            self.window =
-                (self.wc / (u / eta) + self.cfg.wai_bytes).clamp(self.cfg.min_window, w_max);
+            self.window = (self.wc / (u / ETA) + WAI_BYTES).clamp(MIN_WINDOW, self.w_max);
             self.inc_stage = 0;
             self.wc = self.window;
             self.last_wc_update = now;
         } else {
-            self.window = (self.wc + self.cfg.wai_bytes).clamp(self.cfg.min_window, w_max);
+            self.window = (self.wc + WAI_BYTES).clamp(MIN_WINDOW, self.w_max);
             self.inc_stage += 1;
             // Update the reference once per base RTT.
-            if now.saturating_since(self.last_wc_update) >= self.cfg.base_rtt {
+            if now.saturating_since(self.last_wc_update) >= BASE_RTT {
                 self.wc = self.window;
                 self.inc_stage = 0;
                 self.last_wc_update = now;
@@ -137,16 +97,8 @@ impl Hpcc {
         }
     }
 
-    /// A timeout is a strong congestion / failure signal: halve toward the
-    /// floor so retransmissions do not pile onto a sick path.
-    pub fn on_timeout(&mut self) {
-        self.window = (self.window / 2.0).max(self.cfg.min_window);
-        self.wc = self.window;
-        self.inc_stage = 0;
-    }
-
     fn max_hop_utilization(&mut self, int: &IntStack) -> Option<f64> {
-        let t_ns = self.cfg.base_rtt.as_nanos() as f64;
+        let t_ns = BASE_RTT.as_nanos() as f64;
         let mut max_u: Option<f64> = None;
         for hop in &int.hops {
             let b_bytes_per_ns = hop.link_mbps as f64 * 1e6 / 8.0 / 1e9;
@@ -180,12 +132,16 @@ impl CongestionControl for Hpcc {
         }
     }
 
+    /// A timeout is a strong congestion / failure signal: halve toward the
+    /// floor so retransmissions do not pile onto a sick path.
     fn on_timeout(&mut self) {
-        Hpcc::on_timeout(self);
+        self.window = (self.window / 2.0).max(MIN_WINDOW);
+        self.wc = self.window;
+        self.inc_stage = 0;
     }
 
     fn window(&self) -> f64 {
-        Hpcc::window(self)
+        self.window
     }
 
     fn name(&self) -> &'static str {
@@ -196,6 +152,8 @@ impl CongestionControl for Hpcc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LINE_RATE;
+    use ebs_sim::SimDuration;
     use ebs_wire::IntHop;
 
     fn hop(dev: u32, queue: u32, tx: u64, ts: u64) -> IntHop {
@@ -214,14 +172,13 @@ mod tests {
 
     #[test]
     fn starts_at_bdp() {
-        let cfg = HpccConfig::default();
-        let h = Hpcc::new(cfg);
-        assert!((h.window() - cfg.bdp_bytes()).abs() < 1.0);
+        let h = Hpcc::new(LINE_RATE);
+        assert!((h.window() - crate::bdp(LINE_RATE)).abs() < 1.0);
     }
 
     #[test]
     fn idle_link_grows_additively() {
-        let mut h = Hpcc::new(HpccConfig::default());
+        let mut h = Hpcc::new(LINE_RATE);
         // Drain below BDP first so growth is visible.
         h.on_timeout();
         let w0 = h.window();
@@ -236,7 +193,7 @@ mod tests {
 
     #[test]
     fn congested_link_shrinks() {
-        let mut h = Hpcc::new(HpccConfig::default());
+        let mut h = Hpcc::new(LINE_RATE);
         let w0 = h.window();
         // Deep queue and line-rate tx: U >> eta.
         // 25G = 3.125 bytes/ns: in 10_000 ns, 31_250 bytes at line rate.
@@ -254,7 +211,7 @@ mod tests {
 
     #[test]
     fn bottleneck_is_the_max_hop() {
-        let mut h = Hpcc::new(HpccConfig::default());
+        let mut h = Hpcc::new(LINE_RATE);
         h.on_int_ack(
             SimTime::from_micros(10),
             &stack(vec![hop(1, 0, 0, 10_000), hop(2, 500_000, 0, 10_000)]),
@@ -271,7 +228,7 @@ mod tests {
 
     #[test]
     fn timeout_halves() {
-        let mut h = Hpcc::new(HpccConfig::default());
+        let mut h = Hpcc::new(LINE_RATE);
         let w0 = h.window();
         h.on_timeout();
         assert!((h.window() - w0 / 2.0).abs() < 1.0);
@@ -279,17 +236,16 @@ mod tests {
 
     #[test]
     fn window_never_below_floor() {
-        let cfg = HpccConfig::default();
-        let mut h = Hpcc::new(cfg);
+        let mut h = Hpcc::new(LINE_RATE);
         for _ in 0..64 {
             h.on_timeout();
         }
-        assert!(h.window() >= cfg.min_window);
+        assert!(h.window() >= MIN_WINDOW);
     }
 
     #[test]
     fn trait_ack_routes_int() {
-        let mut h = Hpcc::new(HpccConfig::default());
+        let mut h = Hpcc::new(LINE_RATE);
         let w0 = h.window();
         // A bare ACK (no INT) must not move the window.
         CongestionControl::on_ack(

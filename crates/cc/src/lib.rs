@@ -18,7 +18,13 @@
 //!   scales multiplicative cuts; recovery is DCQCN's fast-recovery /
 //!   additive-increase stage machine.
 //! * [`Fixed`] — the null controller: a constant window, preserving the
-//!   pre-trait behavior of the non-INT SOLAR path and the RDMA baseline.
+//!   pre-trait behavior of the non-INT SOLAR path.
+//!
+//! All four share one per-path envelope: they start at the BDP of
+//! [`BASE_RTT`] at the path's line rate, and the adaptive three keep
+//! their window inside `[MIN_WINDOW, max_window]`. A host picks the
+//! algorithm and the line rate, plus the target for Swift; every other
+//! parameter is a constant of its controller's module.
 //!
 //! Every controller is a pure state machine: the host injects time and
 //! ACK signals (`on_ack`), timeouts (`on_timeout`) and reads back the
@@ -35,13 +41,45 @@ mod fixed;
 mod hpcc;
 mod swift;
 
-pub use dcqcn::{Dcqcn, DcqcnConfig};
-pub use fixed::{Fixed, FixedConfig};
-pub use hpcc::{Hpcc, HpccConfig};
-pub use swift::{Swift, SwiftConfig};
+pub use dcqcn::Dcqcn;
+pub use fixed::Fixed;
+pub use hpcc::Hpcc;
+pub use swift::Swift;
 
-use ebs_sim::{SimDuration, SimTime};
+use ebs_sim::{Bandwidth, SimDuration, SimTime};
 use ebs_wire::IntStack;
+
+/// Per-path line rate: one path's share of a 2x25GE NIC spraying over
+/// four paths. SOLAR may scale it; TCP and RDMA run at it.
+pub const LINE_RATE: Bandwidth = Bandwidth::from_gbps(25);
+
+/// Base (unloaded) RTT of one path. With the line rate it gives the BDP;
+/// it is also HPCC's utilization period and the interval that rate-limits
+/// HPCC's reference update and Swift's cuts.
+pub const BASE_RTT: SimDuration = SimDuration::from_micros(20);
+
+/// Window floor in bytes (two 4 KiB blocks), so a path can always probe.
+pub const MIN_WINDOW: f64 = 2.0 * 4096.0;
+
+/// The bandwidth-delay product of one path at `line_rate`, in bytes.
+pub fn bdp(line_rate: Bandwidth) -> f64 {
+    line_rate.bytes_per_sec() * BASE_RTT.as_secs_f64()
+}
+
+/// The window cap in bytes: 4 x BDP, so a path with headroom may grow
+/// past its starting share but a sick one cannot absorb unbounded
+/// inflight. Never under [`MIN_WINDOW`], which 4 x BDP is below about
+/// 0.82 Gb/s.
+pub(crate) fn max_window(line_rate: Bandwidth) -> f64 {
+    (4.0 * bdp(line_rate)).max(MIN_WINDOW)
+}
+
+/// The window every controller starts at, in bytes: the BDP, clamped
+/// into `[MIN_WINDOW, max_window]` (it is under the floor below about
+/// 3.3 Gb/s).
+pub(crate) fn start_window(line_rate: Bandwidth) -> f64 {
+    bdp(line_rate).clamp(MIN_WINDOW, max_window(line_rate))
+}
 
 /// Everything one ACK can tell a congestion controller. Hosts fill in
 /// whatever their transport produces; controllers consume the subset
@@ -100,22 +138,6 @@ impl CcAlgo {
     }
 }
 
-/// Parameter bundle for every algorithm, so hosts can carry one struct
-/// and build whichever controller their [`CcAlgo`] selects.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CcConfig {
-    /// Selected algorithm.
-    pub algo: CcAlgo,
-    /// HPCC parameters (used when `algo == Hpcc`).
-    pub hpcc: HpccConfig,
-    /// Swift parameters (used when `algo == Swift`).
-    pub swift: SwiftConfig,
-    /// DCQCN parameters (used when `algo == Dcqcn`).
-    pub dcqcn: DcqcnConfig,
-    /// Fixed-window parameters (used when `algo == Fixed`).
-    pub fixed: FixedConfig,
-}
-
 /// Enum dispatch over the four controllers — no `Box<dyn>` on the
 /// per-ACK hot path, and the per-path state stays `Copy`-free but
 /// movable and `Debug`.
@@ -132,13 +154,15 @@ pub enum AnyCc {
 }
 
 impl AnyCc {
-    /// Build the controller `cfg.algo` selects.
-    pub fn new(cfg: &CcConfig) -> Self {
-        match cfg.algo {
-            CcAlgo::Hpcc => AnyCc::Hpcc(Hpcc::new(cfg.hpcc)),
-            CcAlgo::Swift => AnyCc::Swift(Swift::new(cfg.swift)),
-            CcAlgo::Dcqcn => AnyCc::Dcqcn(Dcqcn::new(cfg.dcqcn)),
-            CcAlgo::Fixed => AnyCc::Fixed(Fixed::new(cfg.fixed)),
+    /// Build the controller `algo` selects for a path at `line_rate`;
+    /// `swift_target` is Swift's delay target, which only the host knows
+    /// (what its RTT samples include).
+    pub fn new(algo: CcAlgo, line_rate: Bandwidth, swift_target: SimDuration) -> Self {
+        match algo {
+            CcAlgo::Hpcc => AnyCc::Hpcc(Hpcc::new(line_rate)),
+            CcAlgo::Swift => AnyCc::Swift(Swift::new(line_rate, swift_target)),
+            CcAlgo::Dcqcn => AnyCc::Dcqcn(Dcqcn::new(line_rate)),
+            CcAlgo::Fixed => AnyCc::Fixed(Fixed::new(line_rate)),
         }
     }
 }

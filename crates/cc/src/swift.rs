@@ -12,56 +12,24 @@
 
 use ebs_sim::{Bandwidth, SimDuration, SimTime};
 
-use crate::{AckSignal, CongestionControl};
+use crate::{AckSignal, CongestionControl, BASE_RTT, MIN_WINDOW};
 
-/// Swift-style delay-target parameters (per path / flow).
-#[derive(Debug, Clone, Copy)]
-pub struct SwiftConfig {
-    /// End-to-end delay target; at or under it the window grows.
-    pub target_delay: SimDuration,
-    /// Additive increase per under-target ACK, in bytes.
-    pub ai_bytes: f64,
-    /// Multiplicative-decrease gain β: the cut is
-    /// `1 - β·(delay − target)/delay`, floored by `max_mdf`.
-    pub beta: f64,
-    /// Maximum multiplicative decrease factor per cut (Swift's
-    /// `max_mdf`): the window never loses more than this fraction in
-    /// one decision.
-    pub max_mdf: f64,
-    /// Line rate (with `base_rtt` gives the BDP and the window cap).
-    pub line_rate: Bandwidth,
-    /// Base (unloaded) RTT; also the decrease rate-limit interval.
-    pub base_rtt: SimDuration,
-    /// Lower bound on the window (bytes).
-    pub min_window: f64,
-}
-
-impl Default for SwiftConfig {
-    fn default() -> Self {
-        SwiftConfig {
-            // base_rtt (20us) plus a ~2.5 MTU queueing budget at 25G.
-            target_delay: SimDuration::from_micros(25),
-            ai_bytes: 4096.0,
-            beta: 0.8,
-            max_mdf: 0.5,
-            line_rate: Bandwidth::from_gbps(25),
-            base_rtt: SimDuration::from_micros(20),
-            min_window: 2.0 * 4096.0,
-        }
-    }
-}
-
-impl SwiftConfig {
-    /// The bandwidth-delay product: initial window.
-    pub fn bdp_bytes(&self) -> f64 {
-        self.line_rate.bytes_per_sec() * self.base_rtt.as_secs_f64()
-    }
-}
+/// Additive increase per under-target ACK, in bytes.
+const AI_BYTES: f64 = 4096.0;
+/// Multiplicative-decrease gain β: the cut is
+/// `1 - β·(delay − target)/delay`, floored by [`MAX_MDF`].
+const BETA: f64 = 0.8;
+/// Maximum multiplicative decrease factor per cut (Swift's `max_mdf`):
+/// the window never loses more than this fraction in one decision.
+const MAX_MDF: f64 = 0.5;
 
 /// Per-path Swift state.
 #[derive(Debug)]
 pub struct Swift {
-    cfg: SwiftConfig,
+    /// End-to-end delay target; at or under it the window grows.
+    target: SimDuration,
+    /// Window cap, bytes (`max_window`).
+    w_max: f64,
     /// Current window, bytes.
     window: f64,
     /// Last multiplicative decrease (rate-limits cuts to one per RTT).
@@ -71,19 +39,16 @@ pub struct Swift {
 }
 
 impl Swift {
-    /// A fresh controller starting at the BDP.
-    pub fn new(cfg: SwiftConfig) -> Self {
+    /// A fresh controller for a path at `line_rate` that holds its RTT
+    /// samples to `target`, starting at the BDP clamped into the envelope.
+    pub fn new(line_rate: Bandwidth, target: SimDuration) -> Self {
         Swift {
-            window: cfg.bdp_bytes(),
-            cfg,
+            target,
+            w_max: crate::max_window(line_rate),
+            window: crate::start_window(line_rate),
             last_decrease: SimTime::ZERO,
             last_delay_ns: 0,
         }
-    }
-
-    /// Current window in bytes.
-    pub fn window(&self) -> f64 {
-        self.window
     }
 
     /// Most recent delay sample, nanoseconds (diagnostics / tests).
@@ -94,25 +59,19 @@ impl Swift {
     /// Feed one RTT sample.
     pub fn on_delay_sample(&mut self, now: SimTime, rtt: SimDuration) {
         self.last_delay_ns = rtt.as_nanos();
-        let w_max = 4.0 * self.cfg.bdp_bytes();
-        let target_ns = self.cfg.target_delay.as_nanos() as f64;
+        let target_ns = self.target.as_nanos() as f64;
         let delay_ns = rtt.as_nanos() as f64;
         if delay_ns <= target_ns {
-            self.window = (self.window + self.cfg.ai_bytes).clamp(self.cfg.min_window, w_max);
-        } else if now.saturating_since(self.last_decrease) >= self.cfg.base_rtt {
+            self.window = (self.window + AI_BYTES).clamp(MIN_WINDOW, self.w_max);
+        } else if now.saturating_since(self.last_decrease) >= BASE_RTT {
             // Cut proportionally to the overshoot, bounded by max_mdf,
             // at most once per RTT (everything inflight when congestion
             // built shares the same stale delay).
-            let cut = 1.0 - self.cfg.beta * (delay_ns - target_ns) / delay_ns;
-            let factor = cut.max(1.0 - self.cfg.max_mdf);
-            self.window = (self.window * factor).clamp(self.cfg.min_window, w_max);
+            let cut = 1.0 - BETA * (delay_ns - target_ns) / delay_ns;
+            let factor = cut.max(1.0 - MAX_MDF);
+            self.window = (self.window * factor).clamp(MIN_WINDOW, self.w_max);
             self.last_decrease = now;
         }
-    }
-
-    /// Timeout: halve toward the floor, same posture as HPCC.
-    pub fn on_timeout(&mut self) {
-        self.window = (self.window / 2.0).max(self.cfg.min_window);
     }
 }
 
@@ -125,12 +84,13 @@ impl CongestionControl for Swift {
         }
     }
 
+    /// Timeout: halve toward the floor, same posture as HPCC.
     fn on_timeout(&mut self) {
-        Swift::on_timeout(self);
+        self.window = (self.window / 2.0).max(MIN_WINDOW);
     }
 
     fn window(&self) -> f64 {
-        Swift::window(self)
+        self.window
     }
 
     fn name(&self) -> &'static str {
@@ -141,19 +101,26 @@ impl CongestionControl for Swift {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LINE_RATE;
+
+    /// Swift's stock target: the 20 us base RTT plus a ~2.5 MTU queueing
+    /// budget at 25G.
+    const TARGET: SimDuration = SimDuration::from_micros(25);
+
+    fn swift() -> Swift {
+        Swift::new(LINE_RATE, TARGET)
+    }
 
     #[test]
     fn starts_at_bdp() {
-        let cfg = SwiftConfig::default();
-        let s = Swift::new(cfg);
-        assert!((s.window() - cfg.bdp_bytes()).abs() < 1.0);
+        assert!((swift().window() - crate::bdp(LINE_RATE)).abs() < 1.0);
     }
 
     #[test]
     fn under_target_grows_additively() {
         // Hand-computed: BDP = 25e9/8 * 20e-6 = 62_500 bytes. Two
         // under-target samples add 4096 each: 62_500 → 66_596 → 70_692.
-        let mut s = Swift::new(SwiftConfig::default());
+        let mut s = swift();
         s.on_delay_sample(SimTime::from_micros(20), SimDuration::from_micros(20));
         assert!((s.window() - 66_596.0).abs() < 1e-6);
         s.on_delay_sample(SimTime::from_micros(40), SimDuration::from_micros(22));
@@ -165,7 +132,7 @@ mod tests {
         // Hand-computed: delay 50us vs target 25us → overshoot fraction
         // (50-25)/50 = 0.5, cut factor 1 - 0.8*0.5 = 0.6.
         // 62_500 * 0.6 = 37_500.
-        let mut s = Swift::new(SwiftConfig::default());
+        let mut s = swift();
         s.on_delay_sample(SimTime::from_micros(100), SimDuration::from_micros(50));
         assert!((s.window() - 37_500.0).abs() < 1e-6, "{}", s.window());
     }
@@ -175,14 +142,14 @@ mod tests {
         // Hand-computed: delay 1000us → overshoot (1000-25)/1000 = 0.975,
         // raw factor 1 - 0.8*0.975 = 0.22, floored at 1 - max_mdf = 0.5.
         // 62_500 * 0.5 = 31_250.
-        let mut s = Swift::new(SwiftConfig::default());
+        let mut s = swift();
         s.on_delay_sample(SimTime::from_micros(100), SimDuration::from_micros(1000));
         assert!((s.window() - 31_250.0).abs() < 1e-6, "{}", s.window());
     }
 
     #[test]
     fn decrease_rate_limited_to_one_per_rtt() {
-        let mut s = Swift::new(SwiftConfig::default());
+        let mut s = swift();
         s.on_delay_sample(SimTime::from_micros(100), SimDuration::from_micros(50));
         let w1 = s.window();
         // 5us later (< base_rtt of 20us): the second over-target sample
@@ -196,31 +163,29 @@ mod tests {
 
     #[test]
     fn window_never_below_floor() {
-        let cfg = SwiftConfig::default();
-        let mut s = Swift::new(cfg);
+        let mut s = swift();
         for i in 0..128u64 {
             s.on_delay_sample(
                 SimTime::from_micros(100 * (i + 1)),
                 SimDuration::from_millis(10),
             );
         }
-        assert!((s.window() - cfg.min_window).abs() < 1e-9);
+        assert!((s.window() - MIN_WINDOW).abs() < 1e-9);
         for _ in 0..32 {
             s.on_timeout();
         }
-        assert!(s.window() >= cfg.min_window);
+        assert!(s.window() >= MIN_WINDOW);
     }
 
     #[test]
     fn growth_capped_at_four_bdp() {
-        let cfg = SwiftConfig::default();
-        let mut s = Swift::new(cfg);
+        let mut s = swift();
         for i in 0..1024u64 {
             s.on_delay_sample(
                 SimTime::from_micros(20 * (i + 1)),
                 SimDuration::from_micros(10),
             );
         }
-        assert!(s.window() <= 4.0 * cfg.bdp_bytes() + 1e-9);
+        assert!(s.window() <= 4.0 * crate::bdp(LINE_RATE) + 1e-9);
     }
 }

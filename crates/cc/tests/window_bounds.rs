@@ -1,9 +1,10 @@
-//! Property tests: under arbitrary ACK/timeout histories, every
-//! controller's window stays inside [min_window, 4·BDP] (the fixed
-//! controller: exactly at its configured constant).
+//! Property tests: at any per-path line rate from 0.1 to 100 Gb/s, every
+//! controller starts at the BDP clamped into [MIN_WINDOW, max(4·BDP,
+//! MIN_WINDOW)], and under arbitrary ACK/timeout histories the adaptive
+//! ones stay inside that range (the fixed controller never moves).
 
-use ebs_cc::{AckSignal, AnyCc, CcAlgo, CcConfig, CongestionControl};
-use ebs_sim::{SimDuration, SimTime};
+use ebs_cc::{AckSignal, AnyCc, CcAlgo, CongestionControl, MIN_WINDOW};
+use ebs_sim::{Bandwidth, SimDuration, SimTime};
 use ebs_wire::{IntHop, IntStack};
 use proptest::prelude::*;
 
@@ -59,36 +60,44 @@ fn steps_strategy() -> impl Strategy<Value = Vec<RawStep>> {
     )
 }
 
+/// Per-path line rates from 0.1 to 100 Gb/s, in 1 Mb/s steps: below
+/// ~3.3 Gb/s the BDP is under the floor, below ~0.82 Gb/s so is 4·BDP.
+const LINE_RATE_MBPS: std::ops::RangeInclusive<u64> = 100..=100_000;
+
+/// The line rate `mbps` and the envelope every controller keeps at it:
+/// its start window (the BDP, clamped) and its cap.
+fn envelope(mbps: u64) -> (Bandwidth, f64, f64) {
+    let line_rate = Bandwidth::from_bps(mbps * 1_000_000);
+    let bdp = ebs_cc::bdp(line_rate);
+    let cap = (4.0 * bdp).max(MIN_WINDOW);
+    (line_rate, bdp.clamp(MIN_WINDOW, cap), cap)
+}
+
 proptest! {
     #[test]
     fn adaptive_windows_stay_bounded(
         steps in steps_strategy(),
         algo in proptest::sample::select(vec![CcAlgo::Hpcc, CcAlgo::Swift, CcAlgo::Dcqcn]),
+        mbps in LINE_RATE_MBPS,
+        target_us in 1u64..1_000,
     ) {
-        let cfg = CcConfig { algo, ..CcConfig::default() };
-        // All three adaptive controllers share the default 25G × 20us
-        // envelope: floor 8 KiB, cap 4 × BDP = 250_000 bytes.
-        let (floor, cap) = match algo {
-            CcAlgo::Hpcc => (cfg.hpcc.min_window, 4.0 * cfg.hpcc.bdp_bytes()),
-            CcAlgo::Swift => (cfg.swift.min_window, 4.0 * cfg.swift.bdp_bytes()),
-            CcAlgo::Dcqcn => (cfg.dcqcn.min_window, 4.0 * cfg.dcqcn.bdp_bytes()),
-            CcAlgo::Fixed => unreachable!(),
-        };
-        let mut cc = AnyCc::new(&cfg);
+        let (line_rate, start, cap) = envelope(mbps);
+        let mut cc = AnyCc::new(algo, line_rate, SimDuration::from_micros(target_us));
+        prop_assert_eq!(cc.window(), start);
         for w in drive(&mut cc, &steps) {
-            prop_assert!(w >= floor - 1e-9, "window {} under floor {}", w, floor);
+            prop_assert!(w >= MIN_WINDOW - 1e-9, "window {} under floor {}", w, MIN_WINDOW);
             prop_assert!(w <= cap + 1e-9, "window {} over cap {}", w, cap);
             prop_assert!(w.is_finite());
         }
     }
 
     #[test]
-    fn fixed_window_never_moves(steps in steps_strategy()) {
-        let cfg = CcConfig { algo: CcAlgo::Fixed, ..CcConfig::default() };
-        let pinned = cfg.fixed.window_bytes;
-        let mut cc = AnyCc::new(&cfg);
+    fn fixed_window_never_moves(steps in steps_strategy(), mbps in LINE_RATE_MBPS) {
+        let (line_rate, start, _) = envelope(mbps);
+        let mut cc = AnyCc::new(CcAlgo::Fixed, line_rate, SimDuration::ZERO);
+        prop_assert_eq!(cc.window(), start);
         for w in drive(&mut cc, &steps) {
-            prop_assert_eq!(w, pinned);
+            prop_assert_eq!(w, start);
         }
     }
 }

@@ -15,7 +15,6 @@
 //! captured as canonical strings.
 
 use bytes::Bytes;
-use ebs_cc::CcAlgo;
 use ebs_crc::{block_crc_raw, SegmentChecker, SegmentVerdict};
 use ebs_dpu::{BitFlipInjector, CrcStage, PacketCtx, Pipeline, Stage};
 use ebs_net::DeviceId;
@@ -115,16 +114,7 @@ impl ChaosOutcome {
 fn apply_cc_knobs(cfg: &mut TestbedConfig, schedule: &Schedule) {
     cfg.solar.cc = schedule.cc;
     cfg.ecn.enabled = schedule.ecn;
-    if schedule.cc == CcAlgo::Swift {
-        // Swift's stock 25 µs target is a fabric-delay target; the SOLAR
-        // ack path also carries SSD + server-stack time, so an end-to-end
-        // delay controller needs a target above the unloaded storage RTT
-        // or it pins the window at the floor (see bench::cc).
-        cfg.solar.swift.target_delay = SimDuration::from_micros(250);
-    }
-    if cfg.variant == Variant::Rdma && schedule.ecn {
-        cfg.rdma.dcqcn = Some(ebs_cc::DcqcnConfig::default());
-    }
+    cfg.rdma.dcqcn = cfg.variant == Variant::Rdma && schedule.ecn;
 }
 
 /// Translate one adversarial [`ebs_workload::IoEvent`] into the guest

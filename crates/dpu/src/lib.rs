@@ -29,7 +29,7 @@ pub use pcie::{DataPath, DpuPcie, PcieConfig, Traversals};
 pub use pipeline::{
     AddrStage, BlockStage, CrcStage, PacketCtx, Pipeline, QosStage, SecStage, Stage, StageVerdict,
 };
-pub use pushdown::{pushdown_estimate, PushdownCosts, PushdownStage};
+pub use pushdown::{pushdown_estimate, PushdownStage};
 
 use ebs_sim::{FifoResource, SimDuration, SimTime};
 

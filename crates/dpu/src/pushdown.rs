@@ -20,34 +20,18 @@ use ebs_wire::{PushdownOp, BLOCK_SIZE};
 
 use crate::pipeline::{PacketCtx, Stage, StageVerdict};
 
-/// Per-op hardware costs of the pushdown stage.
-#[derive(Debug, Clone, Copy)]
-pub struct PushdownCosts {
-    /// Pipeline latency per scanned block (the scan is a single-byte
-    /// compare wired into the existing per-block pass: cheap).
-    pub scan_ns_per_block: u64,
-    /// Latency per block of an XOR fold (touches all 4 KiB).
-    pub merge_ns_per_block: u64,
-    /// FPGA cycles charged per scanned block (occupancy accounting).
-    pub cycles_per_block: u64,
-}
-
-impl Default for PushdownCosts {
-    fn default() -> Self {
-        PushdownCosts {
-            // A predicate compare rides the existing per-block pipeline
-            // pass; an XOR fold streams the whole block through the ALU.
-            scan_ns_per_block: 25,
-            merge_ns_per_block: 90,
-            cycles_per_block: 64,
-        }
-    }
-}
+/// Pipeline latency per scanned block: a predicate compare rides the
+/// existing per-block pipeline pass, so it is cheap.
+const SCAN_NS_PER_BLOCK: u64 = 25;
+/// Latency per block of an XOR fold, which streams all 4 KiB through
+/// the ALU.
+const MERGE_NS_PER_BLOCK: u64 = 90;
+/// FPGA cycles charged per scanned block (occupancy accounting).
+const CYCLES_PER_BLOCK: u64 = 64;
 
 /// The metered pushdown stage (see module docs).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct PushdownStage {
-    costs: PushdownCosts,
     blocks_scanned: u64,
     blocks_emitted: u64,
     requests: u64,
@@ -56,16 +40,9 @@ pub struct PushdownStage {
 }
 
 impl PushdownStage {
-    /// A stage with the given cost model.
-    pub fn new(costs: PushdownCosts) -> Self {
-        PushdownStage {
-            costs,
-            blocks_scanned: 0,
-            blocks_emitted: 0,
-            requests: 0,
-            cycles: 0,
-            bytes_saved: 0,
-        }
+    /// A stage with nothing metered yet.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Account one pushdown executed on this DPU: `blocks_in` scanned,
@@ -74,11 +51,11 @@ impl PushdownStage {
         self.requests += 1;
         self.blocks_scanned += blocks_in as u64;
         self.blocks_emitted += blocks_out as u64;
-        self.cycles += self.costs.cycles_per_block * blocks_in as u64;
+        self.cycles += CYCLES_PER_BLOCK * blocks_in as u64;
         self.bytes_saved += blocks_in.saturating_sub(blocks_out) as u64 * BLOCK_SIZE as u64;
         let per_block = match op {
-            PushdownOp::RangeScan | PushdownOp::ChecksumVerify => self.costs.scan_ns_per_block,
-            PushdownOp::CompactionMerge => self.costs.merge_ns_per_block,
+            PushdownOp::RangeScan | PushdownOp::ChecksumVerify => SCAN_NS_PER_BLOCK,
+            PushdownOp::CompactionMerge => MERGE_NS_PER_BLOCK,
         };
         SimDuration::from_nanos(per_block * blocks_in as u64)
     }
@@ -114,14 +91,14 @@ impl Stage for PushdownStage {
         "Pushdown"
     }
     fn latency(&self) -> SimDuration {
-        SimDuration::from_nanos(self.costs.scan_ns_per_block)
+        SimDuration::from_nanos(SCAN_NS_PER_BLOCK)
     }
     fn process(&mut self, _now: SimTime, ctx: &mut PacketCtx) -> StageVerdict {
         // In-pipeline mode: one packet is one block of a scan pass; the
         // packet's fate (emit or filter) is decided by the host's
         // reference execution, so here we only account the scan.
         self.blocks_scanned += 1;
-        self.cycles += self.costs.cycles_per_block;
+        self.cycles += CYCLES_PER_BLOCK;
         let _ = ctx;
         StageVerdict::Forward
     }
@@ -161,7 +138,7 @@ mod tests {
 
     #[test]
     fn meter_charges_latency_and_savings() {
-        let mut s = PushdownStage::new(PushdownCosts::default());
+        let mut s = PushdownStage::new();
         let lat = s.meter(PushdownOp::RangeScan, 256, 32);
         assert_eq!(lat, SimDuration::from_nanos(25 * 256));
         assert_eq!(s.blocks_scanned(), 256);
@@ -177,8 +154,7 @@ mod tests {
     fn stage_slots_into_a_pipeline() {
         use bytes::Bytes;
         use ebs_wire::{EbsHeader, EbsOp};
-        let mut p =
-            crate::Pipeline::new(vec![Box::new(PushdownStage::new(PushdownCosts::default()))]);
+        let mut p = crate::Pipeline::new(vec![Box::new(PushdownStage::new())]);
         let hdr = EbsHeader {
             version: EbsHeader::VERSION,
             op: EbsOp::ReadReq,

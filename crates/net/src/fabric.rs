@@ -304,10 +304,11 @@ pub struct EcnConfig {
     pub kmin_bytes: usize,
     /// Queue depth (bytes) at and above which everything is marked.
     pub kmax_bytes: usize,
-    /// Marking probability as the queue reaches `kmax_bytes` (the RED
-    /// ramp is linear between the thresholds).
-    pub pmax: f64,
 }
+
+/// RED marking probability as the queue reaches `kmax_bytes` (the ramp
+/// is linear between the thresholds).
+const ECN_PMAX: f64 = 0.2;
 
 impl Default for EcnConfig {
     fn default() -> Self {
@@ -318,7 +319,6 @@ impl Default for EcnConfig {
             // everything past 1/4.
             kmin_bytes: 16 * 1024,
             kmax_bytes: 64 * 1024,
-            pmax: 0.2,
         }
     }
 }
@@ -715,7 +715,7 @@ impl<P> Fabric<P> {
                 } else if qlen > cfg.ecn.kmin_bytes {
                     let ramp = (qlen - cfg.ecn.kmin_bytes) as f64
                         / (cfg.ecn.kmax_bytes - cfg.ecn.kmin_bytes).max(1) as f64;
-                    ecn_rng.gen::<f64>() < cfg.ecn.pmax * ramp
+                    ecn_rng.gen::<f64>() < ECN_PMAX * ramp
                 } else {
                     false
                 };

@@ -25,34 +25,24 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use bytes::Bytes;
-use ebs_cc::{Dcqcn, DcqcnConfig};
+use ebs_cc::{CongestionControl, Dcqcn};
 use ebs_sim::{SimDuration, SimTime};
 
-/// Queue-pair configuration.
-#[derive(Debug, Clone)]
-pub struct QpConfig {
-    /// Path MTU (payload bytes per packet).
-    pub mtu: usize,
-    /// Fixed send window in packets (hardware credit).
-    pub window_pkts: usize,
-    /// Retransmission timeout.
-    pub rto: SimDuration,
-    /// Optional DCQCN-style ECN congestion control: when set, the QP
-    /// runs a rate controller over the hardware credit window — the
-    /// effective window is `min(window_pkts, dcqcn_window / mtu)`.
-    /// `None` keeps the fixed credit window (the era's default RNIC).
-    pub dcqcn: Option<DcqcnConfig>,
-}
+/// Path MTU (payload bytes per packet).
+const MTU: usize = 4096;
+/// Fixed send window in packets (hardware credit).
+const WINDOW_PKTS: usize = 64;
+/// Retransmission timeout.
+const RTO: SimDuration = SimDuration::from_millis(1);
 
-impl Default for QpConfig {
-    fn default() -> Self {
-        QpConfig {
-            mtu: 4096,
-            window_pkts: 64,
-            rto: SimDuration::from_millis(1),
-            dcqcn: None,
-        }
-    }
+/// Queue-pair configuration.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct QpConfig {
+    /// Run DCQCN-style ECN congestion control over the hardware credit
+    /// window: the effective window is `min(64, dcqcn_window / mtu)`
+    /// packets. `false` keeps the fixed credit window (the era's default
+    /// RNIC).
+    pub dcqcn: bool,
 }
 
 /// A packet on the wire between two QPs.
@@ -109,7 +99,6 @@ pub struct QpStats {
 /// One side of a reliable-connection queue pair (sans-io).
 #[derive(Debug)]
 pub struct RdmaQp {
-    cfg: QpConfig,
     // Send side.
     next_psn: u64,
     snd_una: u64,
@@ -131,10 +120,8 @@ pub struct RdmaQp {
 impl RdmaQp {
     /// A fresh QP.
     pub fn new(cfg: QpConfig) -> Self {
-        let dcqcn = cfg.dcqcn.map(Dcqcn::new);
         RdmaQp {
-            cfg,
-            dcqcn,
+            dcqcn: cfg.dcqcn.then(|| Dcqcn::new(ebs_cc::LINE_RATE)),
             next_psn: 0,
             snd_una: 0,
             tx_msgs: VecDeque::new(),
@@ -156,10 +143,10 @@ impl RdmaQp {
     pub fn effective_window_pkts(&self) -> usize {
         match &self.dcqcn {
             Some(cc) => {
-                let pkts = (cc.window() / self.cfg.mtu as f64).floor() as usize;
-                pkts.clamp(1, self.cfg.window_pkts)
+                let pkts = (cc.window() / MTU as f64).floor() as usize;
+                pkts.clamp(1, WINDOW_PKTS)
             }
-            None => self.cfg.window_pkts,
+            None => WINDOW_PKTS,
         }
     }
 
@@ -191,7 +178,7 @@ impl RdmaQp {
         }
         self.stats.timeouts += 1;
         self.queue_recovery(self.snd_una);
-        self.rto_deadline = Some(now + self.cfg.rto);
+        self.rto_deadline = Some(now + RTO);
     }
 
     /// Go-Back-N: everything from the gap onward goes again.
@@ -239,7 +226,7 @@ impl RdmaQp {
         // New data within the window.
         if self.inflight.len() < self.effective_window_pkts() {
             if let Some(msg) = self.tx_msgs.front_mut() {
-                let take = msg.len().min(self.cfg.mtu);
+                let take = msg.len().min(MTU);
                 let payload = msg.split_to(take);
                 let last = msg.is_empty();
                 if last {
@@ -249,7 +236,7 @@ impl RdmaQp {
                 self.next_psn += 1;
                 self.inflight.insert(psn, (payload.clone(), last));
                 if self.rto_deadline.is_none() {
-                    self.rto_deadline = Some(now + self.cfg.rto);
+                    self.rto_deadline = Some(now + RTO);
                 }
                 self.stats.pkts_sent += 1;
                 return Some(QpPacket {
@@ -304,7 +291,7 @@ impl RdmaQp {
                 self.rto_deadline = if self.inflight.is_empty() {
                     None
                 } else {
-                    Some(now + self.cfg.rto)
+                    Some(now + RTO)
                 };
             }
             PacketKind::Nak => {
@@ -458,18 +445,15 @@ mod tests {
 
     #[test]
     fn window_caps_inflight() {
-        let cfg = QpConfig {
-            window_pkts: 4,
-            ..QpConfig::default()
-        };
-        let mut a = RdmaQp::new(cfg);
-        a.post_send(Bytes::from(vec![0u8; 100_000]));
+        let mut a = RdmaQp::new(QpConfig::default());
+        // 98 MTU packets' worth, well past the 64-packet credit window.
+        a.post_send(Bytes::from(vec![0u8; 400_000]));
         let now = SimTime::ZERO;
         let mut sent = 0;
         while a.poll_transmit(now).is_some() {
             sent += 1;
         }
-        assert_eq!(sent, 4);
+        assert_eq!(sent, WINDOW_PKTS);
     }
 
     /// Like `drive`, but every data packet crossing a→b gets an ECN mark,
@@ -531,14 +515,10 @@ mod tests {
 
     #[test]
     fn dcqcn_shrinks_window_under_marks() {
-        let cfg = QpConfig {
-            dcqcn: Some(DcqcnConfig::default()),
-            ..QpConfig::default()
-        };
-        let mut a = RdmaQp::new(cfg.clone());
+        let mut a = RdmaQp::new(QpConfig { dcqcn: true });
         let mut b = RdmaQp::new(QpConfig::default());
         assert!(
-            a.effective_window_pkts() <= cfg.window_pkts,
+            a.effective_window_pkts() <= WINDOW_PKTS,
             "dcqcn window starts within the credit window"
         );
         let before = a.effective_window_pkts();
@@ -568,7 +548,7 @@ mod tests {
         assert_eq!(b.poll_recv().unwrap().len(), 100_000);
         // Marks are echoed but ignored: the window never moves.
         assert!(a.stats().ecn_marked_acks > 0);
-        assert_eq!(a.effective_window_pkts(), QpConfig::default().window_pkts);
+        assert_eq!(a.effective_window_pkts(), WINDOW_PKTS);
     }
 
     #[test]

@@ -218,7 +218,7 @@ impl SolarClient {
     /// Panics if `cfg.n_paths` is zero or exceeds 256.
     pub fn new(cfg: SolarConfig) -> Self {
         assert!(cfg.n_paths > 0 && cfg.n_paths <= 256, "1..=256 paths");
-        let paths = PathSet::new(cfg.n_paths, &cfg.cc_config());
+        let paths = PathSet::new(&cfg);
         SolarClient {
             cfg,
             paths,

@@ -1,9 +1,7 @@
 //! SOLAR transport configuration.
 
-use ebs_cc::{CcAlgo, CcConfig, DcqcnConfig, FixedConfig, SwiftConfig};
-use ebs_sim::SimDuration;
-
-pub use ebs_cc::HpccConfig;
+use ebs_cc::CcAlgo;
+use ebs_sim::{Bandwidth, SimDuration};
 
 /// Source UDP port of path 0; path `i` uses `BASE_PORT + i`.
 pub(crate) const BASE_PORT: u16 = 47000;
@@ -27,6 +25,11 @@ pub(crate) const PROBE_INTERVAL: SimDuration = SimDuration::from_millis(10);
 /// cheap to keep, but a silently blackholed bucket must eventually be
 /// abandoned, not just probed.
 pub(crate) const REMAP_AFTER_PROBES: u32 = 2;
+/// Swift's delay target. Swift's stock 25 µs is a fabric-delay target,
+/// but a SOLAR RTT sample also carries SSD and server-stack time, so an
+/// end-to-end delay controller needs a target above the unloaded storage
+/// RTT or it pins the window at the floor.
+pub(crate) const SWIFT_TARGET: SimDuration = SimDuration::from_micros(250);
 
 /// SOLAR transport configuration.
 #[derive(Debug, Clone)]
@@ -44,13 +47,10 @@ pub struct SolarConfig {
     /// Which per-path congestion controller to run (the paper's choice
     /// is HPCC; the others exist for the CC comparison matrix).
     pub cc: CcAlgo,
-    /// HPCC parameters (also sets the fixed controller's window: the
-    /// per-path BDP, matching the pre-trait no-INT behavior).
-    pub hpcc: HpccConfig,
-    /// Swift parameters (used when `cc == Swift`).
-    pub swift: SwiftConfig,
-    /// DCQCN parameters (used when `cc == Dcqcn`).
-    pub dcqcn: DcqcnConfig,
+    /// Per-path line rate. With `ebs_cc::BASE_RTT` it sets every
+    /// controller's starting window and cap; the fixed controller holds
+    /// the BDP, matching the pre-trait no-INT behavior.
+    pub line_rate: Bandwidth,
 }
 
 impl Default for SolarConfig {
@@ -60,26 +60,7 @@ impl Default for SolarConfig {
             max_pkt_retries: u32::MAX,
             int_enabled: true,
             cc: CcAlgo::Hpcc,
-            hpcc: HpccConfig::default(),
-            swift: SwiftConfig::default(),
-            dcqcn: DcqcnConfig::default(),
-        }
-    }
-}
-
-impl SolarConfig {
-    /// The per-path controller parameter bundle `PathSet` builds from.
-    /// The fixed arm pins the window at the HPCC BDP so `cc = Fixed`
-    /// reproduces the pre-trait `int_enabled = false` behavior exactly.
-    pub fn cc_config(&self) -> CcConfig {
-        CcConfig {
-            algo: self.cc,
-            hpcc: self.hpcc,
-            swift: self.swift,
-            dcqcn: self.dcqcn,
-            fixed: FixedConfig {
-                window_bytes: self.hpcc.bdp_bytes(),
-            },
+            line_rate: ebs_cc::LINE_RATE,
         }
     }
 }

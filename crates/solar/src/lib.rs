@@ -35,7 +35,7 @@ mod responder;
 pub use client::{
     InPacket, OutPacket, ReadBlock, RpcKind, SolarClient, SolarEvent, SolarStats, WriteBlock,
 };
-pub use config::{HpccConfig, SolarConfig};
+pub use config::SolarConfig;
 pub use ebs_cc::CcAlgo;
 pub use responder::{ServerAction, SolarResponder};
 
@@ -373,9 +373,9 @@ mod tests {
     #[test]
     fn window_limits_inflight() {
         let mut small = cfg();
-        small.hpcc.line_rate = ebs_sim::Bandwidth::from_gbps(1);
-        small.hpcc.base_rtt = SimDuration::from_micros(40);
-        // BDP = 125MB/s * 40us = 5000 bytes per path -> ~1 block.
+        small.line_rate = ebs_sim::Bandwidth::from_gbps(1);
+        // BDP = 125MB/s * 20us = 2500 bytes per path, under the 8 KiB
+        // floor -> 2 blocks.
         let mut c = SolarClient::new(small);
         c.submit_write(SimTime::ZERO, 1, 10, 100, write_blocks(64));
         let mut sent = 0;

@@ -24,13 +24,14 @@
 
 use std::collections::BTreeMap;
 
-use ebs_cc::{AckSignal, AnyCc, CcConfig, CongestionControl};
+use ebs_cc::{AckSignal, AnyCc, CongestionControl};
 use ebs_sim::{SimDuration, SimTime};
 
 use crate::config::{
     BASE_PORT, PATH_FAIL_THRESHOLD, PROBE_INTERVAL, REMAP_AFTER_PROBES, RTO_INITIAL, RTO_MAX,
-    RTO_MIN,
+    RTO_MIN, SWIFT_TARGET,
 };
+use crate::SolarConfig;
 
 /// Identifies one in-flight packet (rpc, pkt) for bookkeeping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -95,14 +96,16 @@ pub(crate) struct PathSet {
 }
 
 impl PathSet {
-    /// `n` fresh, healthy paths, each running the controller `cc` selects.
-    pub fn new(n: usize, cc: &CcConfig) -> Self {
+    /// `cfg.n_paths` fresh, healthy paths, each running the controller
+    /// `cfg.cc` selects.
+    pub fn new(cfg: &SolarConfig) -> Self {
+        let n = cfg.n_paths;
         let cold: Vec<PathCold> = (0..n)
             .map(|_| PathCold {
                 rttvar_ns: 0.0,
                 rto: RTO_INITIAL,
                 consecutive_timeouts: 0,
-                cc: AnyCc::new(cc),
+                cc: AnyCc::new(cfg.cc, cfg.line_rate, SWIFT_TARGET),
                 next_seq: 0,
                 outstanding_seqs: BTreeMap::new(),
                 probes_unanswered: 0,
@@ -322,10 +325,12 @@ impl PathSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SolarConfig;
 
     fn paths(n: usize) -> PathSet {
-        PathSet::new(n, &SolarConfig::default().cc_config())
+        PathSet::new(&SolarConfig {
+            n_paths: n,
+            ..SolarConfig::default()
+        })
     }
 
     fn next_probe(p: &PathSet, i: usize) -> Option<SimTime> {

@@ -178,10 +178,11 @@ pub(crate) struct Done {
 #[derive(Debug)]
 pub(crate) enum ClientConn {
     /// Kernel TCP or LUNA: the same engine under different stack costs.
+    /// Boxed: the TCP engine is larger than the other variants' state.
     Tcp {
         ends: Ends,
         costs: StackCosts,
-        rpc: RpcClient,
+        rpc: Box<RpcClient>,
     },
     Rdma {
         ends: Ends,
@@ -202,12 +203,12 @@ impl ClientConn {
         let tcp = |costs| ClientConn::Tcp {
             ends,
             costs,
-            rpc: RpcClient::connect(TcpConfig {
+            rpc: Box::new(RpcClient::connect(TcpConfig {
                 iss: ends.compute << 8 | ends.storage,
                 mss: TCP_MSS,
                 swift: cfg.tcp_swift,
                 ..TcpConfig::default()
-            }),
+            })),
         };
         match cfg.variant {
             Variant::Kernel => tcp(StackCosts::kernel()),
@@ -215,7 +216,7 @@ impl ClientConn {
             Variant::Rdma => ClientConn::Rdma {
                 ends,
                 costs: RdmaCosts::default_costs(),
-                qp: RdmaQp::new(cfg.rdma.clone()),
+                qp: RdmaQp::new(cfg.rdma),
             },
             Variant::SolarStar | Variant::Solar => ClientConn::Solar {
                 ends,
@@ -496,7 +497,7 @@ impl ServerConn {
             },
             Variant::Rdma => ServerConn::Rdma {
                 ends,
-                qp: RdmaQp::new(cfg.rdma.clone()),
+                qp: RdmaQp::new(cfg.rdma),
             },
             Variant::SolarStar | Variant::Solar => ServerConn::Solar {
                 ends,

@@ -602,9 +602,9 @@ mod tests {
         solar_ecn.solar.cc = ebs_cc::CcAlgo::Dcqcn;
         let mut rdma_dcqcn = TestbedConfig::small(Variant::Rdma, 8, 8);
         rdma_dcqcn.ecn.enabled = true;
-        rdma_dcqcn.rdma.dcqcn = Some(ebs_cc::DcqcnConfig::default());
+        rdma_dcqcn.rdma.dcqcn = true;
         let mut luna_swift = TestbedConfig::small(Variant::Luna, 8, 8);
-        luna_swift.tcp_swift = Some(ebs_cc::SwiftConfig::default());
+        luna_swift.tcp_swift = true;
         let cases = [
             (TestbedConfig::small(Variant::Solar, 8, 8), LIGHT),
             (solar_ecn, heavy),

@@ -126,11 +126,11 @@ pub struct TestbedConfig {
     /// SOLAR transport parameters (including the congestion-control
     /// algorithm selection in [`SolarConfig::cc`]).
     pub solar: SolarConfig,
-    /// RDMA queue-pair parameters for the RDMA baseline, including the
-    /// optional DCQCN controller.
+    /// RDMA queue-pair parameters for the RDMA baseline: whether DCQCN
+    /// runs over the credit window.
     pub rdma: QpConfig,
     /// Swap the LUNA TCP engine's Reno controller for Swift when set.
-    pub tcp_swift: Option<ebs_cc::SwiftConfig>,
+    pub tcp_swift: bool,
     /// DPU PCIe channel parameters (Fig. 10's internal bottleneck).
     pub pcie: ebs_dpu::PcieConfig,
     /// Run the storage-agent data plane (tables, CRC) on each I/O. The
@@ -178,7 +178,7 @@ impl TestbedConfig {
             bn: BnConfig::default(),
             solar: SolarConfig::default(),
             rdma: QpConfig::default(),
-            tcp_swift: None,
+            tcp_swift: false,
             pcie: ebs_dpu::PcieConfig::default(),
             sa_enabled: true,
             vds_per_compute: 1,

@@ -222,7 +222,7 @@ impl BlkState {
         BlkState {
             mounts: (0..n_compute).map(|_| None).collect(),
             dpu: (0..n_storage)
-                .map(|_| ebs_dpu::PushdownStage::new(ebs_dpu::PushdownCosts::default()))
+                .map(|_| ebs_dpu::PushdownStage::new())
                 .collect(),
             io_map: FxHashMap::default(),
             pd_map: FxHashMap::default(),

@@ -103,8 +103,8 @@ fn faulted(variant: Variant) -> Testbed {
     cfg.ecn.kmin_bytes = 4 * 1024;
     cfg.ecn.kmax_bytes = 32 * 1024;
     match variant {
-        Variant::Rdma => cfg.rdma.dcqcn = Some(ebs_cc::DcqcnConfig::default()),
-        Variant::Luna => cfg.tcp_swift = Some(ebs_cc::SwiftConfig::default()),
+        Variant::Rdma => cfg.rdma.dcqcn = true,
+        Variant::Luna => cfg.tcp_swift = true,
         Variant::Solar => cfg.solar.cc = ebs_cc::CcAlgo::Dcqcn,
         Variant::Kernel | Variant::SolarStar => {}
     }

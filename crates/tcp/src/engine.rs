@@ -23,6 +23,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use bytes::Bytes;
+use ebs_cc::CongestionControl;
 use ebs_sim::{SimDuration, SimTime};
 use ebs_wire::{ByteChain, ViewQueue};
 
@@ -34,6 +35,9 @@ const RTO_MAX: SimDuration = SimDuration::from_secs(4);
 const RECV_WINDOW: usize = 1 << 20;
 /// Cap on buffered out-of-order bytes.
 const MAX_OOO_BYTES: usize = 1 << 20;
+/// Swift's stock delay target: the 20 µs base RTT plus a ~2.5 MTU
+/// queueing budget at 25G.
+const SWIFT_TARGET: SimDuration = SimDuration::from_micros(25);
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -52,10 +56,10 @@ pub struct TcpConfig {
     /// Consecutive RTOs before the connection is declared dead.
     pub max_retries: u32,
     /// Replace inline Reno with a Swift-style delay-based controller
-    /// (`None`, the default, keeps Reno). Loss events — fast retransmit
+    /// (`false`, the default, keeps Reno). Loss events — fast retransmit
     /// and RTO — feed the controller as multiplicative-decrease signals;
     /// RTT samples drive its target-delay AIMD.
-    pub swift: Option<ebs_cc::SwiftConfig>,
+    pub swift: bool,
 }
 
 impl Default for TcpConfig {
@@ -67,7 +71,7 @@ impl Default for TcpConfig {
             rto_initial: SimDuration::from_millis(50),
             rto_min: SimDuration::from_millis(5),
             max_retries: 10,
-            swift: None,
+            swift: false,
         }
     }
 }
@@ -294,13 +298,15 @@ pub struct TcpEngine {
 
 impl TcpEngine {
     fn new(cfg: TcpConfig, state: TcpState) -> Self {
-        let swift = cfg.swift.map(ebs_cc::Swift::new);
+        let swift = cfg
+            .swift
+            .then(|| ebs_cc::Swift::new(ebs_cc::LINE_RATE, SWIFT_TARGET));
         // Swift owns the window from the first ACK on; starting cwnd at
         // its BDP-based window (not Reno's IW10) keeps the two regimes
         // from mixing.
         let cwnd = swift.as_ref().map_or(
             (cfg.initial_cwnd_segs as usize * cfg.mss) as f64,
-            ebs_cc::Swift::window,
+            CongestionControl::window,
         );
         let rto = cfg.rto_initial;
         TcpEngine {

@@ -4,10 +4,10 @@
 //! The harness is a clean (or lossy) virtual link; the assertions are
 //! about correctness (exactly-once delivery must not depend on the CC
 //! algorithm) and about the Swift invariant that the window stays inside
-//! `[min_window, 4 * BDP]` whatever the link does.
+//! `[MIN_WINDOW, 4 * BDP]` whatever the link does.
 
 use bytes::Bytes;
-use ebs_cc::SwiftConfig;
+use ebs_cc::{LINE_RATE, MIN_WINDOW};
 use ebs_sim::{EventQueue, SimDuration, SimTime};
 use ebs_tcp::{Segment, TcpConfig, TcpEngine};
 use rand::rngs::SmallRng;
@@ -22,11 +22,10 @@ enum Ev {
 /// One-direction bulk transfer over a link with fixed base delay and a
 /// drop coin-flip; returns the delivered bytes and the max cwnd observed.
 fn swift_transfer(data: &[u8], seed: u64, loss: f64) -> (Vec<u8>, f64) {
-    let swift = SwiftConfig::default();
     let cfg = TcpConfig {
         rto_initial: SimDuration::from_millis(10),
         rto_min: SimDuration::from_millis(2),
-        swift: Some(swift),
+        swift: true,
         ..TcpConfig::default()
     };
     let mut client = TcpEngine::connect(TcpConfig {
@@ -98,13 +97,13 @@ fn swift_delivers_the_stream_on_a_clean_link() {
     let data: Vec<u8> = (0..30_000).map(|i| (i * 13) as u8).collect();
     let (got, max_cwnd) = swift_transfer(&data, 42, 0.0);
     assert_eq!(got, data);
-    let cap = 4.0 * SwiftConfig::default().bdp_bytes();
+    let cap = 4.0 * ebs_cc::bdp(LINE_RATE);
     assert!(
         max_cwnd <= cap + 1e-9,
         "swift cwnd {max_cwnd} exceeded the 4*BDP cap {cap}"
     );
     assert!(
-        max_cwnd >= SwiftConfig::default().min_window,
+        max_cwnd >= MIN_WINDOW,
         "swift cwnd never reached the floor: {max_cwnd}"
     );
 }
@@ -115,7 +114,7 @@ fn swift_survives_loss() {
     for seed in [1u64, 2, 3] {
         let (got, max_cwnd) = swift_transfer(&data, seed, 0.10);
         assert_eq!(got, data, "seed {seed}");
-        let cap = 4.0 * SwiftConfig::default().bdp_bytes();
+        let cap = 4.0 * ebs_cc::bdp(LINE_RATE);
         assert!(max_cwnd <= cap + 1e-9, "seed {seed}: cwnd {max_cwnd}");
     }
 }
