@@ -28,9 +28,7 @@
 pub mod pushdown;
 mod queue;
 
-pub use pushdown::{
-    execute, matches, synth_block, verify_merge, verify_scan, Predicate, PushdownResult, StorageFn,
-};
+pub use pushdown::{execute, matches, synth_block, Predicate, PushdownResult, StorageFn};
 pub use queue::{BlkReq, Completion, ReqKind, RingFull, VirtQueue};
 
 use ebs_wire::{BLK_F_MQ, BLK_F_PUSHDOWN, BLK_F_PUSHDOWN_DPU, BLK_KNOWN_FEATURES};
@@ -143,11 +141,6 @@ impl BlkDevice {
     /// Borrow queue `q` (None when out of range).
     pub fn queue(&self, q: usize) -> Option<&VirtQueue> {
         self.queues.get(q)
-    }
-
-    /// Total descriptors currently held by the device across all queues.
-    pub fn in_flight(&self) -> usize {
-        self.queues.iter().map(|q| q.in_flight()).sum()
     }
 }
 

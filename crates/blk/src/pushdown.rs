@@ -104,8 +104,6 @@ pub struct PushdownResult {
     pub blocks_out: u32,
     /// Aggregate raw CRC32 of the result (see module docs).
     pub result_crc: u32,
-    /// Blocks actually scanned (== the range size; the cost driver).
-    pub blocks_scanned: u32,
 }
 
 /// Deterministically synthesize the 4 KiB block at `(vd_id, addr)`.
@@ -163,7 +161,6 @@ pub fn execute(func: StorageFn, vd_id: u64, first_block: u64, count: u32) -> Pus
             PushdownResult {
                 blocks_out,
                 result_crc: crc,
-                blocks_scanned: count,
             }
         }
         PushdownOp::ChecksumVerify => {
@@ -175,7 +172,6 @@ pub fn execute(func: StorageFn, vd_id: u64, first_block: u64, count: u32) -> Pus
             PushdownResult {
                 blocks_out: 0,
                 result_crc: crc,
-                blocks_scanned: count,
             }
         }
         PushdownOp::CompactionMerge => {
@@ -199,42 +195,31 @@ pub fn execute(func: StorageFn, vd_id: u64, first_block: u64, count: u32) -> Pus
             PushdownResult {
                 blocks_out,
                 result_crc: crc,
-                blocks_scanned: count,
             }
         }
     }
-}
-
-/// Client-side verification of a RangeScan result: recompute each
-/// returned block's raw CRC from the bytes actually received and compare
-/// the XOR-aggregate against the claimed `result_crc`. `blocks` is the
-/// response payload.
-pub fn verify_scan(blocks: &[[u8; BLOCK_SIZE]], claimed_crc: u32) -> bool {
-    let mut crc = 0u32;
-    for b in blocks {
-        crc ^= block_crc_raw(b, BLOCK_SIZE);
-    }
-    crc == claimed_crc
-}
-
-/// Client-side verification of a CompactionMerge (or multi-part
-/// ChecksumVerify) aggregate: by CRC linearity the claimed aggregate must
-/// equal the XOR of **all** source-block raw CRCs, regardless of grouping
-/// or sharding. The client recomputes that signature from the range it
-/// asked about.
-pub fn verify_merge(vd_id: u64, first_block: u64, count: u32, claimed_crc: u32) -> bool {
-    let mut crc = 0u32;
-    for i in 0..count {
-        let block = synth_block(vd_id, first_block + i as u64);
-        crc ^= block_crc_raw(&block, BLOCK_SIZE);
-    }
-    crc == claimed_crc
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ebs_crc::crc32_raw;
+
+    /// XOR of the blocks' raw CRCs: what a client recomputes from data it
+    /// received (a scan payload) or synthesized (a range's signature).
+    fn xor_crcs<'a>(blocks: impl IntoIterator<Item = &'a [u8; BLOCK_SIZE]>) -> u32 {
+        blocks
+            .into_iter()
+            .fold(0, |crc, b| crc ^ block_crc_raw(b, BLOCK_SIZE))
+    }
+
+    /// The range's signature: XOR of every source block's raw CRC.
+    fn signature(vd_id: u64, first_block: u64, count: u32) -> u32 {
+        let blocks: Vec<_> = (0..count as u64)
+            .map(|i| synth_block(vd_id, first_block + i))
+            .collect();
+        xor_crcs(&blocks)
+    }
 
     #[test]
     fn synth_block_is_deterministic_and_distinct() {
@@ -270,7 +255,7 @@ mod tests {
             .filter(|b| matches(pred, b))
             .collect();
         assert_eq!(returned.len() as u32, res.blocks_out);
-        assert!(verify_scan(&returned, res.result_crc));
+        assert_eq!(xor_crcs(&returned), res.result_crc);
     }
 
     #[test]
@@ -287,26 +272,24 @@ mod tests {
             .collect();
         assert!(!returned.is_empty());
         returned[0][1234] ^= 0x40; // the planted corruption
-        assert!(!verify_scan(&returned, res.result_crc));
+        assert_ne!(xor_crcs(&returned), res.result_crc);
     }
 
     #[test]
     fn checksum_verify_matches_source_signature() {
         let res = execute(StorageFn::checksum_verify(), 2, 0, 128);
         assert_eq!(res.blocks_out, 0);
-        assert!(verify_merge(2, 0, 128, res.result_crc));
-        assert!(!verify_merge(2, 0, 128, res.result_crc ^ 1));
+        assert_eq!(res.result_crc, signature(2, 0, 128));
     }
 
     #[test]
     fn merge_aggregate_is_grouping_invariant() {
         // The documented invariant: the aggregate CRC equals the XOR of
         // all source CRCs for ANY k — and for any sharding of the range.
-        let sig = execute(StorageFn::checksum_verify(), 3, 50, 96).result_crc;
+        let sig = signature(3, 50, 96);
         for k in [1u8, 2, 3, 8, 96] {
             let res = execute(StorageFn::merge(k), 3, 50, 96);
             assert_eq!(res.result_crc, sig, "k={k}");
-            assert!(verify_merge(3, 50, 96, res.result_crc));
         }
         // Sharded: two parts XOR to the same aggregate.
         let a = execute(StorageFn::merge(4), 3, 50, 40).result_crc;
@@ -328,8 +311,21 @@ mod tests {
 
     #[test]
     fn merge_crc_rejects_corrupted_fold() {
+        // Fold the groups by hand, flip one bit of one output block, and
+        // the aggregate no longer matches the range's signature.
         let res = execute(StorageFn::merge(4), 7, 0, 32);
-        assert!(verify_merge(7, 0, 32, res.result_crc));
-        assert!(!verify_merge(7, 0, 32, res.result_crc ^ 0x8000));
+        let mut folded: Vec<[u8; BLOCK_SIZE]> = (0..8u64)
+            .map(|g| {
+                (1..4).fold(synth_block(7, 4 * g), |mut f, j| {
+                    let b = synth_block(7, 4 * g + j);
+                    f.iter_mut().zip(b.iter()).for_each(|(x, y)| *x ^= y);
+                    f
+                })
+            })
+            .collect();
+        assert_eq!(xor_crcs(&folded), res.result_crc);
+        assert_eq!(res.result_crc, signature(7, 0, 32));
+        folded[5][77] ^= 0x01; // the planted corruption
+        assert_ne!(xor_crcs(&folded), signature(7, 0, 32));
     }
 }

@@ -12,8 +12,8 @@
 //! * [`BitFlipInjector`] / [`CorruptionCause`] — FPGA fault injection
 //!   behind Fig. 11;
 //! * [`resources`] — the LUT/BRAM estimator behind Table 3;
-//! * [`PushdownStage`] — storage-function pushdown as a metered pipeline
-//!   stage (cycles + PCIe bytes saved), kept out of the Table 3 totals.
+//! * [`PushdownStage`] — the storage-side DPU's pushdown meter: latency,
+//!   FPGA cycles and PCIe bytes saved per storage function it runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,7 +29,7 @@ pub use pcie::{DataPath, DpuPcie, PcieConfig, Traversals};
 pub use pipeline::{
     AddrStage, BlockStage, CrcStage, PacketCtx, Pipeline, QosStage, SecStage, Stage, StageVerdict,
 };
-pub use pushdown::{pushdown_estimate, PushdownStage};
+pub use pushdown::PushdownStage;
 
 use ebs_sim::{FifoResource, SimDuration, SimTime};
 

@@ -10,15 +10,9 @@
 //! result itself comes from `ebs-blk`'s reference execution — hardware and
 //! software placements must agree on the answer by construction; only the
 //! cost model differs.
-//!
-//! As a [`Stage`] it also drops into a [`crate::Pipeline`] chain (one
-//! block per packet, like the CRC stage), which is what `describe_p4`
-//! renders for the expressibility story.
 
 use ebs_sim::{SimDuration, SimTime};
 use ebs_wire::{PushdownOp, BLOCK_SIZE};
-
-use crate::pipeline::{PacketCtx, Stage, StageVerdict};
 
 /// Pipeline latency per scanned block: a predicate compare rides the
 /// existing per-block pipeline pass, so it is cheap.
@@ -86,27 +80,6 @@ impl PushdownStage {
     }
 }
 
-impl Stage for PushdownStage {
-    fn name(&self) -> &'static str {
-        "Pushdown"
-    }
-    fn latency(&self) -> SimDuration {
-        SimDuration::from_nanos(SCAN_NS_PER_BLOCK)
-    }
-    fn process(&mut self, _now: SimTime, ctx: &mut PacketCtx) -> StageVerdict {
-        // In-pipeline mode: one packet is one block of a scan pass; the
-        // packet's fate (emit or filter) is decided by the host's
-        // reference execution, so here we only account the scan.
-        self.blocks_scanned += 1;
-        self.cycles += CYCLES_PER_BLOCK;
-        let _ = ctx;
-        StageVerdict::Forward
-    }
-    fn p4_summary(&self) -> String {
-        "action pushdown { if (payload[pred.offset] & pred.mask != pred.value) drop(); hdr.ebs.payload_crc = crc32_raw(payload); }".into()
-    }
-}
-
 impl ebs_obs::Sample for PushdownStage {
     /// Component `dpu.pushdown`: scan volume, occupancy and bytes saved.
     fn sample_into(&self, _now: SimTime, m: &mut ebs_obs::Metrics) {
@@ -115,20 +88,6 @@ impl ebs_obs::Sample for PushdownStage {
         m.counter_add("dpu.pushdown", "blocks_emitted", self.blocks_emitted);
         m.counter_add("dpu.pushdown", "cycles", self.cycles);
         m.counter_add("dpu.pushdown", "bytes_saved", self.bytes_saved);
-    }
-}
-
-/// FPGA resource estimate of the pushdown stage, reported **separately**
-/// from [`crate::resources::estimate`]'s Table 3 set: the paper's DPU
-/// ships without it, so the headline totals must not change. A byte
-/// compare plus an XOR fold lane is a small LUT-only action (comparator,
-/// mask register, 64-bit XOR accumulator replicated 8-wide), with one
-/// BRAM block for in-flight fold state.
-pub fn pushdown_estimate() -> crate::resources::ModuleUsage {
-    crate::resources::ModuleUsage {
-        name: "Pushdown",
-        luts: 4_800,
-        bram_blocks: 1,
     }
 }
 
@@ -148,42 +107,5 @@ mod tests {
         // Merge is per-block more expensive than scan.
         let merge = s.meter(PushdownOp::CompactionMerge, 64, 16);
         assert!(merge > s.meter(PushdownOp::RangeScan, 64, 16));
-    }
-
-    #[test]
-    fn stage_slots_into_a_pipeline() {
-        use bytes::Bytes;
-        use ebs_wire::{EbsHeader, EbsOp};
-        let mut p = crate::Pipeline::new(vec![Box::new(PushdownStage::new())]);
-        let hdr = EbsHeader {
-            version: EbsHeader::VERSION,
-            op: EbsOp::ReadReq,
-            flags: 0,
-            path_id: 0,
-            vd_id: 1,
-            rpc_id: 1,
-            pkt_id: 0,
-            total_pkts: 1,
-            block_addr: 0,
-            len: 4096,
-            payload_crc: 0,
-            path_seq: 0,
-            segment_id: 0,
-        };
-        let mut ctx = PacketCtx::new(hdr, Bytes::new());
-        assert!(p.process(SimTime::ZERO, &mut ctx).is_some());
-        let prog = p.describe_p4("PushdownPath");
-        assert!(prog.contains("pushdown.apply()"), "{prog}");
-    }
-
-    #[test]
-    fn resource_estimate_is_separate_from_table3() {
-        let table3 = crate::resources::estimate(&crate::resources::SolarGeometry::default());
-        assert!(
-            table3.iter().all(|m| m.name != "Pushdown"),
-            "pushdown must not change the Table 3 totals"
-        );
-        let pd = pushdown_estimate();
-        assert!(pd.luts > 0 && pd.bram_blocks >= 1);
     }
 }

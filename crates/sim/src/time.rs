@@ -97,8 +97,8 @@ impl SimDuration {
     }
 
     /// Construct from fractional microseconds, rounding to the nearest
-    /// nanosecond.
-    pub fn from_micros_f64(us: f64) -> Self {
+    /// nanosecond. `const`, so calibrated costs can be constants.
+    pub const fn from_micros_f64(us: f64) -> Self {
         debug_assert!(us >= 0.0, "negative duration");
         SimDuration(round_u64(us * 1e3))
     }
@@ -140,9 +140,9 @@ impl SimDuration {
 /// `f64::round` is a software call. Below 2^52 the fraction `x - trunc(x)`
 /// is exact; from there on every `f64` is an integer and the fraction is
 /// 0 (or, past `u64::MAX`, saturated away).
-fn round_u64(x: f64) -> u64 {
+const fn round_u64(x: f64) -> u64 {
     let t = x as u64;
-    t.saturating_add(u64::from(x - t as f64 >= 0.5))
+    t.saturating_add((x - t as f64 >= 0.5) as u64)
 }
 
 impl Add<SimDuration> for SimTime {

@@ -635,8 +635,7 @@ impl SolarClient {
     /// NACK).
     pub fn on_packet(&mut self, now: SimTime, pkt: InPacket) {
         match pkt.hdr.op {
-            EbsOp::WriteAck => self.complete_packet(now, pkt, false),
-            EbsOp::ReadResp => self.complete_packet(now, pkt, true),
+            EbsOp::WriteAck | EbsOp::ReadResp => self.complete_packet(now, pkt),
             EbsOp::ProbeAck => {
                 let id = pkt.hdr.path_id as usize;
                 if id < self.paths.len() && !self.paths.is_up(id) {
@@ -661,15 +660,24 @@ impl SolarClient {
         self.prune_timers();
     }
 
-    fn complete_packet(&mut self, now: SimTime, pkt: InPacket, is_read: bool) {
+    fn complete_packet(&mut self, now: SimTime, pkt: InPacket) {
         let key = PktKey {
             rpc_id: pkt.hdr.rpc_id,
             pkt_id: pkt.hdr.pkt_id,
         };
+        let is_read = pkt.hdr.op == EbsOp::ReadResp;
+        // A WriteAck answers a WriteBlock; a ReadResp answers a ReadReq
+        // for the same block.
+        let answers = |req: &EbsHeader| match req.op {
+            EbsOp::WriteBlock => !is_read,
+            EbsOp::ReadReq => is_read && req.block_addr == pkt.hdr.block_addr,
+            _ => false,
+        };
         let o = match self.outstanding.entry(key) {
-            Entry::Occupied(e) if e.get().in_flight => e.remove(),
-            // Duplicate ack, ack after RPC failure, or the packet waits in
-            // the transmit queue for retransmission: a stale ack.
+            Entry::Occupied(e) if e.get().in_flight && answers(&e.get().hdr) => e.remove(),
+            // Duplicate ack, ack after RPC failure, the packet waits in the
+            // transmit queue for retransmission, or the response answers
+            // another packet under the same ids: a stale ack.
             _ => return,
         };
         let path = o.hdr.path_id as usize;
@@ -818,6 +826,50 @@ mod tests {
             Some(SolarEvent::RpcCompleted { rpc_id: 1, .. })
         ));
         assert_eq!(c.poll_timer(), None, "an acked packet keeps no deadline");
+    }
+
+    /// A response is accepted only by the packet it answers: a WriteAck
+    /// by a WriteBlock, a ReadResp by a ReadReq for the same block. Any
+    /// other response under the packet's ids is dropped as stale and
+    /// leaves the packet outstanding.
+    #[test]
+    fn response_must_answer_its_packet() {
+        let mut c = SolarClient::new(SolarConfig::default());
+        let now = SimTime::from_micros(10);
+        let read = |i: u64| ReadBlock {
+            block_addr: 100 + i,
+            guest_addr: 0x1000 * i,
+        };
+        c.submit_read(now, 1, 7, 0, (0..2).map(read).collect());
+        c.submit_write(now, 2, 7, 0, write_blocks(1));
+        let sent: Vec<_> = std::iter::from_fn(|| c.poll_transmit(now)).collect();
+        let find = |op| sent.iter().find(|o| o.hdr.op == op).expect("sent").hdr;
+        let (rd, wr) = (find(EbsOp::ReadReq), find(EbsOp::WriteBlock));
+        let later = now + SimDuration::from_micros(50);
+
+        // Wrong op for either packet, and a read response for another block.
+        c.on_packet(later, answer(&rd, EbsOp::WriteAck));
+        c.on_packet(later, answer(&wr, EbsOp::ReadResp));
+        let other_block = EbsHeader {
+            block_addr: rd.block_addr + 1,
+            ..rd
+        };
+        c.on_packet(later, answer(&other_block, EbsOp::ReadResp));
+        assert!(c.poll_event().is_none(), "a mismatched response completed");
+        assert_eq!(c.outstanding_packets(), 3);
+
+        // The true answers complete them.
+        c.on_packet(later, answer(&wr, EbsOp::WriteAck));
+        c.on_packet(later, answer(&rd, EbsOp::ReadResp));
+        assert_eq!(c.outstanding_packets(), 1);
+        assert!(matches!(
+            c.poll_event(),
+            Some(SolarEvent::RpcCompleted { rpc_id: 2, .. })
+        ));
+        assert!(matches!(
+            c.poll_event(),
+            Some(SolarEvent::BlockReceived { rpc_id: 1, block_addr, .. }) if block_addr == rd.block_addr
+        ));
     }
 
     /// The deadline `poll_timer` must report, computed from the packets

@@ -8,7 +8,9 @@ use ebs_sa::{split_io, IoKind, IoRequest, QosTable, SegmentTable, SubIo, BLOCK_S
 use ebs_sim::{FxHashMap, SimDuration, SimTime};
 use ebs_storage::StorageBreakdown;
 
-use crate::calibrate::SolarCosts;
+use crate::calibrate::{
+    sa_cpu_for, SA_LATENCY_PER_IO, SOLAR_CPU_PER_RPC, SOLAR_PIPELINE, SOLAR_STAR_EXTRA_PER_BLOCK,
+};
 use crate::conn::{ClientConn, Done, Ends, Host, Rpc, Rx};
 use crate::drivers::{next_fio_io, FioState, ProbeState};
 use crate::net::{pump_keys, walk};
@@ -135,17 +137,17 @@ impl ComputeNode {
             // plane, keep only a token submission cost.
             self.cpu.run(start, SimDuration::from_nanos(200))
         } else {
-            let solar_rpcs = w.solar_costs.cpu_per_rpc.saturating_mul(subs.len() as u64);
+            let solar_rpcs = SOLAR_CPU_PER_RPC.saturating_mul(subs.len() as u64);
             match w.cfg.variant {
                 Variant::Kernel | Variant::Luna | Variant::Rdma => self
                     .cpu
-                    .run(start, w.sa_costs.cpu_for(blocks))
-                    .max(start + w.sa_costs.latency_per_io),
+                    .run(start, sa_cpu_for(blocks))
+                    .max(start + SA_LATENCY_PER_IO),
                 Variant::SolarStar => {
-                    let extra = SolarCosts::star_extra_per_block().saturating_mul(blocks as u64);
-                    self.cpu.run(start, solar_rpcs + extra) + w.solar_costs.pipeline
+                    let extra = SOLAR_STAR_EXTRA_PER_BLOCK.saturating_mul(blocks as u64);
+                    self.cpu.run(start, solar_rpcs + extra) + SOLAR_PIPELINE
                 }
-                Variant::Solar => self.cpu.run(start, solar_rpcs) + w.solar_costs.pipeline,
+                Variant::Solar => self.cpu.run(start, solar_rpcs) + SOLAR_PIPELINE,
             }
         };
         // Data crossings: writes move the payload before transmission.

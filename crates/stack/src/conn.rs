@@ -34,7 +34,10 @@ use ebs_solar::{
 use ebs_tcp::{Segment, TcpConfig};
 use ebs_wire::{EbsHeader, EbsOp, IntStack, RpcFrame, RpcMethod};
 
-use crate::calibrate::{RdmaCosts, SolarCosts};
+use crate::calibrate::{
+    RDMA_CPU_PER_RPC, RDMA_CROSSING_LATENCY, SOLAR_CPU_CC_PER_ACK, SOLAR_CPU_CC_PER_COMPLETION,
+    SOLAR_CPU_DOORBELL, SOLAR_PIPELINE,
+};
 use crate::net::Packet;
 use crate::storage::Reply;
 use crate::testbed::{Body, Msg, TestbedConfig, Variant};
@@ -112,7 +115,7 @@ pub(crate) fn server_stack_latency(variant: Variant) -> SimDuration {
     match variant {
         Variant::Kernel => StackCosts::kernel().crossing_latency * 2,
         Variant::Luna => StackCosts::luna().crossing_latency * 2,
-        Variant::Rdma => RdmaCosts::default_costs().crossing_latency * 2,
+        Variant::Rdma => RDMA_CROSSING_LATENCY * 2,
         // Storage-side SOLAR is a thin user-space UDP responder.
         Variant::SolarStar | Variant::Solar => SimDuration::from_micros(1),
     }
@@ -186,14 +189,12 @@ pub(crate) enum ClientConn {
     },
     Rdma {
         ends: Ends,
-        costs: RdmaCosts,
         qp: RdmaQp,
     },
     /// SOLAR and SOLAR*: the variants share the transport; SOLAR*'s extra
     /// per-block CPU and PCIe crossings are charged at guest submission.
     Solar {
         ends: Ends,
-        costs: SolarCosts,
         client: SolarClient,
     },
 }
@@ -215,12 +216,10 @@ impl ClientConn {
             Variant::Luna => tcp(StackCosts::luna()),
             Variant::Rdma => ClientConn::Rdma {
                 ends,
-                costs: RdmaCosts::default_costs(),
                 qp: RdmaQp::new(cfg.rdma),
             },
             Variant::SolarStar | Variant::Solar => ClientConn::Solar {
                 ends,
-                costs: SolarCosts::offloaded(),
                 client: SolarClient::new(cfg.solar.clone()),
             },
         }
@@ -245,8 +244,8 @@ impl ClientConn {
                 rpc.call(t.max(now), &r.frame());
                 Some(t.max(now))
             }
-            ClientConn::Rdma { costs, qp, .. } => {
-                let t = cpu.run(now, costs.cpu_per_rpc) + costs.crossing_latency;
+            ClientConn::Rdma { qp, .. } => {
+                let t = cpu.run(now, RDMA_CPU_PER_RPC) + RDMA_CROSSING_LATENCY;
                 qp.post_send(r.frame().to_bytes());
                 Some(t.max(now))
             }
@@ -283,7 +282,7 @@ impl ClientConn {
                 pkt.ecn |= rx.ecn;
                 qp.on_packet(now, pkt);
             }
-            (ClientConn::Solar { costs, client, .. }, Wire::Solar { mut hdr, echo_int }) => {
+            (ClientConn::Solar { client, .. }, Wire::Solar { mut hdr, echo_int }) => {
                 // Marks applied on the reverse path (ack/read-response
                 // direction) also reach the client's controller.
                 if rx.ecn {
@@ -291,7 +290,7 @@ impl ClientConn {
                 }
                 // Read data DMAs into guest memory via host PCIe.
                 let at = if hdr.op == EbsOp::ReadResp {
-                    pcie.transfer_block(now + costs.pipeline, path, hdr.len as usize)
+                    pcie.transfer_block(now + SOLAR_PIPELINE, path, hdr.len as usize)
                 } else {
                     now
                 };
@@ -353,20 +352,20 @@ impl ClientConn {
                 let t = h.cpu.run(now, cpu_cost) + costs.crossing_latency.saturating_sub(cpu_cost);
                 Some(frame_done(now, h, &done.response, t))
             }
-            ClientConn::Rdma { costs, qp, .. } => loop {
+            ClientConn::Rdma { qp, .. } => loop {
                 let Ok(frame) = RpcFrame::decode(qp.poll_recv()?) else {
                     continue;
                 };
-                let t = h.cpu.run(now, costs.cpu_per_rpc) + costs.crossing_latency;
+                let t = h.cpu.run(now, RDMA_CPU_PER_RPC) + RDMA_CROSSING_LATENCY;
                 return Some(frame_done(now, h, &frame, t));
             },
-            ClientConn::Solar { costs, client, .. } => loop {
+            ClientConn::Solar { client, .. } => loop {
                 match client.poll_event()? {
                     SolarEvent::RpcCompleted { rpc_id, .. } => {
                         let blocks = h.rpc_to_io.get(&rpc_id).map_or(1, |&(_, b)| b);
-                        let at = h.cpu.run(now, costs.cpu_doorbell).max(now);
-                        let cc = costs.cpu_cc_per_ack.saturating_mul(blocks as u64);
-                        h.cpu.run(now, costs.cpu_cc_per_completion + cc);
+                        let at = h.cpu.run(now, SOLAR_CPU_DOORBELL).max(now);
+                        let cc = SOLAR_CPU_CC_PER_ACK.saturating_mul(blocks as u64);
+                        h.cpu.run(now, SOLAR_CPU_CC_PER_COMPLETION + cc);
                         let sa = at.saturating_since(now);
                         return Some(Done { rpc_id, at, sa });
                     }

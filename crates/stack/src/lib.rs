@@ -24,7 +24,6 @@ mod testbed;
 mod trace;
 mod wallclock;
 
-pub use calibrate::{RdmaCosts, SaCosts, SolarCosts};
 pub use diag::{HopSpan, IoExplanation};
 pub use drivers::FioConfig;
 pub use sharded::{

@@ -27,7 +27,6 @@ use ebs_wire::BLK_S_OK;
 
 use ebs_obs::{Journal, Metrics};
 
-use crate::calibrate::{SaCosts, SolarCosts};
 use crate::compute::ComputeNode;
 use crate::conn::{Rx, Wire};
 use crate::drivers::{RemoteMsg, RemoteState};
@@ -301,8 +300,8 @@ pub struct PhaseCycles {
 }
 
 /// What every node runs on: the configuration, the network, the per-I/O
-/// ledger (traces, storage breakdowns, journal), the calibrated host
-/// costs and the profiler. One field of [`Testbed`], disjoint from the
+/// ledger (traces, storage breakdowns, journal), the storage-side stack
+/// latency and the profiler. One field of [`Testbed`], disjoint from the
 /// nodes, so a node method can hold `&mut self` and `&mut World` at once.
 pub(crate) struct World {
     pub cfg: TestbedConfig,
@@ -314,8 +313,6 @@ pub(crate) struct World {
     /// Structured event journal: per-I/O component spans + transport
     /// instants.
     pub journal: Journal,
-    pub sa_costs: SaCosts,
-    pub solar_costs: SolarCosts,
     /// Storage-side stack latency per served request.
     pub server_stack_latency: SimDuration,
     /// Phase-cycle accounting; `None` (the default) costs one branch per
@@ -372,8 +369,6 @@ impl Testbed {
             computes,
             storages,
             w: World {
-                sa_costs: SaCosts::software(),
-                solar_costs: SolarCosts::offloaded(),
                 server_stack_latency: crate::conn::server_stack_latency(cfg.variant),
                 cfg,
                 net,

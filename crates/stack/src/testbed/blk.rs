@@ -182,21 +182,17 @@ struct PdPart {
     done: bool,
 }
 
+/// A remote pushdown in flight. Compute server and placement are read
+/// from the request's [`BlkTrace`].
 struct PendingPd {
-    compute: usize,
-    desc: u16,
+    ctx: IoCtx,
     func: StorageFn,
-    placement: PushdownPlacement,
-    vd_id: u64,
-    first_block: u64,
-    block_count: u32,
     parts: Vec<PdPart>,
     parts_done: u32,
     /// XOR-aggregate of the parts' result CRCs (linearity makes this the
     /// full range's aggregate once every part is in).
     agg_crc: u32,
     blocks_out: u32,
-    trace_idx: usize,
 }
 
 /// All block-frontend state, boxed behind `Option` on [`Testbed`] so
@@ -525,18 +521,16 @@ impl BlkState {
                     })
                     .collect();
                 let pd = PendingPd {
-                    compute,
-                    desc,
+                    ctx: IoCtx {
+                        desc,
+                        req,
+                        trace_idx,
+                    },
                     func,
-                    placement,
-                    vd_id: req.vd_id,
-                    first_block: req.first_block,
-                    block_count: req.blocks,
                     parts,
                     parts_done: 0,
                     agg_crc: 0,
                     blocks_out: 0,
-                    trace_idx,
                 };
                 self.pd_map.insert(req_id, pd);
                 self.send_parts(now, req_id, false, w);
@@ -696,15 +690,15 @@ impl BlkState {
         // All parts in: the CRC-of-transformed-data check. By linearity
         // the XOR of the part aggregates must equal the reference
         // aggregate over the whole range, whatever the sharding was.
-        let reference = ebs_blk::execute(
-            finished.func,
-            finished.vd_id,
-            finished.first_block,
-            finished.block_count,
-        );
+        let IoCtx {
+            desc,
+            req,
+            trace_idx,
+        } = finished.ctx;
+        let reference = ebs_blk::execute(finished.func, req.vd_id, req.first_block, req.blocks);
         let ok =
             reference.result_crc == finished.agg_crc && reference.blocks_out == finished.blocks_out;
-        let verify = SimDuration::from_nanos(VERIFY_NS_PER_BLOCK * finished.block_count as u64);
+        let verify = SimDuration::from_nanos(VERIFY_NS_PER_BLOCK * req.blocks as u64);
         let at = cpu.run(now, verify).max(now);
         let (status, len) = if ok {
             (BLK_S_OK, finished.blocks_out * BLOCK_SIZE)
@@ -712,7 +706,7 @@ impl BlkState {
             self.counters.crc_failures += 1;
             (BLK_S_BADCRC, 0)
         };
-        self.complete(journal, at, finished.desc, finished.trace_idx, status, len);
+        self.complete(journal, at, desc, trace_idx, status, len);
     }
 
     /// Send every part of pushdown `req_id` still missing and arm its
@@ -724,6 +718,11 @@ impl BlkState {
         let Some(p) = self.pd_map.get(&req_id) else {
             return; // completed; the timer dies here
         };
+        let tr = &self.traces[p.ctx.trace_idx];
+        let compute = tr.compute as u32;
+        let placement = tr
+            .placement
+            .expect("a pushdown's trace names its placement");
         let (flags, src_port) = if retx {
             // A fresh source port per retransmit round so the flow
             // re-hashes around a dead path (the SOLAR path-remap trick at
@@ -739,10 +738,10 @@ impl BlkState {
             let hdr = PushdownHdr {
                 version: PushdownHdr::VERSION,
                 op: p.func.op,
-                placement: p.placement,
+                placement,
                 flags,
                 req_id,
-                vd_id: p.vd_id,
+                vd_id: p.ctx.req.vd_id,
                 first_block: part.first_block,
                 block_count: part.count,
                 pred_offset: p.func.pred.offset,
@@ -755,14 +754,14 @@ impl BlkState {
                 result_crc: 0,
             };
             let flow = FlowLabel {
-                src: w.net.compute_dev(p.compute as u32),
+                src: w.net.compute_dev(compute),
                 dst: w.net.storage_dev(part.storage),
                 src_port,
                 dst_port: 9200,
                 proto: 17,
             };
             let body = Msg(Body::Pushdown(PushdownMsg {
-                compute: p.compute as u32,
+                compute,
                 storage: part.storage,
                 hdr,
             }));

@@ -1,14 +1,11 @@
-//! Block-frontend wire formats: the virtio-blk-shaped ring structures and
+//! Block-frontend wire formats: feature bits, completion statuses and
 //! the storage-function pushdown frame.
 //!
 //! The guest-facing edge of the stack is a multi-queue block device in
-//! the virtio-blk mold (FlexBSO's vhost-user target has the same shape):
-//! a descriptor table of fixed 16-byte descriptors, a driver-owned
-//! *available* ring of descriptor indices and a device-owned *used* ring
-//! of completion records, all indexed by free-running 16-bit counters
-//! masked by the (power-of-two) queue capacity. [`BlkDesc`], [`BlkReqHdr`]
-//! and [`BlkUsedElem`] are those structures' byte layouts; `ebs-blk`
-//! implements the ring state machine on top of them.
+//! the virtio-blk mold (FlexBSO's vhost-user target has the same shape).
+//! `ebs-blk` implements its split-ring state machine over in-memory
+//! request values; the ring has no byte layout here because no host
+//! encodes one.
 //!
 //! [`PushdownHdr`] is the frame a pushed-down storage function travels
 //! in: one self-contained request (or response) naming the function, its
@@ -26,7 +23,7 @@ use crate::WireError;
 /// Feature bit: the device supports more than one request queue.
 pub const BLK_F_MQ: u64 = 1 << 0;
 /// Feature bit: the device enforces a maximum segment count per request
-/// (negotiated via [`BlkDesc::len`] limits; mirrors VIRTIO_BLK_F_SEG_MAX).
+/// (mirrors VIRTIO_BLK_F_SEG_MAX).
 pub const BLK_F_SEG_MAX: u64 = 1 << 1;
 /// Feature bit: FLUSH requests are supported.
 pub const BLK_F_FLUSH: u64 = 1 << 2;
@@ -44,127 +41,7 @@ pub const BLK_F_PUSHDOWN_DPU: u64 = 1 << 5;
 pub const BLK_KNOWN_FEATURES: u64 =
     BLK_F_MQ | BLK_F_SEG_MAX | BLK_F_FLUSH | BLK_F_DISCARD | BLK_F_PUSHDOWN | BLK_F_PUSHDOWN_DPU;
 
-// --- descriptor ------------------------------------------------------------
-
-/// Descriptor flag: the device writes this buffer (read data / result).
-pub const DESC_F_DEV_WRITE: u16 = 0x0002;
-
-/// One ring descriptor (fixed 16 bytes, virtio split-ring layout).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlkDesc {
-    /// Block address the buffer maps (4 KiB-block units on the virtual
-    /// disk; the simulator carries addresses, not guest physical memory).
-    pub addr: u64,
-    /// Buffer length in bytes.
-    pub len: u32,
-    /// Flag bits ([`DESC_F_DEV_WRITE`]).
-    pub flags: u16,
-    /// Next free descriptor when chained on the free list (ring-internal).
-    pub next: u16,
-}
-
-impl BlkDesc {
-    /// Encoded size.
-    pub const LEN: usize = 16;
-
-    /// Encode into `buf` (big-endian, like every EBS header field).
-    pub fn encode(&self, buf: &mut impl BufMut) {
-        buf.put_u64(self.addr);
-        buf.put_u32(self.len);
-        buf.put_u16(self.flags);
-        buf.put_u16(self.next);
-    }
-
-    /// Decode from `buf`.
-    pub fn decode(buf: &mut impl Buf) -> Result<Self, WireError> {
-        if buf.remaining() < Self::LEN {
-            return Err(WireError::Truncated);
-        }
-        Ok(BlkDesc {
-            addr: buf.get_u64(),
-            len: buf.get_u32(),
-            flags: buf.get_u16(),
-            next: buf.get_u16(),
-        })
-    }
-}
-
-// --- request header --------------------------------------------------------
-
-/// Request type carried in a [`BlkReqHdr`] (virtio-blk numbering, plus a
-/// vendor range for pushdown).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u32)]
-pub enum BlkReqType {
-    /// Device-to-driver data transfer (guest read).
-    In = 0,
-    /// Driver-to-device data transfer (guest write).
-    Out = 1,
-    /// Write-back cache flush.
-    Flush = 4,
-    /// Discard a block range.
-    Discard = 11,
-    /// Storage-function pushdown; the request's data descriptor carries a
-    /// [`PushdownHdr`].
-    Pushdown = 64,
-}
-
-impl BlkReqType {
-    fn from_u32(v: u32) -> Result<Self, WireError> {
-        Ok(match v {
-            0 => BlkReqType::In,
-            1 => BlkReqType::Out,
-            4 => BlkReqType::Flush,
-            11 => BlkReqType::Discard,
-            64 => BlkReqType::Pushdown,
-            _ => return Err(WireError::Malformed),
-        })
-    }
-}
-
-/// The fixed 16-byte request header at the head of every ring request
-/// (virtio-blk's `struct virtio_blk_req` prefix).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlkReqHdr {
-    /// Request type.
-    pub ty: BlkReqType,
-    /// Reserved (virtio's `ioprio`); must be zero.
-    pub reserved: u32,
-    /// First block address (4 KiB-block units; virtio's `sector` rescaled
-    /// to the EBS block size so one descriptor is one block).
-    pub block: u64,
-}
-
-impl BlkReqHdr {
-    /// Encoded size.
-    pub const LEN: usize = 16;
-
-    /// Encode into `buf`.
-    pub fn encode(&self, buf: &mut impl BufMut) {
-        buf.put_u32(self.ty as u32);
-        buf.put_u32(self.reserved);
-        buf.put_u64(self.block);
-    }
-
-    /// Decode from `buf`.
-    pub fn decode(buf: &mut impl Buf) -> Result<Self, WireError> {
-        if buf.remaining() < Self::LEN {
-            return Err(WireError::Truncated);
-        }
-        let ty = BlkReqType::from_u32(buf.get_u32())?;
-        let reserved = buf.get_u32();
-        if reserved != 0 {
-            return Err(WireError::Malformed);
-        }
-        Ok(BlkReqHdr {
-            ty,
-            reserved,
-            block: buf.get_u64(),
-        })
-    }
-}
-
-// --- used element ----------------------------------------------------------
+// --- completion statuses -------------------------------------------------
 
 /// Completion status: success.
 pub const BLK_S_OK: u8 = 0;
@@ -174,52 +51,6 @@ pub const BLK_S_IOERR: u8 = 1;
 pub const BLK_S_UNSUPP: u8 = 2;
 /// Completion status: the transformed result failed its CRC verification.
 pub const BLK_S_BADCRC: u8 = 3;
-
-/// One used-ring element (fixed 8 bytes): which descriptor completed,
-/// with how many device-written bytes and what status.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlkUsedElem {
-    /// Head descriptor index of the completed request.
-    pub id: u16,
-    /// Completion status ([`BLK_S_OK`], ...).
-    pub status: u8,
-    /// Reserved pad; must be zero.
-    pub reserved: u8,
-    /// Bytes the device wrote into the request's buffers.
-    pub len: u32,
-}
-
-impl BlkUsedElem {
-    /// Encoded size.
-    pub const LEN: usize = 8;
-
-    /// Encode into `buf`.
-    pub fn encode(&self, buf: &mut impl BufMut) {
-        buf.put_u16(self.id);
-        buf.put_u8(self.status);
-        buf.put_u8(self.reserved);
-        buf.put_u32(self.len);
-    }
-
-    /// Decode from `buf`.
-    pub fn decode(buf: &mut impl Buf) -> Result<Self, WireError> {
-        if buf.remaining() < Self::LEN {
-            return Err(WireError::Truncated);
-        }
-        let id = buf.get_u16();
-        let status = buf.get_u8();
-        let reserved = buf.get_u8();
-        if reserved != 0 {
-            return Err(WireError::Malformed);
-        }
-        Ok(BlkUsedElem {
-            id,
-            status,
-            reserved,
-            len: buf.get_u32(),
-        })
-    }
-}
 
 // --- pushdown frame --------------------------------------------------------
 
@@ -392,78 +223,6 @@ impl PushdownHdr {
 mod tests {
     use super::*;
     use bytes::BytesMut;
-
-    #[test]
-    fn desc_roundtrip() {
-        let d = BlkDesc {
-            addr: 0xAB_CDEF,
-            len: 4096,
-            flags: DESC_F_DEV_WRITE,
-            next: 7,
-        };
-        let mut buf = BytesMut::new();
-        d.encode(&mut buf);
-        assert_eq!(buf.len(), BlkDesc::LEN);
-        assert_eq!(BlkDesc::decode(&mut buf.freeze()).unwrap(), d);
-    }
-
-    #[test]
-    fn req_hdr_roundtrip_all_types() {
-        for ty in [
-            BlkReqType::In,
-            BlkReqType::Out,
-            BlkReqType::Flush,
-            BlkReqType::Discard,
-            BlkReqType::Pushdown,
-        ] {
-            let h = BlkReqHdr {
-                ty,
-                reserved: 0,
-                block: 123_456,
-            };
-            let mut buf = BytesMut::new();
-            h.encode(&mut buf);
-            assert_eq!(buf.len(), BlkReqHdr::LEN);
-            assert_eq!(BlkReqHdr::decode(&mut buf.freeze()).unwrap(), h);
-        }
-    }
-
-    #[test]
-    fn req_hdr_rejects_unknown_type_and_nonzero_reserved() {
-        let h = BlkReqHdr {
-            ty: BlkReqType::In,
-            reserved: 0,
-            block: 9,
-        };
-        let mut buf = BytesMut::new();
-        h.encode(&mut buf);
-        buf[3] = 99; // type = 99
-        assert_eq!(
-            BlkReqHdr::decode(&mut buf.clone().freeze()),
-            Err(WireError::Malformed)
-        );
-        let mut buf2 = BytesMut::new();
-        h.encode(&mut buf2);
-        buf2[7] = 1; // reserved != 0
-        assert_eq!(
-            BlkReqHdr::decode(&mut buf2.freeze()),
-            Err(WireError::Malformed)
-        );
-    }
-
-    #[test]
-    fn used_elem_roundtrip() {
-        let u = BlkUsedElem {
-            id: 42,
-            status: BLK_S_OK,
-            reserved: 0,
-            len: 16384,
-        };
-        let mut buf = BytesMut::new();
-        u.encode(&mut buf);
-        assert_eq!(buf.len(), BlkUsedElem::LEN);
-        assert_eq!(BlkUsedElem::decode(&mut buf.freeze()).unwrap(), u);
-    }
 
     fn sample_pd() -> PushdownHdr {
         PushdownHdr {

@@ -14,9 +14,9 @@
 //!   it was written as: the stream at rest (send, receive and decode
 //!   queues) and a stretch cut out of it (a TCP segment's payload), so
 //!   segmentation and reassembly move handles instead of gathering bytes;
-//! * [`BlkDesc`] / [`BlkReqHdr`] / [`BlkUsedElem`] / [`PushdownHdr`] — the
-//!   virtio-blk-shaped guest frontend's ring structures and the
-//!   storage-function pushdown frame (see `docs/PROTOCOL.md`).
+//! * [`PushdownHdr`] — the storage-function pushdown frame of the
+//!   virtio-blk-shaped guest frontend, with its feature bits and
+//!   completion statuses (see `docs/PROTOCOL.md`).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -30,10 +30,9 @@ mod rpc;
 pub mod slab;
 
 pub use blk::{
-    BlkDesc, BlkReqHdr, BlkReqType, BlkUsedElem, PushdownHdr, PushdownOp, PushdownPlacement,
-    BLK_F_DISCARD, BLK_F_FLUSH, BLK_F_MQ, BLK_F_PUSHDOWN, BLK_F_PUSHDOWN_DPU, BLK_F_SEG_MAX,
-    BLK_KNOWN_FEATURES, BLK_S_BADCRC, BLK_S_IOERR, BLK_S_OK, BLK_S_UNSUPP, DESC_F_DEV_WRITE,
-    PD_FLAG_RESPONSE, PD_FLAG_RETRANSMIT,
+    PushdownHdr, PushdownOp, PushdownPlacement, BLK_F_DISCARD, BLK_F_FLUSH, BLK_F_MQ,
+    BLK_F_PUSHDOWN, BLK_F_PUSHDOWN_DPU, BLK_F_SEG_MAX, BLK_KNOWN_FEATURES, BLK_S_BADCRC,
+    BLK_S_IOERR, BLK_S_OK, BLK_S_UNSUPP, PD_FLAG_RESPONSE, PD_FLAG_RETRANSMIT,
 };
 pub use chain::{ByteChain, ViewQueue};
 pub use ebs::{EbsHeader, EbsOp, FLAG_ECN_ECHO, FLAG_ENCRYPTED, FLAG_INT_REQUEST, FLAG_RETRANSMIT};

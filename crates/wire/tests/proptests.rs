@@ -2,7 +2,10 @@
 //! and decoders never panic on arbitrary bytes.
 
 use bytes::{Bytes, BytesMut};
-use ebs_wire::{EbsHeader, EbsOp, FrameDecoder, IntHop, IntStack, RpcFrame, RpcMethod};
+use ebs_wire::{
+    EbsHeader, EbsOp, FrameDecoder, IntHop, IntStack, PushdownHdr, PushdownOp, PushdownPlacement,
+    RpcFrame, RpcMethod, WireError,
+};
 use proptest::prelude::*;
 
 /// Resolve arbitrary cut points into sorted, distinct bounds `0..=len`.
@@ -34,6 +37,22 @@ fn method_strategy() -> impl Strategy<Value = RpcMethod> {
         RpcMethod::WriteResp,
         RpcMethod::ReadResp,
         RpcMethod::Error,
+    ])
+}
+
+fn pushdown_op_strategy() -> impl Strategy<Value = PushdownOp> {
+    prop::sample::select(vec![
+        PushdownOp::RangeScan,
+        PushdownOp::ChecksumVerify,
+        PushdownOp::CompactionMerge,
+    ])
+}
+
+fn placement_strategy() -> impl Strategy<Value = PushdownPlacement> {
+    prop::sample::select(vec![
+        PushdownPlacement::Client,
+        PushdownPlacement::StorageNode,
+        PushdownPlacement::Dpu,
     ])
 }
 
@@ -72,6 +91,45 @@ proptest! {
         hdr.encode(&mut buf);
         prop_assert_eq!(buf.len(), EbsHeader::LEN);
         prop_assert_eq!(EbsHeader::decode(&mut buf.freeze()).unwrap(), hdr);
+    }
+
+    /// Every field value survives the pushdown frame, and every strict
+    /// prefix of an encoded frame decodes as `Truncated`.
+    #[test]
+    fn pushdown_hdr_roundtrip(
+        (op, placement) in (pushdown_op_strategy(), placement_strategy()),
+        (flags, req_id, vd_id, first_block) in
+            (any::<u8>(), any::<u64>(), any::<u64>(), any::<u64>()),
+        (block_count, pred_offset, pred_mask, pred_value) in
+            (any::<u32>(), any::<u16>(), any::<u8>(), any::<u8>()),
+        (group_k, status, part, blocks_out, result_crc) in
+            (any::<u8>(), any::<u8>(), any::<u16>(), any::<u32>(), any::<u32>()),
+        cut in any::<prop::sample::Index>(),
+    ) {
+        let hdr = PushdownHdr {
+            version: PushdownHdr::VERSION,
+            op,
+            placement,
+            flags,
+            req_id,
+            vd_id,
+            first_block,
+            block_count,
+            pred_offset,
+            pred_mask,
+            pred_value,
+            group_k,
+            status,
+            part,
+            blocks_out,
+            result_crc,
+        };
+        let mut buf = BytesMut::new();
+        hdr.encode(&mut buf);
+        prop_assert_eq!(buf.len(), PushdownHdr::LEN);
+        let short = cut.index(PushdownHdr::LEN);
+        prop_assert_eq!(PushdownHdr::decode(&mut &buf[..short]), Err(WireError::Truncated));
+        prop_assert_eq!(PushdownHdr::decode(&mut buf.freeze()).unwrap(), hdr);
     }
 
     #[test]
@@ -214,6 +272,17 @@ proptest! {
         let _ = EbsHeader::decode(&mut &junk[..]);
         let _ = IntStack::decode(&mut &junk[..]);
         let _ = RpcFrame::decode(Bytes::copy_from_slice(&junk));
+        let _ = PushdownHdr::decode(&mut &junk[..]);
+        // Random bytes almost never pass the version/op/placement checks;
+        // force them valid so the rest of the frame is fuzzed too.
+        let mut framed = junk.clone();
+        if let [version, op, placement, ..] = &mut framed[..] {
+            *version = PushdownHdr::VERSION;
+            *op = 1 + *op % 3;
+            *placement %= 3;
+        }
+        let decoded = PushdownHdr::decode(&mut &framed[..]);
+        prop_assert_eq!(decoded.is_ok(), framed.len() >= PushdownHdr::LEN);
         let mut dec = FrameDecoder::new();
         dec.push(Bytes::copy_from_slice(&junk));
         let _ = dec.next_frame();

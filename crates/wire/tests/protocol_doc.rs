@@ -5,20 +5,16 @@
 
 use bytes::BytesMut;
 use ebs_wire::{
-    BlkDesc, BlkReqHdr, BlkReqType, BlkUsedElem, EbsHeader, EbsOp, IntHop, PushdownHdr, PushdownOp,
-    PushdownPlacement, BLK_F_DISCARD, BLK_F_FLUSH, BLK_F_MQ, BLK_F_PUSHDOWN, BLK_F_PUSHDOWN_DPU,
-    BLK_F_SEG_MAX, BLK_KNOWN_FEATURES, BLK_S_BADCRC, BLK_S_IOERR, BLK_S_OK, BLK_S_UNSUPP,
-    DESC_F_DEV_WRITE, PD_FLAG_RESPONSE, PD_FLAG_RETRANSMIT,
+    EbsHeader, EbsOp, IntHop, PushdownHdr, PushdownOp, PushdownPlacement, BLK_F_DISCARD,
+    BLK_F_FLUSH, BLK_F_MQ, BLK_F_PUSHDOWN, BLK_F_PUSHDOWN_DPU, BLK_F_SEG_MAX, BLK_KNOWN_FEATURES,
+    BLK_S_BADCRC, BLK_S_IOERR, BLK_S_OK, BLK_S_UNSUPP, PD_FLAG_RESPONSE, PD_FLAG_RETRANSMIT,
 };
 
-/// The struct sizes the document's tables claim (§2, §5, §9).
+/// The struct sizes the document's tables claim (§5, §9).
 #[test]
 fn documented_sizes_match_the_structs() {
     assert_eq!(EbsHeader::LEN, 56, "PROTOCOL.md section 9: EBS header");
     assert_eq!(IntHop::LEN, 28, "PROTOCOL.md section 9: INT record");
-    assert_eq!(BlkDesc::LEN, 16, "PROTOCOL.md section 2: ring descriptor");
-    assert_eq!(BlkReqHdr::LEN, 16, "PROTOCOL.md section 2: request header");
-    assert_eq!(BlkUsedElem::LEN, 8, "PROTOCOL.md section 2: used element");
     assert_eq!(
         PushdownHdr::LEN,
         48,
@@ -38,27 +34,20 @@ fn documented_feature_bits_match() {
     assert_eq!(BLK_KNOWN_FEATURES, 0x3F, "exactly the six defined bits");
 }
 
-/// §4's status codes and §2's descriptor flag.
+/// §4's status codes and §5's pushdown flags.
 #[test]
 fn documented_statuses_and_flags_match() {
     assert_eq!(BLK_S_OK, 0);
     assert_eq!(BLK_S_IOERR, 1);
     assert_eq!(BLK_S_UNSUPP, 2);
     assert_eq!(BLK_S_BADCRC, 3);
-    assert_eq!(DESC_F_DEV_WRITE, 0x0002);
     assert_eq!(PD_FLAG_RESPONSE, 0x01);
     assert_eq!(PD_FLAG_RETRANSMIT, 0x02);
 }
 
-/// §2's request-type numbering (virtio-blk values plus the vendor
-/// pushdown type) and §5's op/placement discriminants.
+/// §5's op/placement discriminants.
 #[test]
 fn documented_discriminants_match() {
-    assert_eq!(BlkReqType::In as u32, 0);
-    assert_eq!(BlkReqType::Out as u32, 1);
-    assert_eq!(BlkReqType::Flush as u32, 4);
-    assert_eq!(BlkReqType::Discard as u32, 11);
-    assert_eq!(BlkReqType::Pushdown as u32, 64);
     assert_eq!(PushdownOp::RangeScan as u8, 1);
     assert_eq!(PushdownOp::ChecksumVerify as u8, 2);
     assert_eq!(PushdownOp::CompactionMerge as u8, 3);
@@ -109,47 +98,6 @@ fn pushdown_field_offsets_match_the_table() {
     assert_eq!(&buf[38..40], &0x7172u16.to_be_bytes());
     assert_eq!(&buf[40..44], &0x8182_8384u32.to_be_bytes());
     assert_eq!(&buf[44..48], &0x9192_9394u32.to_be_bytes());
-}
-
-/// §2's ring-structure offsets, probed the same way.
-#[test]
-fn ring_field_offsets_match_the_tables() {
-    let d = BlkDesc {
-        addr: 0x0102_0304_0506_0708,
-        len: 0x1112_1314,
-        flags: DESC_F_DEV_WRITE,
-        next: 0x3132,
-    };
-    let mut buf = BytesMut::new();
-    d.encode(&mut buf);
-    assert_eq!(&buf[0..8], &0x0102_0304_0506_0708u64.to_be_bytes());
-    assert_eq!(&buf[8..12], &0x1112_1314u32.to_be_bytes());
-    assert_eq!(&buf[12..14], &DESC_F_DEV_WRITE.to_be_bytes());
-    assert_eq!(&buf[14..16], &0x3132u16.to_be_bytes());
-
-    let h = BlkReqHdr {
-        ty: BlkReqType::Pushdown,
-        reserved: 0,
-        block: 0x2122_2324_2526_2728,
-    };
-    let mut buf = BytesMut::new();
-    h.encode(&mut buf);
-    assert_eq!(&buf[0..4], &64u32.to_be_bytes());
-    assert_eq!(&buf[4..8], &[0, 0, 0, 0]);
-    assert_eq!(&buf[8..16], &0x2122_2324_2526_2728u64.to_be_bytes());
-
-    let u = BlkUsedElem {
-        id: 0x4142,
-        status: BLK_S_UNSUPP,
-        reserved: 0,
-        len: 0x5152_5354,
-    };
-    let mut buf = BytesMut::new();
-    u.encode(&mut buf);
-    assert_eq!(&buf[0..2], &0x4142u16.to_be_bytes());
-    assert_eq!(buf[2], BLK_S_UNSUPP);
-    assert_eq!(buf[3], 0);
-    assert_eq!(&buf[4..8], &0x5152_5354u32.to_be_bytes());
 }
 
 /// §9's EBS-header offsets for the fields other layers depend on
