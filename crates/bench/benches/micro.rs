@@ -66,11 +66,12 @@ fn bench_tcp(c: &mut Criterion) {
     g.finish();
 }
 
-/// LUNA's byte stream end to end: one write RPC from `RpcClient::call`
-/// through TCP segmentation, the peer's reassembly and frame decode to
-/// `RpcServer::poll_request`, and the empty response back — over a warm
-/// connection, so the number is the steady-state host cost per payload
-/// byte (no payload byte is copied; see DESIGN.md §7.8).
+/// LUNA's byte stream end to end: one write RPC from the client's
+/// `RpcConn::send` through TCP segmentation, the peer's reassembly and
+/// frame decode to the server's `RpcConn::poll_frame`, and the empty
+/// response back — over a warm connection, so the number is the
+/// steady-state host cost per payload byte (no payload byte is copied;
+/// see DESIGN.md §7.8).
 fn bench_luna_rpc(c: &mut Criterion) {
     let mut g = c.benchmark_group("luna_rpc");
     for (name, len) in [("4k", 4 << 10), ("128k", 128 << 10)] {
@@ -78,8 +79,8 @@ fn bench_luna_rpc(c: &mut Criterion) {
             mss: 8960,
             ..ebs_tcp::TcpConfig::default()
         };
-        let mut client = ebs_luna::RpcClient::connect(cfg.clone());
-        let mut server = ebs_luna::RpcServer::listen(cfg);
+        let mut client = ebs_luna::RpcConn::connect(cfg.clone());
+        let mut server = ebs_luna::RpcConn::listen(cfg);
         let payload = Bytes::from(vec![0xA5u8; len]);
         let mut now = SimTime::ZERO;
         let mut rpc_id = 0u64;
@@ -87,7 +88,7 @@ fn bench_luna_rpc(c: &mut Criterion) {
         // the handshake, with nothing to complete).
         let mut roundtrip = |request: Option<ebs_wire::RpcFrame>| {
             if let Some(req) = &request {
-                client.call(now, req);
+                client.send(req);
             }
             loop {
                 let mut progressed = false;
@@ -96,8 +97,8 @@ fn bench_luna_rpc(c: &mut Criterion) {
                     server.on_segment(now, seg);
                     progressed = true;
                 }
-                while let Some(req) = server.poll_request() {
-                    server.respond(&ebs_wire::RpcFrame {
+                while let Some(req) = server.poll_frame() {
+                    server.send(&ebs_wire::RpcFrame {
                         method: ebs_wire::RpcMethod::WriteResp,
                         len: 0,
                         payload: Bytes::new(),
@@ -113,7 +114,7 @@ fn bench_luna_rpc(c: &mut Criterion) {
                     break;
                 }
             }
-            client.poll_completion().map(|done| done.latency)
+            client.poll_frame()
         };
         roundtrip(None);
         g.throughput(Throughput::Bytes(len as u64));

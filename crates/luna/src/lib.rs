@@ -5,8 +5,8 @@
 //! scheduling, zero-copy buffers shared across SA and RPC layers, and
 //! share-nothing per-core engines. This crate provides:
 //!
-//! * [`RpcClient`] / [`RpcServer`] — the storage RPC layer over the
-//!   shared `ebs-tcp` engine;
+//! * [`RpcConn`] — the storage RPC layer over the shared `ebs-tcp`
+//!   engine, one type at both ends of a connection;
 //! * [`StackCosts`] — the calibrated host-overhead models that are the
 //!   *only* difference between kernel TCP and LUNA (Table 1), and where
 //!   LUNA's run-to-complete threading is priced.
@@ -23,8 +23,8 @@
 //!
 //! * buffer → `Bytes` ([`ebs_wire::PooledBuf::freeze`]): the storage
 //!   moves, and returns to the pool when the last view drops;
-//! * `Bytes` → stream ([`RpcClient::call`], [`RpcServer::respond`]): the
-//!   frame is queued as a 40-byte header view plus the payload handle;
+//! * `Bytes` → stream ([`RpcConn::send`]): the frame is queued as a
+//!   40-byte header view plus the payload handle;
 //! * stream → segments → stream (`ebs-tcp`): segmentation splits views,
 //!   a segment that straddles two writes carries a view of each,
 //!   retransmission and reassembly clone and reorder handles;
@@ -45,4 +45,4 @@ mod host;
 mod rpc;
 
 pub use host::StackCosts;
-pub use rpc::{read_request, write_request, RpcClient, RpcCompletion, RpcServer};
+pub use rpc::{read_request, write_request, RpcConn};

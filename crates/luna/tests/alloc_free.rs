@@ -1,6 +1,6 @@
-//! Proof of LUNA's zero-copy byte stream: between [`RpcClient::call`] and
-//! [`RpcServer::poll_request`] (and back, for read responses) no payload
-//! byte is copied, so a steady-state 128 KiB RPC allocates only handles —
+//! Proof of LUNA's zero-copy byte stream: between one end's
+//! [`RpcConn::send`] and the other's [`RpcConn::poll_frame`] (both ways:
+//! write requests out, read responses back) no payload byte is copied, so a steady-state 128 KiB RPC allocates only handles —
 //! the 40-byte frame header, the odd view list of a segment that straddles
 //! header and payload — never anything payload-sized.
 //!
@@ -13,7 +13,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use bytes::Bytes;
-use ebs_luna::{read_request, write_request, RpcClient, RpcServer};
+use ebs_luna::{read_request, write_request, RpcConn};
 use ebs_sim::{SimDuration, SimTime};
 use ebs_tcp::TcpConfig;
 use ebs_wire::{RpcFrame, RpcMethod};
@@ -71,8 +71,8 @@ unsafe impl GlobalAlloc for AllocSpy {
 static SPY: AllocSpy = AllocSpy;
 
 struct Conn {
-    client: RpcClient,
-    server: RpcServer,
+    client: RpcConn,
+    server: RpcConn,
     now: SimTime,
     /// Source of every payload: writes and read responses are slices of it.
     slab: Bytes,
@@ -94,7 +94,7 @@ impl Conn {
                 self.server.on_segment(self.now, seg);
                 progressed = true;
             }
-            while let Some(req) = self.server.poll_request() {
+            while let Some(req) = self.server.poll_frame() {
                 let (method, payload) = match req.method {
                     RpcMethod::Write => {
                         assert_eq!(req.payload, self.slab_slice(req.rpc_id));
@@ -102,7 +102,7 @@ impl Conn {
                     }
                     _ => (RpcMethod::ReadResp, self.slab_slice(req.rpc_id)),
                 };
-                self.server.respond(&RpcFrame {
+                self.server.send(&RpcFrame {
                     rpc_id: req.rpc_id,
                     method,
                     vd_id: req.vd_id,
@@ -126,16 +126,16 @@ impl Conn {
     /// One write RPC and one read RPC, each run to completion.
     fn write_then_read(&mut self, rpc_id: u64) {
         let write = write_request(rpc_id, 1, 0, self.slab_slice(rpc_id));
-        self.client.call(self.now, &write);
+        self.client.send(&write);
         self.run();
-        let done = self.client.poll_completion().expect("write completed");
-        assert_eq!(done.response.method, RpcMethod::WriteResp);
+        let done = self.client.poll_frame().expect("write completed");
+        assert_eq!(done.method, RpcMethod::WriteResp);
 
         let read = read_request(rpc_id + 1, 1, 0, PAYLOAD as u32);
-        self.client.call(self.now, &read);
+        self.client.send(&read);
         self.run();
-        let done = self.client.poll_completion().expect("read completed");
-        assert_eq!(done.response.payload, self.slab_slice(rpc_id + 1));
+        let done = self.client.poll_frame().expect("read completed");
+        assert_eq!(done.payload, self.slab_slice(rpc_id + 1));
     }
 }
 
@@ -146,8 +146,8 @@ fn steady_state_128k_rpcs_allocate_handles_only() {
         ..TcpConfig::default()
     };
     let mut conn = Conn {
-        client: RpcClient::connect(cfg.clone()),
-        server: RpcServer::listen(cfg),
+        client: RpcConn::connect(cfg.clone()),
+        server: RpcConn::listen(cfg),
         now: SimTime::ZERO,
         slab: Bytes::from(
             (0..8 * PAYLOAD)

@@ -11,7 +11,8 @@
 //! poll_timer / on_timer / sample_into — so `compute.rs` and `storage.rs`
 //! hold one `BTreeMap<u32, _>` of connections each and never name an
 //! engine. TCP and RDMA both carry [`RpcFrame`]s and share one frame path
-//! per side ([`Rpc::frame`], [`frame_done`], [`frame_request`]).
+//! per side ([`Rpc::frame`], [`frame_done`], [`frame_request`]) and one
+//! rule for which response completes a request ([`RpcFrame::answers`]).
 //!
 //! Every arithmetic detail here is byte-pinned by the golden digests
 //! (`tests/digest_golden.rs`): TCP's crossing is `crossing_latency`
@@ -21,7 +22,7 @@
 
 use bytes::Bytes;
 use ebs_dpu::{DataPath, DpuCpu, DpuPcie};
-use ebs_luna::{read_request, write_request, RpcClient, RpcServer, StackCosts};
+use ebs_luna::{read_request, write_request, RpcConn, StackCosts};
 use ebs_net::{DeviceId, FabricPacket, FlowLabel};
 use ebs_obs::{Journal, Metrics, Sample};
 use ebs_rdma::{QpPacket, RdmaQp};
@@ -185,18 +186,17 @@ pub(crate) enum ClientConn {
     Tcp {
         ends: Ends,
         costs: StackCosts,
-        rpc: Box<RpcClient>,
+        rpc: Box<RpcConn>,
     },
     Rdma {
         ends: Ends,
         qp: RdmaQp,
+        /// Requests posted and not yet answered, by rpc id, header only.
+        sent: FxHashMap<u64, RpcFrame>,
     },
     /// SOLAR and SOLAR*: the variants share the transport; SOLAR*'s extra
     /// per-block CPU and PCIe crossings are charged at guest submission.
-    Solar {
-        ends: Ends,
-        client: SolarClient,
-    },
+    Solar { ends: Ends, client: SolarClient },
 }
 
 impl ClientConn {
@@ -204,7 +204,7 @@ impl ClientConn {
         let tcp = |costs| ClientConn::Tcp {
             ends,
             costs,
-            rpc: Box::new(RpcClient::connect(TcpConfig {
+            rpc: Box::new(RpcConn::connect(TcpConfig {
                 iss: ends.compute << 8 | ends.storage,
                 mss: TCP_MSS,
                 swift: cfg.tcp_swift,
@@ -217,6 +217,7 @@ impl ClientConn {
             Variant::Rdma => ClientConn::Rdma {
                 ends,
                 qp: RdmaQp::new(cfg.rdma),
+                sent: FxHashMap::default(),
             },
             Variant::SolarStar | Variant::Solar => ClientConn::Solar {
                 ends,
@@ -241,12 +242,15 @@ impl ClientConn {
             ClientConn::Tcp { costs, rpc, .. } => {
                 let cpu_cost = costs.cpu_for_rpc(r.bytes());
                 let t = cpu.run(now, cpu_cost) + costs.crossing_latency.saturating_sub(cpu_cost);
-                rpc.call(t.max(now), &r.frame());
+                rpc.send(&r.frame());
                 Some(t.max(now))
             }
-            ClientConn::Rdma { qp, .. } => {
+            ClientConn::Rdma { qp, sent, .. } => {
                 let t = cpu.run(now, RDMA_CPU_PER_RPC) + RDMA_CROSSING_LATENCY;
-                qp.post_send(r.frame().to_bytes());
+                let frame = r.frame();
+                qp.post_send(frame.to_bytes());
+                let payload = Bytes::new();
+                sent.insert(r.rpc_id, RpcFrame { payload, ..frame });
                 Some(t.max(now))
             }
             ClientConn::Solar { client, .. } => {
@@ -346,18 +350,29 @@ impl ClientConn {
     /// journalled on the way.
     pub(crate) fn poll_done(&mut self, now: SimTime, h: &mut Host<'_>) -> Option<Done> {
         match self {
-            ClientConn::Tcp { costs, rpc, .. } => {
-                let done = rpc.poll_completion()?;
+            // `rpc` hands up only the answers to its requests, and requests
+            // (which a compute server does not serve).
+            ClientConn::Tcp { costs, rpc, .. } => loop {
+                let resp = rpc.poll_frame()?;
+                if resp.method.is_request() {
+                    continue;
+                }
                 let cpu_cost = costs.cpu_per_rpc;
                 let t = h.cpu.run(now, cpu_cost) + costs.crossing_latency.saturating_sub(cpu_cost);
-                Some(frame_done(now, h, &done.response, t))
-            }
-            ClientConn::Rdma { qp, .. } => loop {
-                let Ok(frame) = RpcFrame::decode(qp.poll_recv()?) else {
+                return Some(frame_done(now, h, &resp, t));
+            },
+            // The same rule for RDMA: a message that does not answer a
+            // request in flight is stale, and its I/O shows as a hang.
+            ClientConn::Rdma { qp, sent, .. } => loop {
+                let Ok(resp) = RpcFrame::decode(qp.poll_recv()?) else {
                     continue;
                 };
+                if !sent.get(&resp.rpc_id).is_some_and(|req| resp.answers(req)) {
+                    continue;
+                }
+                sent.remove(&resp.rpc_id);
                 let t = h.cpu.run(now, RDMA_CPU_PER_RPC) + RDMA_CROSSING_LATENCY;
-                return Some(frame_done(now, h, &frame, t));
+                return Some(frame_done(now, h, &resp, t));
             },
             ClientConn::Solar { client, .. } => loop {
                 match client.poll_event()? {
@@ -467,7 +482,7 @@ pub(crate) struct Request {
 pub(crate) enum ServerConn {
     Tcp {
         ends: Ends,
-        rpc: RpcServer,
+        rpc: RpcConn,
     },
     Rdma {
         ends: Ends,
@@ -487,7 +502,7 @@ impl ServerConn {
         match cfg.variant {
             Variant::Kernel | Variant::Luna => ServerConn::Tcp {
                 ends,
-                rpc: RpcServer::listen(TcpConfig {
+                rpc: RpcConn::listen(TcpConfig {
                     iss: 0x8000_0000 | (ends.compute << 8),
                     mss: TCP_MSS,
                     swift: cfg.tcp_swift,
@@ -513,7 +528,7 @@ impl ServerConn {
         match (self, rx.wire) {
             (ServerConn::Tcp { ends, rpc }, Wire::Tcp(seg)) => {
                 rpc.on_segment(now, seg);
-                while let Some(req) = rpc.poll_request() {
+                while let Some(req) = rpc.poll_frame() {
                     frame_request(ends.compute, req, &mut serve);
                 }
                 true
@@ -582,7 +597,7 @@ impl ServerConn {
     /// it). SOLAR replies are ready-made packets and never come here.
     pub(crate) fn respond(&mut self, frame: &RpcFrame) {
         match self {
-            ServerConn::Tcp { rpc, .. } => rpc.respond(frame),
+            ServerConn::Tcp { rpc, .. } => rpc.send(frame),
             ServerConn::Rdma { qp, .. } => qp.post_send(frame.to_bytes()),
             ServerConn::Solar { .. } => {}
         }
@@ -679,4 +694,81 @@ fn solar_reply(ends: &Ends, out: OutPacket, echo_int: Option<IntStack>, reply_po
     };
     let ports = (out.src_port, reply_port, 17);
     Reply::Packet(ends.packet(ports, ebs_wire::SOLAR_OVERHEAD + extra, int, wire))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ebs_dpu::PcieConfig;
+    use ebs_wire::pool::zero_payload;
+
+    /// An RDMA completion needs the answer to the request in flight: a
+    /// request, a response of the wrong method, offset or length, and a
+    /// duplicate all complete nothing.
+    #[test]
+    fn rdma_response_must_answer_its_request() {
+        let cfg = TestbedConfig::small(Variant::Rdma, 1, 1);
+        let ends = Ends {
+            local: DeviceId(0),
+            peer: DeviceId(1),
+            compute: 0,
+            storage: 0,
+        };
+        let mut conn = ClientConn::open(&cfg, ends);
+        let (mut cpu, mut pcie) = (DpuCpu::new(1), DpuPcie::new(PcieConfig::default()));
+        let sub = SubIo {
+            block_server: 0,
+            segment_id: 0,
+            blocks: vec![2],
+        };
+        let rpc = Rpc {
+            rpc_id: 1,
+            vd_id: 7,
+            kind: IoKind::Read,
+            sub: &sub,
+        };
+        conn.submit(SimTime::ZERO, &mut cpu, &rpc);
+        let req = rpc.frame();
+        let resp = |method, offset, len| RpcFrame {
+            method,
+            offset,
+            len,
+            payload: zero_payload(len as usize),
+            ..req.clone()
+        };
+        let answer = resp(RpcMethod::ReadResp, 8192, 4096);
+        let mut storage = RdmaQp::new(cfg.rdma);
+        for frame in [
+            req.clone(),
+            resp(RpcMethod::WriteResp, 8192, 0),
+            resp(RpcMethod::ReadResp, 0, 4096),
+            resp(RpcMethod::ReadResp, 8192, 512),
+            answer.clone(),
+            answer,
+        ] {
+            storage.post_send(frame.to_bytes());
+        }
+        let ClientConn::Rdma { qp, .. } = &mut conn else {
+            unreachable!("an RDMA testbed opens RDMA connections")
+        };
+        let now = SimTime::ZERO;
+        for _ in 0..8 {
+            while let Some(pkt) = storage.poll_transmit(now) {
+                qp.on_packet(now, pkt);
+            }
+            while let Some(pkt) = qp.poll_transmit(now) {
+                storage.on_packet(now, pkt);
+            }
+        }
+        assert_eq!(qp.stats().msgs_delivered, 6);
+        let mut h = Host {
+            cpu: &mut cpu,
+            pcie: &mut pcie,
+            path: DataPath::Rdma,
+            journal: &mut Journal::new(),
+            rpc_to_io: &FxHashMap::default(),
+        };
+        let done = std::iter::from_fn(|| conn.poll_done(now, &mut h));
+        assert_eq!(done.map(|d| d.rpc_id).collect::<Vec<_>>(), [1]);
+    }
 }

@@ -136,7 +136,8 @@ pub struct BlkTrace {
 pub struct BlkCounters {
     /// Requests accepted by a ring.
     pub accepted: u64,
-    /// Requests rejected with `RingFull`.
+    /// Requests rejected at the ring: their queue was full, or the mount
+    /// has no queue of that index.
     pub rejected: u64,
     /// Completions delivered to the driver.
     pub completed: u64,
@@ -432,8 +433,11 @@ impl BlkState {
         };
         let features = mount.dev.features();
         let placement = mount.placement;
-        let queue = queue.min(mount.dev.num_queues().saturating_sub(1));
-        let vq = mount.dev.queue_mut(queue).expect("clamped queue index");
+        let Some(vq) = mount.dev.queue_mut(queue) else {
+            self.counters.rejected += 1;
+            w.journal.instant(now, "blk", "no_queue", queue as u64, 0);
+            return;
+        };
         if vq.submit(req).is_err() {
             self.counters.rejected += 1;
             w.journal.instant(now, "blk", "ring_full", queue as u64, 0);

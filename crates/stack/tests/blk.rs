@@ -2,6 +2,7 @@
 //! flow over the SA data path, the pushdown placement matrix and its
 //! bytes-moved claim, CRC rejection, and feature gating.
 
+use ebs_obs::EventKind;
 use ebs_sim::SimTime;
 use ebs_stack::blk::{BlkReq, Predicate, PushdownPlacement, StorageFn};
 use ebs_stack::{BlkMountConfig, Testbed, TestbedConfig, Variant};
@@ -119,6 +120,32 @@ fn ring_full_rejects_and_conserves() {
     assert_eq!(c.rejected, 2);
     assert_eq!(c.completed, 4);
     assert!(tb.blk_ring_errors().is_empty());
+}
+
+/// A request for a queue the mount lacks is rejected and journalled, not
+/// moved onto another queue.
+#[test]
+fn missing_queue_rejects_instead_of_rehoming() {
+    let mut tb = testbed();
+    tb.blk_mount(0, BlkMountConfig::with_placement(PushdownPlacement::Client))
+        .expect("negotiation");
+    tb.schedule_blk(SimTime::from_millis(1), 0, 7, BlkReq::read(0, 0, 8));
+    run(&mut tb);
+    let c = tb.blk_counters();
+    assert_eq!((c.accepted, c.rejected, c.completed), (0, 1, 0));
+    assert!(tb.blk_traces().is_empty());
+    let no_queue = tb.journal().events().filter(|e| {
+        e.track == "blk"
+            && matches!(
+                e.kind,
+                EventKind::Instant {
+                    name: "no_queue",
+                    id: 7,
+                    ..
+                }
+            )
+    });
+    assert_eq!(no_queue.count(), 1);
 }
 
 /// The tentpole claim: a filtered range scan executed at the storage node

@@ -46,6 +46,11 @@ impl RpcMethod {
             _ => return Err(WireError::Malformed),
         })
     }
+
+    /// True for the methods a client sends; the rest are responses.
+    pub fn is_request(self) -> bool {
+        matches!(self, RpcMethod::Write | RpcMethod::Read)
+    }
 }
 
 /// One RPC frame.
@@ -87,6 +92,21 @@ impl RpcFrame {
     /// Total encoded size of this frame.
     pub fn wire_len(&self) -> usize {
         HEADER_LEN + self.payload.len()
+    }
+
+    /// True if this frame answers `req`: a `WriteResp` to a `Write` or a
+    /// `ReadResp` carrying the `len` bytes a `Read` asked for, naming the
+    /// request's rpc id, disk and offset. A frame transport drops any
+    /// other response as stale.
+    pub fn answers(&self, req: &RpcFrame) -> bool {
+        let method_fits = match (req.method, self.method) {
+            (RpcMethod::Write, RpcMethod::WriteResp) => true,
+            (RpcMethod::Read, RpcMethod::ReadResp) => {
+                self.len == req.len && self.payload.len() == req.len as usize
+            }
+            _ => false,
+        };
+        method_fits && (self.rpc_id, self.vd_id, self.offset) == (req.rpc_id, req.vd_id, req.offset)
     }
 
     fn encode_header(&self, buf: &mut impl BufMut) {
