@@ -190,16 +190,20 @@ struct PortState {
 }
 
 impl PortState {
-    /// Retire every packet whose last bit has left by `now`.
+    /// Retire every packet whose last bit has left by `now`. A drained
+    /// ring restarts at its first slot (`clear` resets the head), so an
+    /// uncongested port keeps writing one cache line instead of walking
+    /// its whole buffer.
     fn retire(&mut self, now: SimTime) {
         while let Some(&(end, size)) = self.queue.front() {
             if end > now {
-                break;
+                return;
             }
             self.queue.pop_front();
             self.queued_bytes -= size as usize;
             self.tx_bytes += size as u64;
         }
+        self.queue.clear();
     }
 
     /// `(queued bytes, transmitted bytes)` as of `now`, without retiring:
@@ -390,11 +394,10 @@ impl<P> Fabric<P> {
                         rate: p.link.rate,
                         delay: p.link.delay,
                         cap_bytes: p.link.queue_bytes,
-                        // Pre-size for the full-MTU packet count the
-                        // buffer can hold; avoids growth reallocations on
-                        // the enqueue hot path (tiny-packet bursts may
-                        // still grow it once, amortized).
-                        queue: VecDeque::with_capacity((p.link.queue_bytes / 4096).clamp(16, 512)),
+                        // Grows on demand: a drained ring restarts at
+                        // slot 0, so most ports never need more than a
+                        // few slots.
+                        queue: VecDeque::new(),
                         queued_bytes: 0,
                         tx_bytes: 0,
                         max_queue_bytes: 0,
@@ -1344,6 +1347,39 @@ mod tests {
             ties > 0,
             "the incast must put departures and arrivals in one nanosecond"
         );
+    }
+
+    /// A port that drains between packets writes every packet into its
+    /// ring's first slot: the retire before each enqueue empties the ring
+    /// and restarts it there, so the front entry's address never moves.
+    #[test]
+    fn drained_port_rings_restart_at_the_first_slot() {
+        let (mut f, mut q) = fabric();
+        let front = |f: &Fabric<u32>| -> Vec<(usize, usize, *const (SimTime, u32))> {
+            let mut v = Vec::new();
+            for (d, dev) in f.devices.iter().enumerate() {
+                for (i, port) in dev.ports.iter().enumerate() {
+                    if let Some(e) = port.queue.front() {
+                        assert_eq!(port.queue.len(), 1, "one packet at a time");
+                        v.push((d, i, e as *const _));
+                    }
+                }
+            }
+            v
+        };
+        let mut first = None;
+        for cycle in 0..64u32 {
+            let at = SimTime::from_micros(u64::from(cycle) * 100);
+            f.send(at, pkt(&f, 0, 5, 1000, cycle), &mut q);
+            assert_eq!(run_to_end(&mut f, &mut q).len(), 1);
+            let now = front(&f);
+            assert_eq!(now.len(), 6, "one entry on each port of the path");
+            assert_eq!(
+                *first.get_or_insert_with(|| now.clone()),
+                now,
+                "cycle {cycle}"
+            );
+        }
     }
 
     /// `Sample` reads every port as of the `now` it is given. After a

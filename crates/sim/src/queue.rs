@@ -98,10 +98,14 @@ impl<E> Eq for Entry<E> {}
 /// A deterministic priority queue of timestamped events.
 pub struct EventQueue<E> {
     /// Near-future buckets (unsorted). Bucket `b` maps to ring index
-    /// `b % WHEEL_SLOTS`; activation swaps the bucket with the spent run,
-    /// so capacity circulates and steady-state scheduling is
-    /// allocation-free.
+    /// `b % WHEEL_SLOTS`. An empty bucket owns no buffer: its first entry
+    /// brings one from `spare`, and activation moves it into the run.
     wheel: Box<[Vec<Entry<E>>; WHEEL_SLOTS]>,
+    /// Spent run buffers (empty, with capacity), most recently drained
+    /// last: the next bucket to fill takes the one still in cache, so
+    /// capacity circulates and steady-state scheduling is
+    /// allocation-free.
+    spare: Vec<Vec<Entry<E>>>,
     /// One bit per non-empty ring slot, for O(1)-ish bucket scans.
     occupied: [u64; WHEEL_WORDS],
     /// Entries in buckets, to skip scans when the wheel is dry.
@@ -135,6 +139,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             wheel: Box::new(std::array::from_fn(|_| Vec::new())),
+            spare: Vec::new(),
             occupied: [0; WHEEL_WORDS],
             wheel_len: 0,
             run: Vec::new(),
@@ -186,8 +191,14 @@ impl<E> EventQueue<E> {
             self.late.push(Reverse(entry));
         } else if b < self.activated + WHEEL_SLOTS as u64 {
             let idx = b as usize & (WHEEL_SLOTS - 1);
+            let (word, bit) = (&mut self.occupied[idx / 64], 1 << (idx % 64));
+            if *word & bit == 0 {
+                *word |= bit;
+                if let Some(buf) = self.spare.pop() {
+                    self.wheel[idx] = buf;
+                }
+            }
             self.wheel[idx].push(entry);
-            self.occupied[idx / 64] |= 1 << (idx % 64);
             self.wheel_len += 1;
         } else {
             self.overflow.push(Reverse(entry));
@@ -233,6 +244,9 @@ impl<E> EventQueue<E> {
     /// the run spent and the late heap empty. Returns `false` when no
     /// events remain anywhere.
     fn advance(&mut self) -> bool {
+        if self.run.capacity() > 0 {
+            self.spare.push(std::mem::take(&mut self.run));
+        }
         if self.wheel_len == 0 {
             match self.overflow.peek() {
                 // Wheel dry: jump the window straight to the earliest far
@@ -262,7 +276,7 @@ impl<E> EventQueue<E> {
             // lint: allow(panic_discipline) — wheel invariant (wheel_len > 0 ⇒ an occupied bucket within the window), model-checked by tests/queue_model.rs; losing events silently would corrupt every downstream result
             .expect("advance with entries but no occupied bucket");
         let idx = b as usize & (WHEEL_SLOTS - 1);
-        std::mem::swap(&mut self.run, &mut self.wheel[idx]);
+        self.run = std::mem::take(&mut self.wheel[idx]);
         // `(at, seq)` is a total order (`seq` is unique), so an unstable
         // sort is deterministic; cascaded entries arrive out of `seq`
         // order. Descending, so pops take from the back.
@@ -662,12 +676,47 @@ mod tests {
                 };
                 q.schedule_at(now + SimDuration::from_nanos(delta_ns), n + 64);
             }
-            let buckets: usize = q.wheel.iter().map(Vec::capacity).sum();
+            let buckets: usize = q.wheel.iter().chain(&q.spare).map(Vec::capacity).sum();
             buckets + q.run.capacity() + q.late.capacity() + q.overflow.capacity()
         };
         let warm = run(&mut q, 500_000);
         assert!(warm <= (WHEEL_SLOTS + 3) * 64, "{warm} entries retained");
         assert_eq!(run(&mut q, 500_000), warm, "capacity grew in steady state");
+    }
+
+    #[test]
+    fn bucket_buffers_are_recycled_not_multiplied() {
+        // A steady hop pattern: every buffer the wheel owns is in an
+        // occupied bucket, in the run or on the spare stack, and a fresh
+        // one is allocated only when the spare stack is empty — so there
+        // are never more than the occupied-bucket peak plus the run.
+        let mut q = EventQueue::new();
+        for n in 0..48u64 {
+            q.schedule_at(SimTime::from_nanos(n * 70), n);
+        }
+        let occupied = |q: &EventQueue<u64>| -> usize {
+            q.occupied.iter().map(|w| w.count_ones() as usize).sum()
+        };
+        let (mut peak, mut most) = (0, 0);
+        for _ in 0..200_000 {
+            let (now, n) = q.pop().expect("the population is constant");
+            let delta_ns = 100 + n * 7_919 % 3_000;
+            q.schedule_at(now + SimDuration::from_nanos(delta_ns), n + 48);
+            peak = peak.max(occupied(&q));
+            let owned = q.wheel.iter().filter(|b| b.capacity() > 0).count();
+            assert_eq!(owned, occupied(&q), "only occupied buckets own buffers");
+            let buffers = owned + q.spare.len() + usize::from(q.run.capacity() > 0);
+            assert!(
+                buffers <= peak + 1,
+                "{buffers} buffers, peak {peak} buckets"
+            );
+            most = most.max(buffers);
+        }
+        assert!(
+            peak > 8 && !q.spare.is_empty(),
+            "the pattern must spread and recycle"
+        );
+        assert!(most > peak, "the run holds a buffer of its own");
     }
 
     #[test]

@@ -334,11 +334,8 @@ impl Testbed {
         let resp = RemoteMsg { is_resp: true, ..m };
         let sdev = net.storage_dev(storage as u32);
         let ack = resp.packet(sdev, gdev, 9102, 42_000 + resp.salt());
-        let reply = Box::new(Reply::Packet(ack));
-        net.q.schedule_at(
-            done + self.w.server_stack_latency,
-            Event::StorageDone { storage, reply },
-        );
+        let at = done + self.w.server_stack_latency;
+        self.w.reply_at(at, storage, Reply::Packet(ack));
     }
 
     /// Drain the messages that reached the gateway since the last call,

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 use ebs_sim::SimTime;
 use ebs_storage::StorageServer;
-use ebs_wire::RpcFrame;
+use ebs_wire::{Handle, RpcFrame};
 
 use crate::conn::{Ends, Rx, ServerConn};
 use crate::net::{pump_keys, walk, Packet};
@@ -75,18 +75,20 @@ impl StorageNode {
                     done + w.server_stack_latency
                 }
             };
-            let reply = Box::new(req.reply);
-            w.net
-                .q
-                .schedule_at(at, Event::StorageDone { storage, reply });
+            w.reply_at(at, storage, req.reply);
         });
         if pump {
             self.pump(now, Some(&[compute]), w);
         }
     }
 
-    /// The backend finished: emit the reply.
-    pub(crate) fn done(&mut self, now: SimTime, reply: Reply, w: &mut World) {
+    /// The backend finished: emit the reply parked under `reply`.
+    pub(crate) fn done(&mut self, now: SimTime, reply: Handle, w: &mut World) {
+        // Cannot fire: only the one `StorageDone` that `World::reply_at`
+        // scheduled holds this handle, and the queue pops each event once
+        // (`tests` below check every cell takes each reply exactly once).
+        // Skipping a missing reply would lose an I/O silently.
+        let reply = w.replies.take(reply).expect("storage reply taken twice");
         match reply {
             Reply::Frame { compute, frame } => {
                 if let Some(conn) = self.conns.get_mut(&compute) {
@@ -127,6 +129,144 @@ impl StorageNode {
         }
         if let (Some(t0), Some(p)) = (prof_t0, w.prof.as_deref_mut()) {
             p.pump_ns += t0.elapsed().as_nanos() as u64;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use ebs_sim::{SimDuration, SimTime};
+
+    use crate::blk::{BlkReq, Predicate, PushdownPlacement, StorageFn};
+    use crate::testbed::{Event, Testbed};
+    use crate::{
+        BlkMountConfig, FioConfig, ReplicationConfig, ShardedTestbed, ShardedTestbedConfig,
+        TestbedConfig, Variant,
+    };
+
+    fn ms(n: u64) -> SimTime {
+        SimTime::from_millis(n)
+    }
+
+    /// The earliest pending event time of `tb` at or before `end`.
+    fn next_at(tb: &mut Testbed, end: SimTime) -> Option<SimTime> {
+        tb.w.net.q.peek_time().filter(|&t| t <= end)
+    }
+
+    /// Drop every event still queued, taking the reply each pending
+    /// `StorageDone` owns. Afterwards no reply may be left: none was
+    /// parked without its event.
+    fn drain_replies(tb: &mut Testbed) {
+        while let Some((_, ev)) = tb.w.net.q.pop() {
+            if let Event::StorageDone { reply, .. } = ev {
+                assert!(tb.w.replies.take(reply).is_some(), "reply taken twice");
+            }
+        }
+        assert!(tb.w.replies.is_empty(), "a reply outlived its event");
+    }
+
+    /// Run a flat testbed to quiescence at `end`, one timestamp at a
+    /// time, then check that every reply was taken and that the slab
+    /// never held more slots than replies were parked at once.
+    fn check_flat(mut tb: Testbed, end: SimTime) {
+        let mut peak = 0;
+        while let Some(t) = next_at(&mut tb, end) {
+            tb.run_until(t);
+            peak = peak.max(tb.w.replies.len());
+        }
+        let slots = tb.w.replies.slots();
+        assert!(peak > 0, "the cell must reach a storage server");
+        assert!(
+            slots <= peak,
+            "{slots} slots for at most {peak} parked replies"
+        );
+        assert!(tb.w.replies.is_empty(), "quiesced with replies parked");
+    }
+
+    fn fio(tb: &mut Testbed, depth: usize, bytes: u32) {
+        for c in 0..tb.config().n_compute {
+            let cfg = FioConfig {
+                depth,
+                bytes,
+                read_fraction: 0.5,
+            };
+            tb.attach_fio(ms(1), c, cfg);
+        }
+    }
+
+    #[test]
+    fn flat_cells_take_every_parked_reply_once() {
+        for variant in [
+            Variant::Kernel,
+            Variant::Luna,
+            Variant::Rdma,
+            Variant::SolarStar,
+            Variant::Solar,
+        ] {
+            let mut tb = Testbed::new(TestbedConfig::small(variant, 3, 3));
+            fio(&mut tb, 4, 16384);
+            tb.schedule_stop_fio(ms(6));
+            check_flat(tb, ms(20));
+        }
+    }
+
+    #[test]
+    fn blk_pushdown_cell_takes_every_parked_reply_once() {
+        let mut tb = Testbed::new(TestbedConfig::small(Variant::Solar, 2, 3));
+        let mount = BlkMountConfig::with_placement(PushdownPlacement::StorageNode);
+        tb.blk_mount(0, mount).expect("negotiation");
+        let scan = StorageFn::scan(Predicate {
+            offset: 0,
+            mask: 0x0F,
+            value: 0x07,
+        });
+        tb.schedule_blk(ms(1), 0, 0, BlkReq::write(0, 16, 8));
+        tb.schedule_blk(ms(1), 0, 1, BlkReq::pushdown(0, 0, 256, scan));
+        tb.schedule_blk(ms(2), 0, 0, BlkReq::read(0, 16, 8));
+        check_flat(tb, ms(50));
+    }
+
+    /// A replicated two-shard fleet under fio and probes. Replication
+    /// never stops, so its last acks may still be parked at the end:
+    /// each must belong to exactly one pending `StorageDone`.
+    #[test]
+    fn replicated_fleet_takes_every_parked_reply_once() {
+        let mut cfg = ShardedTestbedConfig::new(Variant::Solar, 8, 8, 2);
+        cfg.base.vds_per_compute = 2;
+        cfg.replication = Some(ReplicationConfig {
+            start: ms(1),
+            interval: SimDuration::from_micros(200),
+            blocks: 4,
+        });
+        let mut fleet = ShardedTestbed::new(cfg);
+        for s in 0..fleet.shards() {
+            let tb = fleet.shard_mut(s);
+            for c in 0..tb.config().n_compute {
+                tb.attach_probe(ms(1), c, SimDuration::from_micros(300), 4096, 0.5);
+            }
+            fio(tb, 2, 8192);
+            tb.schedule_stop_fio(ms(5));
+        }
+        let end = ms(8);
+        let mut peak = vec![0; fleet.shards()];
+        loop {
+            let next = (0..fleet.shards())
+                .filter_map(|s| next_at(fleet.shard_mut(s), end))
+                .min();
+            let Some(t) = next else { break };
+            fleet.run_until(t);
+            for (s, p) in peak.iter_mut().enumerate() {
+                *p = (*p).max(fleet.shard(s).w.replies.len());
+            }
+        }
+        let (_, served, completed, _) = fleet.replication_totals();
+        assert!(served > 0 && completed > 0, "replication round trips");
+        for (s, &peak) in peak.iter().enumerate() {
+            let tb = fleet.shard_mut(s);
+            let slots = tb.w.replies.slots();
+            assert!(peak > 0, "shard {s} must reach a storage server");
+            assert!(slots <= peak, "shard {s}: {slots} slots, peak {peak}");
+            drain_replies(tb);
         }
     }
 }

@@ -23,7 +23,7 @@ use ebs_sa::{IoRequest, QosSpec};
 use ebs_sim::{FxHashMap, SimDuration, SimTime};
 use ebs_solar::SolarConfig;
 use ebs_storage::{BnConfig, SsdConfig, StorageBreakdown, StorageServer};
-use ebs_wire::BLK_S_OK;
+use ebs_wire::{Handle, Slab, BLK_S_OK};
 
 use ebs_obs::{Journal, Metrics};
 
@@ -206,12 +206,12 @@ pub(crate) enum Event {
     /// Storage backend finished; emit the response.
     StorageDone {
         storage: usize,
-        /// Boxed deliberately: replies are orders of magnitude rarer than
-        /// per-hop [`Event::Net`] events, and keeping the widest variant
-        /// out of line keeps the whole `Event` enum — and thus every
-        /// queue entry — small. The other boxes below are there for the
-        /// same reason.
-        reply: Box<Reply>,
+        /// The reply, parked in [`World::replies`]: keeping the widest
+        /// payload out of line keeps the whole `Event` enum — and thus
+        /// every queue entry — small, and the slab reuses the slot the
+        /// last reply left warm. The boxes below are there for the same
+        /// reason, on events too rare to need a slab.
+        reply: Handle,
     },
     /// Compute-side transport timer.
     ComputeTimer { compute: usize },
@@ -318,6 +318,9 @@ pub(crate) struct World {
     /// Phase-cycle accounting; `None` (the default) costs one branch per
     /// event.
     pub prof: Option<Box<PhaseCycles>>,
+    /// Replies the storage backends are preparing, each owned by the one
+    /// [`Event::StorageDone`] that emits it.
+    pub replies: Slab<Reply>,
 }
 
 pub(crate) const NO_STORAGE: StorageBreakdown = StorageBreakdown {
@@ -333,6 +336,14 @@ impl World {
             .or_insert(NO_STORAGE);
         e.bn = e.bn.max(bd.bn);
         e.ssd = e.ssd.max(bd.ssd);
+    }
+
+    /// Park `reply` until storage server `storage` emits it at `at`.
+    pub(crate) fn reply_at(&mut self, at: SimTime, storage: usize, reply: Reply) {
+        let reply = self.replies.insert(reply);
+        self.net
+            .q
+            .schedule_at(at, Event::StorageDone { storage, reply });
     }
 }
 
@@ -376,6 +387,7 @@ impl Testbed {
                 breakdowns: FxHashMap::default(),
                 journal: Journal::new(),
                 prof: None,
+                replies: Slab::new(),
             },
             remote: None,
             blk: None,
@@ -548,7 +560,7 @@ impl Testbed {
                 computes[compute as usize].guest_io(now, io, from_fio, w);
             }
             Event::SaDone { compute, io_id } => computes[compute].sa_done(now, io_id, w),
-            Event::StorageDone { storage, reply } => storages[storage].done(now, *reply, w),
+            Event::StorageDone { storage, reply } => storages[storage].done(now, reply, w),
             Event::ComputeTimer { compute } => {
                 computes[compute].on_timer(now, w, blk.as_deref_mut());
             }

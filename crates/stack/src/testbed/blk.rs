@@ -649,11 +649,8 @@ impl BlkState {
         };
         let size = PD_REQ_BYTES + rh.blocks_out as usize * BLOCK_SIZE as usize;
         let body = Msg(Body::Pushdown(PushdownMsg { hdr: rh, ..m }));
-        let reply = Box::new(Reply::Packet(FabricPacket::new(flow, size, None, body)));
-        w.net.q.schedule_at(
-            done + exec + w.server_stack_latency,
-            Event::StorageDone { storage, reply },
-        );
+        let reply = Reply::Packet(FabricPacket::new(flow, size, None, body));
+        w.reply_at(done + exec + w.server_stack_latency, storage, reply);
     }
 
     // --- pushdown: client side --------------------------------------------

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Symbolise and aggregate the sample files scripts/sigprof.c writes.
 
-    python3 scripts/sigprof_report.py FILE... [--top N] [--focus NAME]
+    python3 scripts/sigprof_report.py FILE... [--top N] [--focus NAME] [--lines NAME]
 
 Each FILE is one process's `# maps` section (its /proc/self/maps at exit)
 and `# samples` section (one line per sample: hex program counters,
@@ -14,6 +14,14 @@ Views, each as a share of all samples:
   --focus    for samples whose stack holds a function whose name contains
              NAME: what runs inside its outermost occurrence (inclusive),
              and who called it
+  --lines    for samples whose innermost program counter lies in a
+             function whose name contains NAME (inlined callees
+             included): self samples per source line, each the
+             innermost line `addr2line` (without -i) gives for that
+             counter. This shows which loads of a hot function stall,
+             e.g. `--lines PortState::retire` splits its samples
+             between the ring's head reads (in VecDeque's source) and
+             the first use of the slot it loaded.
 
 Symbolisation. A PIE binary or shared object is mapped at a load bias:
 file-relative address = pc - bias, where bias is the start of the
@@ -139,7 +147,9 @@ def symbolise(addrs_by_obj):
 
 
 def stacks(paths):
-    """Every sample as a list of function names, innermost first."""
+    """Every sample as (function names innermost first, the innermost
+    program counter's (object, file-relative address) or None, and that
+    counter's own inline frames)."""
     raw = []
     addrs_by_obj = collections.defaultdict(set)
     for path in paths:
@@ -158,8 +168,32 @@ def stacks(paths):
         stack = []
         for loc in located:
             stack.extend(names[loc] if loc else ["[unknown]"])
-        out.append(stack)
+        inner = located[0] if located else None
+        out.append((stack, inner, names[inner] if inner else []))
     return out
+
+
+def source_lines(locs):
+    """{(obj, addr): "file:line  function"} via addr2line without -i: the
+    innermost inlined frame's own line, not its callers'."""
+    by_obj = collections.defaultdict(set)
+    for obj, addr in locs:
+        by_obj[obj].add(addr)
+    lines = {}
+    for obj, addrs in by_obj.items():
+        addrs = sorted(addrs)
+        out = subprocess.run(
+            ["addr2line", "-f", "-C", "-e", obj],
+            input="\n".join(f"{a:#x}" for a in addrs),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.splitlines()
+        # Exactly one function / location pair per address without -i.
+        for a, fn, where in zip(addrs, out[0::2], out[1::2]):
+            where = "/".join(where.split(" ")[0].split("/")[-3:])
+            lines[(obj, a)] = f"{where}  {HASH_RE.sub('', fn)}"
+    return lines
 
 
 def table(title, counts, total, top):
@@ -173,8 +207,10 @@ def main():
     ap.add_argument("files", nargs="+")
     ap.add_argument("--top", type=int, default=25)
     ap.add_argument("--focus", help="substring of a function name")
+    ap.add_argument("--lines", help="substring of a function name")
     args = ap.parse_args()
-    samples = stacks(args.files)
+    located = stacks(args.files)
+    samples = [s for s, _, _ in located]
     total = len(samples)
     print(f"{total} samples from {len(args.files)} file(s)")
     if not total:
@@ -196,6 +232,12 @@ def main():
         print(f"\nfocus '{args.focus}': {hits} samples ({100.0 * hits / total:.1f}%)")
         table("  inside it (inclusive)", inside, total, args.top)
         table("  called from", callers, total, args.top)
+    if args.lines:
+        hit = [loc for _, loc, inner in located if any(args.lines in f for f in inner)]
+        where = source_lines(hit)
+        counts = collections.Counter(where[loc] for loc in hit)
+        print(f"\nlines '{args.lines}': {len(hit)} self samples ({100.0 * len(hit) / total:.1f}%)")
+        table("  per source line", counts, total, args.top)
     return 0
 
 
