@@ -1,8 +1,6 @@
 //! Compute-server host: guest I/O → QoS → SA → PCIe → one
 //! [`ClientConn`] per block server, and the completion path back.
 
-use std::collections::BTreeMap;
-
 use ebs_dpu::{DataPath, DpuCpu, DpuPcie};
 use ebs_sa::{split_io, IoKind, IoRequest, QosTable, SegmentTable, SubIo, BLOCK_SIZE};
 use ebs_sim::{FxHashMap, SimDuration, SimTime};
@@ -13,7 +11,7 @@ use crate::calibrate::{
 };
 use crate::conn::{ClientConn, Done, Ends, Host, Rpc, Rx};
 use crate::drivers::{next_fio_io, FioState, ProbeState};
-use crate::net::{pump_keys, walk};
+use crate::net::{pump_keys, walk, ConnTable};
 use crate::testbed::blk::BlkState;
 use crate::testbed::{min_opt, Event, TestbedConfig, Variant, World, NO_STORAGE};
 use crate::trace::IoTrace;
@@ -44,9 +42,9 @@ pub(crate) struct ComputeNode {
     path: DataPath,
     pub seg_table: SegmentTable,
     pub qos: QosTable,
-    // BTreeMap: the pump iterates the connections, and iteration order
-    // must be deterministic for bit-identical replays.
-    pub conns: BTreeMap<u32, ClientConn>,
+    /// One connection per block server, indexed by its id: walks go in
+    /// ascending id order, so replays stay bit-identical.
+    pub conns: ConnTable<ClientConn>,
     pending: FxHashMap<u64, PendingIo>,
     rpc_to_io: FxHashMap<u64, (u64, u32)>,
     next_io_id: u64,
@@ -85,7 +83,7 @@ impl ComputeNode {
             path: cfg.variant.pcie_path(),
             seg_table,
             qos,
-            conns: BTreeMap::new(),
+            conns: ConnTable::new(),
             pending: FxHashMap::default(),
             rpc_to_io: FxHashMap::default(),
             next_io_id: 1,
@@ -217,7 +215,7 @@ impl ComputeNode {
             self.rpc_to_io
                 .insert(rpc_id, (io_id, sub.blocks.len() as u32));
             let storage = sub.block_server;
-            let conn = self.conns.entry(storage).or_insert_with(|| {
+            let conn = self.conns.get_or_insert_with(storage, || {
                 let ends = Ends {
                     local: w.net.compute_dev(compute as u32),
                     peer: w.net.storage_dev(storage),
@@ -256,7 +254,7 @@ impl ComputeNode {
         w: &mut World,
         blk: Option<&mut BlkState>,
     ) {
-        if let Some(conn) = self.conns.get_mut(&storage) {
+        if let Some(conn) = self.conns.get_mut(storage) {
             conn.rx(now, rx, &mut self.pcie, self.path);
         }
         let keys = Some(&[storage][..]);

@@ -9,10 +9,11 @@
 //! [`ServerConn`] are closed enums over the three transports with the
 //! verbs the engines already share — submit / rx / poll_tx / poll_done /
 //! poll_timer / on_timer / sample_into — so `compute.rs` and `storage.rs`
-//! hold one `BTreeMap<u32, _>` of connections each and never name an
-//! engine. TCP and RDMA both carry [`RpcFrame`]s and share one frame path
-//! per side ([`Rpc::frame`], [`frame_done`], [`frame_request`]) and one
-//! rule for which response completes a request ([`RpcFrame::answers`]).
+//! hold one [`ConnTable`](crate::net::ConnTable) of connections each,
+//! indexed by peer id, and never name an engine. TCP and RDMA both carry
+//! [`RpcFrame`]s and share one frame path per side ([`Rpc::frame`],
+//! [`frame_done`], [`frame_request`]) and one rule for which response
+//! completes a request ([`RpcFrame::answers`]).
 //!
 //! Every arithmetic detail here is byte-pinned by the golden digests
 //! (`tests/digest_golden.rs`): TCP's crossing is `crossing_latency`

@@ -111,6 +111,8 @@ pub(crate) struct RemoteState {
     interval: SimDuration,
     rng: SmallRng,
     next_rpc_id: u64,
+    /// Set by [`Event::StopRepl`]: ticks neither issue nor rearm.
+    stopped: bool,
     /// Outbox sequence counter; see [`RemoteMsg::seq`].
     pub next_seq: u64,
     /// Messages that reached the gateway this window, awaiting pickup by
@@ -179,6 +181,7 @@ impl Testbed {
     /// spread across the server's virtual disks. Unlike fio, the rate is
     /// load-independent — the fleet-scale stand-in for thousands of
     /// lightly-loaded VMs whose hung-I/O detectors fire on a schedule.
+    /// It runs until [`Testbed::schedule_stop_probes`] stops it.
     pub fn attach_probe(
         &mut self,
         start: SimTime,
@@ -226,7 +229,8 @@ impl Testbed {
     /// replication RPC per `interval` (jittered) toward a uniformly
     /// random storage server in a uniformly random *other* shard,
     /// leaving through the gateway. The sharded executor carries the
-    /// RPCs between shards; requires `TestbedConfig::gateway`.
+    /// RPCs between shards; requires `TestbedConfig::gateway`. It runs
+    /// until [`Testbed::schedule_stop_replication`] stops it.
     pub fn enable_remote_replication(
         &mut self,
         start: SimTime,
@@ -253,6 +257,7 @@ impl Testbed {
             interval,
             rng,
             next_rpc_id: 1,
+            stopped: false,
             next_seq: 0,
             outbox: Vec::new(),
             issued: 0,
@@ -265,7 +270,7 @@ impl Testbed {
     /// Cross-shard replication tick on a storage server: issue one
     /// replication RPC toward a peer shard and rearm.
     pub(crate) fn repl_tick(&mut self, now: SimTime, storage: usize) {
-        let Some(r) = self.remote.as_deref_mut() else {
+        let Some(r) = self.remote.as_deref_mut().filter(|r| !r.stopped) else {
             return;
         };
         let mut send = None;
@@ -296,6 +301,12 @@ impl Testbed {
         if let (Some(msg), Some(gdev)) = (send, net.gateway) {
             let sdev = net.storage_dev(storage as u32);
             net.send(now, msg.packet(sdev, gdev, 40_000 + msg.salt(), 9100));
+        }
+    }
+
+    pub(crate) fn stop_replication(&mut self) {
+        if let Some(r) = self.remote.as_deref_mut() {
+            r.stopped = true;
         }
     }
 

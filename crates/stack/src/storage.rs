@@ -1,14 +1,12 @@
 //! Storage-server host: one block server's backend (BN replication +
-//! SSD) behind one map of per-compute [`ServerConn`]s.
-
-use std::collections::BTreeMap;
+//! SSD) behind one table of per-compute [`ServerConn`]s.
 
 use ebs_sim::SimTime;
 use ebs_storage::StorageServer;
 use ebs_wire::{Handle, RpcFrame};
 
 use crate::conn::{Ends, Rx, ServerConn};
-use crate::net::{pump_keys, walk, Packet};
+use crate::net::{pump_keys, walk, ConnTable, Packet};
 use crate::testbed::{min_opt, Event, World};
 
 /// A reply the storage backend finished preparing
@@ -26,9 +24,9 @@ pub(crate) enum Reply {
 pub(crate) struct StorageNode {
     id: usize,
     pub backend: StorageServer,
-    // BTreeMap: the pump iterates the connections, and iteration order
-    // must be deterministic for bit-identical replays.
-    pub conns: BTreeMap<u32, ServerConn>,
+    /// One connection per compute server, indexed by its id: walks go in
+    /// ascending id order, so replays stay bit-identical.
+    pub conns: ConnTable<ServerConn>,
     timer_at: Option<SimTime>,
 }
 
@@ -37,7 +35,7 @@ impl StorageNode {
         StorageNode {
             id,
             backend,
-            conns: BTreeMap::new(),
+            conns: ConnTable::new(),
             timer_at: None,
         }
     }
@@ -47,7 +45,7 @@ impl StorageNode {
     /// schedule each reply for when that work (plus the storage-side
     /// stack crossings) is done.
     pub(crate) fn rx(&mut self, now: SimTime, compute: u32, rx: Rx, w: &mut World) {
-        let conn = self.conns.entry(compute).or_insert_with(|| {
+        let conn = self.conns.get_or_insert_with(compute, || {
             let ends = Ends {
                 local: w.net.storage_dev(self.id as u32),
                 peer: w.net.compute_dev(compute),
@@ -91,7 +89,7 @@ impl StorageNode {
         let reply = w.replies.take(reply).expect("storage reply taken twice");
         match reply {
             Reply::Frame { compute, frame } => {
-                if let Some(conn) = self.conns.get_mut(&compute) {
+                if let Some(conn) = self.conns.get_mut(compute) {
                     conn.respond(&frame);
                 }
                 self.pump(now, Some(&[compute]), w);
@@ -138,7 +136,7 @@ mod tests {
     use ebs_sim::{SimDuration, SimTime};
 
     use crate::blk::{BlkReq, Predicate, PushdownPlacement, StorageFn};
-    use crate::testbed::{Event, Testbed};
+    use crate::testbed::Testbed;
     use crate::{
         BlkMountConfig, FioConfig, ReplicationConfig, ShardedTestbed, ShardedTestbedConfig,
         TestbedConfig, Variant,
@@ -151,18 +149,6 @@ mod tests {
     /// The earliest pending event time of `tb` at or before `end`.
     fn next_at(tb: &mut Testbed, end: SimTime) -> Option<SimTime> {
         tb.w.net.q.peek_time().filter(|&t| t <= end)
-    }
-
-    /// Drop every event still queued, taking the reply each pending
-    /// `StorageDone` owns. Afterwards no reply may be left: none was
-    /// parked without its event.
-    fn drain_replies(tb: &mut Testbed) {
-        while let Some((_, ev)) = tb.w.net.q.pop() {
-            if let Event::StorageDone { reply, .. } = ev {
-                assert!(tb.w.replies.take(reply).is_some(), "reply taken twice");
-            }
-        }
-        assert!(tb.w.replies.is_empty(), "a reply outlived its event");
     }
 
     /// Run a flat testbed to quiescence at `end`, one timestamp at a
@@ -226,9 +212,8 @@ mod tests {
         check_flat(tb, ms(50));
     }
 
-    /// A replicated two-shard fleet under fio and probes. Replication
-    /// never stops, so its last acks may still be parked at the end:
-    /// each must belong to exactly one pending `StorageDone`.
+    /// A replicated two-shard fleet under fio and probes, every driver
+    /// stopped at 5 ms, drains to quiescence with every reply taken.
     #[test]
     fn replicated_fleet_takes_every_parked_reply_once() {
         let mut cfg = ShardedTestbedConfig::new(Variant::Solar, 8, 8, 2);
@@ -246,8 +231,10 @@ mod tests {
             }
             fio(tb, 2, 8192);
             tb.schedule_stop_fio(ms(5));
+            tb.schedule_stop_probes(ms(5));
+            tb.schedule_stop_replication(ms(5));
         }
-        let end = ms(8);
+        let end = ms(50);
         let mut peak = vec![0; fleet.shards()];
         loop {
             let next = (0..fleet.shards())
@@ -259,14 +246,19 @@ mod tests {
                 *p = (*p).max(fleet.shard(s).w.replies.len());
             }
         }
-        let (_, served, completed, _) = fleet.replication_totals();
-        assert!(served > 0 && completed > 0, "replication round trips");
+        let (issued, served, completed, _) = fleet.replication_totals();
+        assert!(served > 0, "replication round trips");
+        assert_eq!(completed, issued, "every replication RPC completes");
         for (s, &peak) in peak.iter().enumerate() {
             let tb = fleet.shard_mut(s);
+            assert!(tb.w.net.q.peek_time().is_none(), "shard {s} never quiesced");
             let slots = tb.w.replies.slots();
             assert!(peak > 0, "shard {s} must reach a storage server");
             assert!(slots <= peak, "shard {s}: {slots} slots, peak {peak}");
-            drain_replies(tb);
+            assert!(
+                tb.w.replies.is_empty(),
+                "shard {s} quiesced with replies parked"
+            );
         }
     }
 }

@@ -239,9 +239,15 @@ pub(crate) enum Event {
     StopFio { compute: usize },
     /// Open-loop probe driver tick: issue one I/O and rearm.
     ProbeTick { compute: usize },
+    /// Detach the probe driver from a compute server: its pending tick
+    /// issues nothing and does not rearm.
+    StopProbe { compute: usize },
     /// Cross-shard replication tick on a storage server: issue one
     /// replication RPC toward a peer shard and rearm.
     ReplTick { storage: usize },
+    /// Stop cross-shard replication: every pending tick issues nothing
+    /// and does not rearm.
+    StopRepl,
     /// A guest submits a request on a block-frontend ring.
     BlkGuest {
         compute: usize,
@@ -498,6 +504,22 @@ impl Testbed {
         }
     }
 
+    /// Schedule the detachment of every probe driver: from `at` on, no
+    /// probe issues an I/O (in-flight I/Os still finish).
+    pub fn schedule_stop_probes(&mut self, at: SimTime) {
+        for compute in 0..self.computes.len() {
+            self.schedule(at, Event::StopProbe { compute });
+        }
+    }
+
+    /// Schedule the end of this testbed's cross-shard replication: from
+    /// `at` on, its storage servers issue no replication RPC. RPCs in
+    /// flight still complete, and requests from other shards are still
+    /// served.
+    pub fn schedule_stop_replication(&mut self, at: SimTime) {
+        self.schedule(at, Event::StopRepl);
+    }
+
     /// Run the world until `horizon` (inclusive of events at it): pop,
     /// dispatch, repeat. The clock ends on the last event dispatched,
     /// never past `horizon`.
@@ -585,7 +607,9 @@ impl Testbed {
             Event::StallPcie { compute, extra } => computes[compute].pcie.set_stall(extra),
             Event::StopFio { compute } => computes[compute].fio = None,
             Event::ProbeTick { compute } => self.probe_tick(now, compute),
+            Event::StopProbe { compute } => computes[compute].probe = None,
             Event::ReplTick { storage } => self.repl_tick(now, storage),
+            Event::StopRepl => self.stop_replication(),
             Event::BlkGuest {
                 compute,
                 queue,
