@@ -1053,6 +1053,25 @@ mod tests {
         assert!(int.hops.iter().all(|h| h.link_mbps >= 50_000));
     }
 
+    /// The longest path the topology builds crosses data centres and fills
+    /// the stack's reserve exactly, so stamping never reallocates.
+    #[test]
+    fn cross_dc_path_fills_the_int_reserve() {
+        let topo = Topology::build(ClosConfig {
+            dcs: 2,
+            ..ClosConfig::testbed(1, 1, 1)
+        });
+        let mut f: Fabric<u32> = Fabric::new(topo, FabricConfig::default());
+        let mut q = EventQueue::new();
+        let mut p = pkt(&f, 0, 1, 1, 1);
+        p.int = Some(IntStack::with_path_capacity());
+        f.send(SimTime::ZERO, p, &mut q);
+        let got = run_to_end(&mut f, &mut q);
+        let hops = &got[0].1.int.as_ref().expect("stamped").hops;
+        assert_eq!(hops.len(), ebs_wire::PATH_INT_HOPS);
+        assert_eq!(hops.capacity(), ebs_wire::PATH_INT_HOPS);
+    }
+
     #[test]
     fn queue_overflow_tail_drops() {
         let (mut f, mut q) = fabric();

@@ -31,7 +31,7 @@ pub fn chrome_trace(journal: &Journal) -> String {
     // (tid, ts). The sort is stable, so same-timestamp events keep their
     // journal order.
     let mut tids: Vec<&'static str> = Vec::new();
-    let mut indexed: Vec<(usize, &Event)> = Vec::new();
+    let mut indexed: Vec<(usize, Event)> = Vec::new();
     for e in journal.events() {
         let tid = match tids.iter().position(|&t| t == e.track) {
             Some(i) => i,

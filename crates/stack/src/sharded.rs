@@ -685,8 +685,8 @@ mod tests {
     fn merged_journal_is_deterministic_across_thread_counts() {
         let a = four_pod_fleet(1, 1);
         let b = four_pod_fleet(4, 1);
-        let ja: Vec<_> = a.merged_journal().events().copied().collect();
-        let jb: Vec<_> = b.merged_journal().events().copied().collect();
+        let ja: Vec<_> = a.merged_journal().events().collect();
+        let jb: Vec<_> = b.merged_journal().events().collect();
         assert_eq!(ja, jb);
     }
 

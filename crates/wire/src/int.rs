@@ -40,19 +40,24 @@ pub struct IntStack {
 /// DC routers; 15 is generous headroom).
 pub const MAX_INT_HOPS: usize = 15;
 
+/// Switches on the longest path the fabric builds, which crosses data
+/// centres: ToR, spine, core, DC router, core, spine, ToR.
+pub const PATH_INT_HOPS: usize = 7;
+
 impl IntStack {
     /// An empty stack.
     pub fn new() -> Self {
         IntStack::default()
     }
 
-    /// An empty stack with room for a full fabric path ([`MAX_INT_HOPS`]
-    /// records) already reserved, so per-hop stamping during traversal
-    /// never reallocates. Prefer this when attaching a stack to a packet
-    /// about to be injected into the fabric.
+    /// An empty stack with room for the longest fabric path
+    /// ([`PATH_INT_HOPS`] records) already reserved, so per-hop stamping
+    /// during traversal never reallocates. Prefer this when attaching a
+    /// stack to a packet about to be injected into the fabric. A longer
+    /// path still stamps up to [`MAX_INT_HOPS`]; the stack just grows.
     pub fn with_path_capacity() -> Self {
         IntStack {
-            hops: Vec::with_capacity(MAX_INT_HOPS),
+            hops: Vec::with_capacity(PATH_INT_HOPS),
         }
     }
 

@@ -36,7 +36,7 @@ pub use blk::{
 };
 pub use chain::{ByteChain, ViewQueue};
 pub use ebs::{EbsHeader, EbsOp, FLAG_ECN_ECHO, FLAG_ENCRYPTED, FLAG_INT_REQUEST, FLAG_RETRANSMIT};
-pub use int::{IntHop, IntStack, MAX_INT_HOPS};
+pub use int::{IntHop, IntStack, MAX_INT_HOPS, PATH_INT_HOPS};
 pub use pool::{BlockPool, PoolStats, PooledBuf, PooledBytes};
 pub use rpc::{FrameDecoder, RpcFrame, RpcMethod};
 pub use slab::{Handle, Slab};

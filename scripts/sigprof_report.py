@@ -33,9 +33,19 @@ offset` of the r-x mapping names the wrong function. Non-PIE executables
 (ET_EXEC) are absolute. `addr2line -i` expands inlined frames, so a
 sample's stack is the logical call stack, innermost first. Return
 addresses are looked up one byte back, inside the call instruction.
+
+System libraries ship without debug info, and for them addr2line names
+the nearest exported symbol before the address, even far past that
+symbol's end: libc's unexported memmove kernels would show as the
+13-byte `__nss_database_lookup`. So for a shared object without line
+info, an address is checked against the extents `nm -D -S` gives. Inside
+one, it takes that symbol's name; outside all of them it is named
+`lib+0xoff`, where 0xoff is the start of the unexported gap it lies in,
+so the samples of one unexported routine add up in one row.
 """
 
 import argparse
+import bisect
 import collections
 import re
 import struct
@@ -113,6 +123,65 @@ def file_relative(maps, pc):
     return None
 
 
+def exported(obj):
+    """(starts, symbols, reach) for the defined dynamic symbols of `obj`:
+    symbols as sorted (start, end, name), starts their starts, and
+    reach[i] the furthest end among symbols[:i + 1]."""
+    out = subprocess.run(
+        ["nm", "-D", "-S", "--defined-only", obj],
+        capture_output=True,
+        text=True,
+        check=False,
+    ).stdout
+    syms = []
+    for line in out.splitlines():
+        f = line.split()
+        if len(f) == 4 and int(f[1], 16) > 0:
+            start = int(f[0], 16)
+            syms.append((start, start + int(f[1], 16), f[3].split("@")[0]))
+    syms.sort()
+    reach, far = [], 0
+    for _, end, _ in syms:
+        far = max(far, end)
+        reach.append(far)
+    return [s for s, _, _ in syms], syms, reach
+
+
+EXPORTED = {}  # shared object path -> exported(path)
+
+
+def unsymbolised(obj, where):
+    """True when addr2line's name for an address of `obj` is only the
+    nearest exported symbol before it: a shared object without line info."""
+    return ".so" in obj.rsplit("/", 1)[-1] and where.startswith("??")
+
+
+def exported_name(obj, addr):
+    """`extent_name` of `addr` in shared object `obj`."""
+    if obj not in EXPORTED:
+        EXPORTED[obj] = exported(obj)
+    return extent_name(EXPORTED[obj], obj.rsplit("/", 1)[-1], addr)
+
+
+def extent_name(table, base, addr):
+    """The exported symbol whose extent holds `addr`, else `base+0xoff`
+    with 0xoff the start of the unexported gap around `addr`.
+
+    >>> t = ([0x10, 0x40], [(0x10, 0x20, "a"), (0x40, 0x4d, "b")], [0x20, 0x4d])
+    >>> [extent_name(t, "libc.so.6", x) for x in (0x18, 0x4c, 0x4d, 0x90, 0x8)]
+    ['a', 'b', 'libc.so.6+0x4d', 'libc.so.6+0x4d', 'libc.so.6+0x0']
+    """
+    starts, syms, reach = table
+    i = bisect.bisect_right(starts, addr) - 1
+    if i < 0:
+        return f"{base}+0x0"
+    if reach[i] <= addr:
+        return f"{base}+{reach[i]:#x}"
+    while syms[i][1] <= addr:
+        i -= 1
+    return syms[i][2]
+
+
 def symbolise(addrs_by_obj):
     """{(obj, addr): [function, ...] innermost first} via addr2line -i."""
     names = {}
@@ -126,8 +195,6 @@ def symbolise(addrs_by_obj):
             check=True,
         ).stdout.splitlines()
         base = obj.rsplit("/", 1)[-1]
-        # System libraries ship without debug info: addr2line names the
-        # nearest exported symbol, which may not be the function. Say so.
         tag = f" [{base}]" if ".so" in base else ""
         frames, current = {}, None
         # Per address: its echo ("0x..."), then function / location pairs.
@@ -139,7 +206,11 @@ def symbolise(addrs_by_obj):
                 i += 1
                 continue
             fn = HASH_RE.sub("", out[i])
-            frames[current].append(f"{base}+{current:#x}" if fn == "??" else fn + tag)
+            if unsymbolised(obj, out[i + 1]):
+                fn = exported_name(obj, current)
+                frames[current].append(fn if fn.startswith(base + "+") else fn + tag)
+            else:
+                frames[current].append(f"{base}+{current:#x}" if fn == "??" else fn + tag)
             i += 2
         for a in addrs:
             names[(obj, a)] = frames.get(a) or [f"{base}+{a:#x}"]
@@ -191,8 +262,9 @@ def source_lines(locs):
         ).stdout.splitlines()
         # Exactly one function / location pair per address without -i.
         for a, fn, where in zip(addrs, out[0::2], out[1::2]):
+            fn = exported_name(obj, a) if unsymbolised(obj, where) else HASH_RE.sub("", fn)
             where = "/".join(where.split(" ")[0].split("/")[-3:])
-            lines[(obj, a)] = f"{where}  {HASH_RE.sub('', fn)}"
+            lines[(obj, a)] = f"{where}  {fn}"
     return lines
 
 
