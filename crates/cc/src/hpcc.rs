@@ -11,11 +11,19 @@
 //! Ported verbatim from `ebs-solar` behind the [`CongestionControl`]
 //! trait; the float operations are unchanged so windows replay
 //! bit-identically across the move.
-
-use ebs_sim::FxHashMap;
+//!
+//! The rate term differences each hop's transmit counter against the
+//! previous observation of the same device, so the controller remembers
+//! the last snapshot of every device it has seen. That memory is a
+//! [`HopTable`]: device ids in first-seen order, searched linearly, the
+//! first [`PATH_INT_HOPS`] (the longest fabric path) inline and any
+//! further ones spilled to the heap. A path crosses a handful of devices,
+//! so a scan of a few contiguous ids takes the place of a hash per hop,
+//! and a controller whose paths stay short allocates nothing. The table
+//! never forgets a device.
 
 use ebs_sim::{Bandwidth, SimTime};
-use ebs_wire::IntStack;
+use ebs_wire::{IntStack, PATH_INT_HOPS};
 
 use crate::{AckSignal, CongestionControl, BASE_RTT, MIN_WINDOW};
 
@@ -28,10 +36,44 @@ const WAI_BYTES: f64 = 4096.0;
 const MAX_STAGE: u32 = 5;
 
 /// Previous INT observation of one hop (to difference the tx counter).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct HopSnapshot {
     tx_bytes: u64,
     ts_ns: u64,
+}
+
+/// The last [`HopSnapshot`] of every device seen, in first-seen order
+/// (see the module docs).
+#[derive(Debug, Default)]
+struct HopTable {
+    /// Devices held inline: `ids[..len]`.
+    len: u8,
+    ids: [u32; PATH_INT_HOPS],
+    snaps: [HopSnapshot; PATH_INT_HOPS],
+    /// Devices past the inline ones.
+    spill: Vec<(u32, HopSnapshot)>,
+}
+
+impl HopTable {
+    /// Store `snap` as `device`'s latest observation and return the one
+    /// it replaces, if the device was seen before.
+    fn replace(&mut self, device: u32, snap: HopSnapshot) -> Option<HopSnapshot> {
+        let n = self.len as usize;
+        if let Some(i) = self.ids[..n].iter().position(|&d| d == device) {
+            return Some(std::mem::replace(&mut self.snaps[i], snap));
+        }
+        if let Some((_, s)) = self.spill.iter_mut().find(|(d, _)| *d == device) {
+            return Some(std::mem::replace(s, snap));
+        }
+        if n < PATH_INT_HOPS {
+            self.ids[n] = device;
+            self.snaps[n] = snap;
+            self.len += 1;
+        } else {
+            self.spill.push((device, snap));
+        }
+        None
+    }
 }
 
 /// Per-path HPCC state.
@@ -45,7 +87,7 @@ pub struct Hpcc {
     wc: f64,
     inc_stage: u32,
     last_wc_update: SimTime,
-    prev_hops: FxHashMap<u32, HopSnapshot>,
+    prev_hops: HopTable,
     /// Most recent computed max-hop utilization (diagnostic).
     last_u: f64,
 }
@@ -61,7 +103,7 @@ impl Hpcc {
             wc: start,
             inc_stage: 0,
             last_wc_update: SimTime::ZERO,
-            prev_hops: FxHashMap::default(),
+            prev_hops: HopTable::default(),
             last_u: 0.0,
         }
     }
@@ -102,7 +144,7 @@ impl Hpcc {
         let mut max_u: Option<f64> = None;
         for hop in &int.hops {
             let b_bytes_per_ns = hop.link_mbps as f64 * 1e6 / 8.0 / 1e9;
-            let prev = self.prev_hops.insert(
+            let prev = self.prev_hops.replace(
                 hop.device_id,
                 HopSnapshot {
                     tx_bytes: hop.tx_bytes,
@@ -224,6 +266,28 @@ mod tests {
             ]),
         );
         assert!(h.last_utilization() > 1.0, "congested hop 2 must dominate");
+    }
+
+    /// Devices past the inline ones spill, and none is ever forgotten:
+    /// every one returns its last snapshot, in any order, repeatedly.
+    #[test]
+    fn hop_table_spills_and_never_forgets() {
+        let mut t = HopTable::default();
+        let snap = |d: u32, round: u64| HopSnapshot {
+            tx_bytes: u64::from(d) * 1000 + round,
+            ts_ns: round,
+        };
+        for d in 0..12 {
+            assert!(t.replace(100 + d, snap(d, 0)).is_none());
+        }
+        assert_eq!((t.len as usize, t.spill.len()), (PATH_INT_HOPS, 5));
+        for round in 1..3 {
+            for d in (0..12).rev() {
+                let prev = t.replace(100 + d, snap(d, round)).expect("seen before");
+                assert_eq!(prev.tx_bytes, snap(d, round - 1).tx_bytes);
+            }
+        }
+        assert_eq!(t.spill.len(), 5, "no device is stored twice");
     }
 
     #[test]

@@ -30,7 +30,7 @@ use ebs_wire::{
 };
 
 use crate::config::SolarConfig;
-use crate::path::{PathSet, PktKey};
+use crate::path::PathSet;
 
 /// A packet the host must put on the wire (UDP source port selects the
 /// path: `BASE_PORT + hdr.path_id`).
@@ -139,9 +139,21 @@ pub struct SolarStats {
     pub probes_sent: u64,
 }
 
+/// Identifies one packet of an RPC.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub(crate) struct PktKey {
+    /// RPC id.
+    pub rpc_id: u64,
+    /// Packet index within the RPC.
+    pub pkt_id: u16,
+}
+
 /// The one record per packet of an unfinished RPC. Its header is the
 /// packet as last sent: `hdr.path_id` / `hdr.path_seq` name the path
-/// and path sequence of the latest transmission.
+/// and path sequence of the latest transmission, which — while
+/// `in_flight` is set — is the packet's place in its path's FIFO order.
+/// Only transmission sets `in_flight` (and the two header fields with
+/// it); a loss clears it, an ack or a failed RPC removes the record.
 #[derive(Debug)]
 struct Outstanding {
     hdr: EbsHeader,
@@ -417,8 +429,7 @@ impl SolarClient {
         let o = self.outstanding.get_mut(&key).filter(|o| o.in_flight)?;
         o.in_flight = false;
         o.retries += 1;
-        let path = o.hdr.path_id as usize;
-        self.paths.release(path, o.hdr.path_seq, o.credit_bytes);
+        self.paths.release(o.hdr.path_id as usize, o.credit_bytes);
         Some(o)
     }
 
@@ -461,8 +472,7 @@ impl SolarClient {
                 continue; // already acknowledged
             };
             if o.in_flight {
-                let path = o.hdr.path_id as usize;
-                self.paths.release(path, o.hdr.path_seq, o.credit_bytes);
+                self.paths.release(o.hdr.path_id as usize, o.credit_bytes);
             }
         }
         self.txq.retain(|k| k.rpc_id != rpc_id);
@@ -482,13 +492,13 @@ impl SolarClient {
     /// retries.
     fn pick_path(&self, bytes: u64, ignore_window: bool, avoid: Option<u8>) -> Option<u8> {
         let n = self.paths.len();
-        // The scan reads only the PathSet's hot arrays (liveness, srtt,
-        // window, inflight) — see the struct-of-arrays notes in `path`.
+        // The scan reads only the PathSet's hot records (liveness, srtt,
+        // window, inflight) — see the layout notes in `path`.
         if ignore_window {
             if let Some(avoid_id) = avoid {
                 for k in 1..=n {
                     let idx = (avoid_id as usize + k) % n;
-                    if idx != avoid_id as usize && self.paths.up[idx] {
+                    if idx != avoid_id as usize && self.paths.hot[idx].up {
                         return Some(idx as u8);
                     }
                 }
@@ -505,15 +515,14 @@ impl SolarClient {
                 if honor_avoid && avoid == Some(idx as u8) {
                     continue;
                 }
-                if !self.paths.up[idx] {
+                let h = &self.paths.hot[idx];
+                if !h.up {
                     continue;
                 }
-                if !ignore_window
-                    && self.paths.window[idx].saturating_sub(self.paths.inflight[idx]) < bytes
-                {
+                if !ignore_window && h.window.saturating_sub(h.inflight) < bytes {
                     continue;
                 }
-                let srtt_ns = self.paths.srtt_ns[idx];
+                let srtt_ns = h.srtt_ns;
                 // Unmeasured paths look fastest → get sampled. The ns
                 // value round-trips through u64 exactly as `srtt()` does,
                 // so ties resolve identically to the per-path accessor.
@@ -538,7 +547,8 @@ impl SolarClient {
         // payload).
         if best.is_none() && ignore_window {
             let mut min: Option<(u8, u64)> = None;
-            for (idx, &at) in self.paths.next_probe_ns.iter().enumerate() {
+            for (idx, h) in self.paths.hot.iter().enumerate() {
+                let at = h.next_probe_ns;
                 if min.is_none_or(|(_, m)| at < m) {
                     min = Some((idx as u8, at));
                 }
@@ -606,7 +616,7 @@ impl SolarClient {
         };
         let bytes = o.credit_bytes;
         let is_retx = o.retries > 0;
-        let seq = self.paths.register_tx(path_id as usize, key, bytes);
+        let seq = self.paths.register_tx(path_id as usize, bytes);
         o.path_epoch = self.paths.epoch(path_id as usize);
         o.sent_at = now;
         o.generation = generation;
@@ -681,7 +691,7 @@ impl SolarClient {
             _ => return,
         };
         let path = o.hdr.path_id as usize;
-        self.paths.release(path, o.hdr.path_seq, o.credit_bytes);
+        self.paths.release(path, o.credit_bytes);
         // Karn's rule: a retransmission's round trip is no RTT sample.
         let sample = (o.retries == 0).then(|| now.saturating_since(o.sent_at));
         // The responder copies the request header into the ack, so a
@@ -723,17 +733,28 @@ impl SolarClient {
     /// RTO. ACK completion order carries *no* ordering information (it is
     /// storage completion order), which is why loss inference lives at
     /// the receiver, not in dupack counting.
+    ///
+    /// The gap's packets are found by a scan of the per-packet records,
+    /// taken in path-sequence order. Gap reports are rare (a loss on a
+    /// path that kept delivering), so no per-path index is kept for them.
     fn on_gap_nack(&mut self, hdr: &EbsHeader) {
         let path_idx = hdr.path_id as usize;
         if path_idx >= self.paths.len() {
             return;
         }
-        let gap_start = hdr.block_addr as u32;
-        let gap_end = hdr.path_seq;
-        if gap_start >= gap_end {
+        let gap = hdr.block_addr as u32..hdr.path_seq;
+        if gap.is_empty() {
             return;
         }
-        for k in self.paths.outstanding_in(path_idx, gap_start, gap_end) {
+        let mut lost: Vec<(u32, PktKey)> = self
+            .outstanding
+            .iter()
+            .filter(|(_, o)| o.in_flight && o.hdr.path_id as usize == path_idx)
+            .filter(|(_, o)| gap.contains(&o.hdr.path_seq))
+            .map(|(&k, o)| (o.hdr.path_seq, k))
+            .collect();
+        lost.sort_unstable();
+        for (_, k) in lost {
             if self.lose(k).is_some() {
                 self.stats.reorder_losses += 1;
                 self.retransmit_or_fail(k);
@@ -780,6 +801,9 @@ impl ebs_obs::Sample for SolarClient {
         }
     }
 }
+
+#[cfg(test)]
+mod gap_nack_model;
 
 #[cfg(test)]
 mod tests {

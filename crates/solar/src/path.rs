@@ -6,23 +6,26 @@
 //! entirely in the *control plane* (DPU CPU). No per-path state exists in
 //! hardware, which is what lets multi-path scale (§4.4).
 //!
-//! # Layout: struct-of-arrays
+//! # Layout: a hot block and a cold block
 //!
 //! The spray decision ([`SolarClient::poll_transmit`]) scans **every**
 //! path per transmitted packet, reading exactly four scalars: liveness,
 //! smoothed RTT, window and in-flight bytes. With one big struct per path
 //! each of those reads pulls in a different cache line full of cold state
-//! (the HPCC controller, the outstanding-sequence tree, probe counters).
-//! [`PathSet`] therefore stores the hot scan fields in parallel arrays —
-//! the whole spray scan for 8 paths touches a handful of contiguous
-//! cache lines — and banishes everything only touched on ACK/timeout/
-//! probe transitions to a cold per-path record. `probe_min_ns` caches
-//! the earliest probe deadline so the per-poll "any probe due?" check is
-//! one compare instead of a scan.
+//! (the congestion controller, RTO and probe counters). [`PathSet`]
+//! therefore keeps the scan's scalars, and the probe deadline, in one
+//! [`PathHot`] record of 40 bytes per path — the whole spray scan over 4
+//! paths reads 160 contiguous bytes — and banishes everything only
+//! touched on ACK/timeout/probe transitions to a cold per-path record.
+//! Each is one boxed slice, so a client's path table is two allocations.
+//! `probe_min_ns` caches the earliest probe deadline so the per-poll "any
+//! probe due?" check is one compare instead of a scan.
+//!
+//! A path keeps no per-packet state: which packets are in flight on it,
+//! and at which path sequence, is recorded once, in the client's
+//! per-packet record (`SolarClient::on_gap_nack` reads it there).
 //!
 //! [`SolarClient::poll_transmit`]: crate::SolarClient::poll_transmit
-
-use std::collections::BTreeMap;
 
 use ebs_cc::{AckSignal, AnyCc, CongestionControl};
 use ebs_sim::{SimDuration, SimTime};
@@ -33,17 +36,23 @@ use crate::config::{
 };
 use crate::SolarConfig;
 
-/// Identifies one in-flight packet (rpc, pkt) for bookkeeping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub(crate) struct PktKey {
-    /// RPC id.
-    pub rpc_id: u64,
-    /// Packet index within the RPC.
-    pub pkt_id: u16,
-}
-
-/// Sentinel for "no probe scheduled" in [`PathSet::next_probe_ns`].
+/// Sentinel for "no probe scheduled" in [`PathHot::next_probe_ns`].
 const NO_PROBE: u64 = u64::MAX;
+
+/// Hot per-path state: what every spray / probe / timer poll reads.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PathHot {
+    /// Smoothed RTT in ns; `NAN` until the first sample.
+    pub(crate) srtt_ns: f64,
+    /// Cached congestion window (refreshed on every controller update).
+    pub(crate) window: u64,
+    /// Unacked bytes currently attributed to the path.
+    pub(crate) inflight: u64,
+    /// Next probe instant in ns; [`NO_PROBE`] while the path is up.
+    pub(crate) next_probe_ns: u64,
+    /// Liveness: a failed path is probed until it answers.
+    pub(crate) up: bool,
+}
 
 /// Cold per-path state: only touched on ACK / timeout / probe
 /// transitions, never by the per-packet spray scan.
@@ -55,8 +64,6 @@ struct PathCold {
     /// The per-path congestion controller `SolarConfig::cc` selects.
     cc: AnyCc,
     next_seq: u32,
-    /// Outstanding path sequence numbers, for out-of-order loss detection.
-    outstanding_seqs: BTreeMap<u32, PktKey>,
     /// Unanswered probes since the path failed.
     probes_unanswered: u32,
     /// How many times this path has been re-hashed onto a new source
@@ -78,48 +85,41 @@ struct PathCold {
 /// is `BASE_PORT + i` plus the remap offset.
 #[derive(Debug)]
 pub(crate) struct PathSet {
-    // --- hot: read by every spray / probe / timer poll ------------------
-    /// Liveness: a failed path is probed until it answers.
-    pub(crate) up: Vec<bool>,
-    /// Smoothed RTT in ns; `NAN` until the first sample.
-    pub(crate) srtt_ns: Vec<f64>,
-    /// Cached `hpcc.window() as u64` (refreshed on every HPCC update).
-    pub(crate) window: Vec<u64>,
-    /// Unacked bytes currently attributed to the path.
-    pub(crate) inflight: Vec<u64>,
-    /// Next probe instant in ns; [`NO_PROBE`] while the path is up.
-    pub(crate) next_probe_ns: Vec<u64>,
+    /// Read by every spray / probe / timer poll, indexed by path.
+    pub(crate) hot: Box<[PathHot]>,
     /// `min(next_probe_ns)` — one compare decides "any probe due?".
     probe_min_ns: u64,
-    // --- cold -----------------------------------------------------------
-    cold: Vec<PathCold>,
+    cold: Box<[PathCold]>,
 }
 
 impl PathSet {
     /// `cfg.n_paths` fresh, healthy paths, each running the controller
     /// `cfg.cc` selects.
     pub fn new(cfg: &SolarConfig) -> Self {
-        let n = cfg.n_paths;
-        let cold: Vec<PathCold> = (0..n)
+        let cold: Box<[PathCold]> = (0..cfg.n_paths)
             .map(|_| PathCold {
                 rttvar_ns: 0.0,
                 rto: RTO_INITIAL,
                 consecutive_timeouts: 0,
                 cc: AnyCc::new(cfg.cc, cfg.line_rate, SWIFT_TARGET),
                 next_seq: 0,
-                outstanding_seqs: BTreeMap::new(),
                 probes_unanswered: 0,
                 remap_generation: 0,
                 epoch: 0,
             })
             .collect();
-        let window = cold.iter().map(|c| c.cc.window() as u64).collect();
+        let hot = cold
+            .iter()
+            .map(|c| PathHot {
+                srtt_ns: f64::NAN,
+                window: c.cc.window() as u64,
+                inflight: 0,
+                next_probe_ns: NO_PROBE,
+                up: true,
+            })
+            .collect();
         PathSet {
-            up: vec![true; n],
-            srtt_ns: vec![f64::NAN; n],
-            window,
-            inflight: vec![0; n],
-            next_probe_ns: vec![NO_PROBE; n],
+            hot,
             probe_min_ns: NO_PROBE,
             cold,
         }
@@ -127,7 +127,7 @@ impl PathSet {
 
     /// Number of paths.
     pub fn len(&self) -> usize {
-        self.up.len()
+        self.hot.len()
     }
 
     /// The UDP source port path `i` currently uses. Remapping bumps the
@@ -148,12 +148,12 @@ impl PathSet {
 
     /// True if path `i` may carry new packets.
     pub fn is_up(&self, i: usize) -> bool {
-        self.up[i]
+        self.hot[i].up
     }
 
     /// Smoothed RTT estimate (used to prefer fast paths when spraying).
     pub fn srtt(&self, i: usize) -> Option<SimDuration> {
-        let ns = self.srtt_ns[i];
+        let ns = self.hot[i].srtt_ns;
         (!ns.is_nan()).then(|| SimDuration::from_nanos(ns as u64))
     }
 
@@ -164,39 +164,28 @@ impl PathSet {
 
     /// Congestion window of path `i` in bytes.
     pub fn window(&self, i: usize) -> u64 {
-        self.window[i]
+        self.hot[i].window
     }
 
     /// Unacked bytes currently attributed to path `i`.
     pub fn inflight_bytes(&self, i: usize) -> u64 {
-        self.inflight[i]
+        self.hot[i].inflight
     }
 
     /// Allocate the next per-path sequence number and account the bytes.
-    pub fn register_tx(&mut self, i: usize, key: PktKey, bytes: u64) -> u32 {
+    pub fn register_tx(&mut self, i: usize, bytes: u64) -> u32 {
         let c = &mut self.cold[i];
         let seq = c.next_seq;
         c.next_seq = c.next_seq.wrapping_add(1);
-        c.outstanding_seqs.insert(seq, key);
-        self.inflight[i] += bytes;
+        self.hot[i].inflight += bytes;
         seq
     }
 
-    /// Remove a packet from path `i`'s accounting (acked, timed out, or
-    /// moved to another path).
-    pub fn release(&mut self, i: usize, seq: u32, bytes: u64) {
-        self.cold[i].outstanding_seqs.remove(&seq);
-        self.inflight[i] = self.inflight[i].saturating_sub(bytes);
-    }
-
-    /// Outstanding packets of path `i` with sequence in `start..end`
-    /// (receiver-side gap reports; see `SolarClient::on_gap_nack`).
-    pub fn outstanding_in(&self, i: usize, start: u32, end: u32) -> Vec<PktKey> {
-        self.cold[i]
-            .outstanding_seqs
-            .range(start..end)
-            .map(|(_, &k)| k)
-            .collect()
+    /// Return a packet's bytes to path `i` (acked, lost, or its RPC
+    /// failed).
+    pub fn release(&mut self, i: usize, bytes: u64) {
+        let h = &mut self.hot[i];
+        h.inflight = h.inflight.saturating_sub(bytes);
     }
 
     /// Record a successful round trip on path `i`: RTT sample (when
@@ -218,9 +207,10 @@ impl PathSet {
         // path delivers a fraction of packets, and bouncing back on every
         // fluke success would keep feeding it traffic at ever-longer RTOs.
         // Only a clean probe round trip (`revive`) re-admits a path.
+        let h = &mut self.hot[i];
         if let Some(rtt) = sample {
             let r = rtt.as_nanos() as f64;
-            let prev = self.srtt_ns[i];
+            let prev = h.srtt_ns;
             let srtt = if prev.is_nan() {
                 c.rttvar_ns = r / 2.0;
                 r
@@ -228,7 +218,7 @@ impl PathSet {
                 c.rttvar_ns = 0.75 * c.rttvar_ns + 0.25 * (prev - r).abs();
                 0.875 * prev + 0.125 * r
             };
-            self.srtt_ns[i] = srtt;
+            h.srtt_ns = srtt;
             // RTO = srtt + 4*var, but never below 2x srtt: under incast
             // the *level* of RTT moves with queueing while the variance
             // estimator lags, and a timeout fired into genuine congestion
@@ -246,7 +236,7 @@ impl PathSet {
                 ecn,
             },
         );
-        self.window[i] = c.cc.window() as u64;
+        h.window = c.cc.window() as u64;
     }
 
     /// Record a timeout on path `i` of a packet sent in epoch
@@ -257,18 +247,18 @@ impl PathSet {
     /// trouble either way — but carries no evidence about the current
     /// route's liveness.
     pub fn on_timeout(&mut self, i: usize, now: SimTime, sent_epoch: u32) -> bool {
-        let c = &mut self.cold[i];
+        let (c, h) = (&mut self.cold[i], &mut self.hot[i]);
         c.cc.on_timeout();
-        self.window[i] = c.cc.window() as u64;
+        h.window = c.cc.window() as u64;
         c.rto = c.rto.mul_f64(2.0).min(RTO_MAX);
         if sent_epoch != c.epoch {
             return false;
         }
         c.consecutive_timeouts += 1;
-        if c.consecutive_timeouts >= PATH_FAIL_THRESHOLD && self.up[i] {
-            self.up[i] = false;
+        if c.consecutive_timeouts >= PATH_FAIL_THRESHOLD && h.up {
+            h.up = false;
             let at = (now + PROBE_INTERVAL).as_nanos();
-            self.next_probe_ns[i] = at;
+            h.next_probe_ns = at;
             self.probe_min_ns = self.probe_min_ns.min(at);
             return true;
         }
@@ -287,11 +277,12 @@ impl PathSet {
             return None;
         }
         let now_ns = now.as_nanos();
-        self.next_probe_ns.iter().position(|&at| at <= now_ns)
+        self.hot.iter().position(|h| h.next_probe_ns <= now_ns)
     }
 
     fn recompute_probe_min(&mut self) {
-        self.probe_min_ns = self.next_probe_ns.iter().copied().min().unwrap_or(NO_PROBE);
+        let deadlines = self.hot.iter().map(|h| h.next_probe_ns);
+        self.probe_min_ns = deadlines.min().unwrap_or(NO_PROBE);
     }
 
     /// A probe was just sent on path `i`; schedule the next one. After
@@ -299,7 +290,7 @@ impl PathSet {
     /// bucket: the source port moves, so the next probe tries a fresh
     /// fabric route.
     pub fn probe_sent(&mut self, i: usize, now: SimTime) {
-        self.next_probe_ns[i] = (now + PROBE_INTERVAL).as_nanos();
+        self.hot[i].next_probe_ns = (now + PROBE_INTERVAL).as_nanos();
         let c = &mut self.cold[i];
         c.probes_unanswered += 1;
         if c.probes_unanswered >= REMAP_AFTER_PROBES {
@@ -312,8 +303,9 @@ impl PathSet {
 
     /// A probe answer arrived: path `i` is healthy again.
     pub fn revive(&mut self, i: usize) {
-        self.up[i] = true;
-        self.next_probe_ns[i] = NO_PROBE;
+        let h = &mut self.hot[i];
+        h.up = true;
+        h.next_probe_ns = NO_PROBE;
         let c = &mut self.cold[i];
         c.consecutive_timeouts = 0;
         c.probes_unanswered = 0;
@@ -334,31 +326,19 @@ mod tests {
     }
 
     fn next_probe(p: &PathSet, i: usize) -> Option<SimTime> {
-        let at = p.next_probe_ns[i];
+        let at = p.hot[i].next_probe_ns;
         (at != NO_PROBE).then(|| SimTime::from_nanos(at))
     }
 
     #[test]
     fn tx_accounting() {
         let mut p = paths(1);
-        let k = PktKey {
-            rpc_id: 1,
-            pkt_id: 0,
-        };
-        let s0 = p.register_tx(0, k, 4096);
-        let s1 = p.register_tx(
-            0,
-            PktKey {
-                rpc_id: 1,
-                pkt_id: 1,
-            },
-            4096,
-        );
+        let s0 = p.register_tx(0, 4096);
+        let s1 = p.register_tx(0, 4096);
         assert_eq!(s1, s0 + 1);
         assert_eq!(p.inflight_bytes(0), 8192);
-        p.release(0, s0, 4096);
+        p.release(0, 4096);
         assert_eq!(p.inflight_bytes(0), 4096);
-        assert_eq!(p.outstanding_in(0, 0, u32::MAX).len(), 1);
     }
 
     #[test]

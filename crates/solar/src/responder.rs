@@ -5,8 +5,15 @@
 //! state, no receive buffers and no reordering logic** — it turns each
 //! request into zero or one storage action and, when the host completes
 //! that action, into exactly one response packet. All functions here are
-//! pure header transformations; the only mutable state is a per-path
-//! sequence counter for the reverse direction.
+//! pure header transformations; the only mutable state is a pair of
+//! sequence counters per path: the reverse direction's next sequence and
+//! the forward direction's next expected arrival.
+//!
+//! The counters are kept per path id on demand, grown to the highest id
+//! seen: a client sprays over a handful of paths (4 by default), and a
+//! storage server holds one responder per compute server, so each holds
+//! one small vector. An unseen path reads 0; a hostile path id of 255
+//! costs at most 256 counter pairs (2 KiB).
 
 use bytes::Bytes;
 use ebs_wire::{EbsHeader, EbsOp, IntStack};
@@ -38,18 +45,24 @@ pub enum ServerAction {
     None,
 }
 
+/// The two sequence counters of one path.
+#[derive(Debug, Clone, Copy, Default)]
+struct PathSeqs {
+    /// Next sequence of a response packet (reads congest the reverse
+    /// direction, so responses carry their own path sequence).
+    resp_seq: u32,
+    /// Next expected arrival sequence. A single ECMP path is FIFO, so an
+    /// arrival above the expectation proves the skipped sequences were
+    /// lost — the receiver reports the gap immediately instead of leaving
+    /// the sender to wait for an RTO (§4.5's out-of-order loss detection).
+    expected: u32,
+}
+
 /// Per-peer responder state (one per compute-server client).
 #[derive(Debug)]
 pub struct SolarResponder {
-    /// Per-path sequence counters for response packets (reads congest the
-    /// reverse direction, so responses carry their own path sequence).
-    resp_seq: [u32; 256],
-    /// Per-path next expected arrival sequence. A single ECMP path is
-    /// FIFO, so an arrival above the expectation proves the skipped
-    /// sequences were lost — the receiver reports the gap immediately
-    /// instead of leaving the sender to wait for an RTO (§4.5's
-    /// out-of-order loss detection).
-    arrival_expected: [u32; 256],
+    /// Counters by path id, up to the highest id seen (module docs).
+    paths: Vec<PathSeqs>,
     /// Pending gap reports (drained via [`SolarResponder::poll_gap_nack`]).
     gap_nacks: std::collections::VecDeque<OutPacket>,
 }
@@ -64,8 +77,7 @@ impl SolarResponder {
     /// Fresh responder.
     pub fn new() -> Self {
         SolarResponder {
-            resp_seq: [0; 256],
-            arrival_expected: [0; 256],
+            paths: Vec::new(),
             gap_nacks: std::collections::VecDeque::new(),
         }
     }
@@ -75,17 +87,28 @@ impl SolarResponder {
         self.gap_nacks.pop_front()
     }
 
+    /// The counters of `path_id`, created (at 0) on first sight.
+    fn path(&mut self, path_id: u8) -> &mut PathSeqs {
+        let i = path_id as usize;
+        if i >= self.paths.len() {
+            self.paths.resize(i + 1, PathSeqs::default());
+        }
+        &mut self.paths[i]
+    }
+
     /// Track a data/request arrival on its path; queue a gap report if
     /// the sequence jumped.
     fn track_arrival(&mut self, hdr: &EbsHeader) {
-        let p = hdr.path_id as usize;
-        let expected = self.arrival_expected[p];
+        let p = self.path(hdr.path_id);
+        let expected = p.expected;
         let s = hdr.path_seq;
         // Wrapping serial comparison: treat s as "newer" when it is ahead.
         let ahead = s.wrapping_sub(expected);
-        if ahead == 0 {
-            self.arrival_expected[p] = s.wrapping_add(1);
-        } else if ahead < u32::MAX / 2 {
+        if ahead >= u32::MAX / 2 {
+            return; // an old (retransmitted-on-same-path) sequence — ignore
+        }
+        p.expected = s.wrapping_add(1);
+        if ahead > 0 {
             // Gap [expected, s) lost on a FIFO path: report it.
             let mut nack_hdr = *hdr;
             nack_hdr.op = EbsOp::GapNack;
@@ -97,9 +120,7 @@ impl SolarResponder {
                 src_port: response_port(hdr),
                 int_request: false,
             });
-            self.arrival_expected[p] = s.wrapping_add(1);
         }
-        // else: an old (retransmitted-on-same-path) sequence — ignore.
     }
 
     /// Classify an incoming packet into the storage action it demands.
@@ -184,8 +205,9 @@ impl SolarResponder {
     }
 
     fn next_seq(&mut self, path_id: u8) -> u32 {
-        let s = self.resp_seq[path_id as usize];
-        self.resp_seq[path_id as usize] = s.wrapping_add(1);
+        let p = self.path(path_id);
+        let s = p.resp_seq;
+        p.resp_seq = s.wrapping_add(1);
         s
     }
 }
@@ -286,20 +308,55 @@ mod tests {
 
     #[test]
     fn responder_holds_no_per_request_state() {
-        // The whole point: after classifying a million packets, the
+        // The whole point: after classifying a thousand packets, the
         // responder's footprint is still just the seq counters.
         let mut r = SolarResponder::new();
         for i in 0..1000u64 {
             let mut h = req(EbsOp::WriteBlock);
             h.rpc_id = i;
+            h.path_seq = i as u32;
             let _ = r.on_packet(InPacket {
                 hdr: h,
                 payload: Bytes::new(),
                 int: None,
             });
         }
-        // Two fixed 256-entry counter arrays + an (empty in steady
-        // state) report queue — nothing proportional to requests served.
-        assert!(std::mem::size_of::<SolarResponder>() <= 2 * 256 * 4 + 96);
+        // One counter pair per path id up to the highest seen (2 here)
+        // and an (empty in steady state) report queue — nothing
+        // proportional to requests served.
+        assert_eq!(r.paths.len(), 3);
+        assert!(r.gap_nacks.is_empty());
+        assert!(std::mem::size_of::<SolarResponder>() <= 64);
+    }
+
+    /// Counters grow on demand and start at 0 on every path, a hostile
+    /// path id included; paths count independently.
+    #[test]
+    fn unseen_paths_start_at_zero() {
+        let mut r = SolarResponder::new();
+        let on = |path_id| EbsHeader {
+            path_id,
+            ..req(EbsOp::ReadReq)
+        };
+        assert_eq!(r.read_resp(&on(255), Bytes::new(), 0).hdr.path_seq, 0);
+        assert_eq!(r.read_resp(&on(0), Bytes::new(), 0).hdr.path_seq, 0);
+        assert_eq!(r.read_resp(&on(255), Bytes::new(), 0).hdr.path_seq, 1);
+        assert_eq!(r.paths.len(), 256);
+        // An arrival at sequence 0 on a fresh path is no gap; one at 2
+        // after it reports the gap [1, 2).
+        for seq in [0, 2] {
+            let hdr = EbsHeader {
+                path_seq: seq,
+                ..on(7)
+            };
+            r.on_packet(InPacket {
+                hdr,
+                payload: Bytes::new(),
+                int: None,
+            });
+        }
+        let gap = r.poll_gap_nack().expect("gap reported");
+        assert_eq!((gap.hdr.block_addr, gap.hdr.path_seq), (1, 2));
+        assert!(r.poll_gap_nack().is_none());
     }
 }

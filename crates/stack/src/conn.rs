@@ -15,6 +15,14 @@
 //! [`frame_done`], [`frame_request`]) and one rule for which response
 //! completes a request ([`RpcFrame::answers`]).
 //!
+//! A node's table has a slot per peer id up to the highest that ever
+//! connected, and every slot is as wide as the widest arm of its enum, so
+//! the TCP and RDMA engines sit behind a `Box` on both sides and SOLAR's
+//! state sets the width: 72 bytes for a [`ServerConn`] (peer ids and the
+//! responder's counter vector, pinned in `testbed.rs`), about 300 for a
+//! [`ClientConn`]. The connection state of one (compute, storage) SOLAR
+//! pair is under 2 KB (DESIGN.md §7.21).
+//!
 //! Every arithmetic detail here is byte-pinned by the golden digests
 //! (`tests/digest_golden.rs`): TCP's crossing is `crossing_latency`
 //! *minus* the CPU work it overlaps, RDMA's is CPU work *plus*
@@ -180,10 +188,13 @@ pub(crate) struct Done {
 }
 
 /// Compute-side half of one (compute, storage) connection.
+// SOLAR's client stays inline: it is the state a SOLAR pair keeps, and
+// boxing it would add an allocation per pair and a pointer chase per
+// packet. The other engines are boxed so that it sets the slot width.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub(crate) enum ClientConn {
     /// Kernel TCP or LUNA: the same engine under different stack costs.
-    /// Boxed: the TCP engine is larger than the other variants' state.
     Tcp {
         ends: Ends,
         costs: StackCosts,
@@ -191,7 +202,7 @@ pub(crate) enum ClientConn {
     },
     Rdma {
         ends: Ends,
-        qp: RdmaQp,
+        qp: Box<RdmaQp>,
         /// Requests posted and not yet answered, by rpc id, header only.
         sent: FxHashMap<u64, RpcFrame>,
     },
@@ -217,7 +228,7 @@ impl ClientConn {
             Variant::Luna => tcp(StackCosts::luna()),
             Variant::Rdma => ClientConn::Rdma {
                 ends,
-                qp: RdmaQp::new(cfg.rdma),
+                qp: Box::new(RdmaQp::new(cfg.rdma)),
                 sent: FxHashMap::default(),
             },
             Variant::SolarStar | Variant::Solar => ClientConn::Solar {
@@ -475,19 +486,15 @@ pub(crate) struct Request {
 }
 
 /// Storage-side half of one (compute, storage) connection.
-// A testbed runs one variant, so every entry of a node's map is the same
-// arm: boxing the large one would buy nothing and cost a pointer chase
-// per packet.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub(crate) enum ServerConn {
     Tcp {
         ends: Ends,
-        rpc: RpcConn,
+        rpc: Box<RpcConn>,
     },
     Rdma {
         ends: Ends,
-        qp: RdmaQp,
+        qp: Box<RdmaQp>,
     },
     /// SOLAR's responder keeps no connection state beyond per-path
     /// sequence counters: each packet in is at most one storage action
@@ -503,16 +510,16 @@ impl ServerConn {
         match cfg.variant {
             Variant::Kernel | Variant::Luna => ServerConn::Tcp {
                 ends,
-                rpc: RpcConn::listen(TcpConfig {
+                rpc: Box::new(RpcConn::listen(TcpConfig {
                     iss: 0x8000_0000 | (ends.compute << 8),
                     mss: TCP_MSS,
                     swift: cfg.tcp_swift,
                     ..TcpConfig::default()
-                }),
+                })),
             },
             Variant::Rdma => ServerConn::Rdma {
                 ends,
-                qp: RdmaQp::new(cfg.rdma),
+                qp: Box::new(RdmaQp::new(cfg.rdma)),
             },
             Variant::SolarStar | Variant::Solar => ServerConn::Solar {
                 ends,

@@ -266,6 +266,11 @@ pub(crate) enum Event {
 // `tests/digest_golden.rs`.)
 const _: () = assert!(std::mem::size_of::<Event>() <= 32);
 
+// A storage server holds one `ServerConn` slot per compute id up to the
+// highest that connected, opened or not; SOLAR's arm (peer ids and the
+// responder's counter vector) sets the width, the other engines are boxed.
+const _: () = assert!(std::mem::size_of::<Option<crate::conn::ServerConn>>() <= 72);
+
 impl Event {
     /// A guest I/O on compute server `compute` (stored as `u32` to fit
     /// the 32 bytes above).

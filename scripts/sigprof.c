@@ -27,8 +27,18 @@
  * frame pointer that is really a general-purpose register (code built
  * without frame pointers, such as libc) ends the walk with EFAULT instead
  * of a crash.
+ *
+ * A sample whose interrupted instruction lies outside the main program
+ * (libc's malloc and memmove, libm) is unwound from `.eh_frame` instead,
+ * with glibc's backtrace(): the frame-pointer walk would lose the
+ * shared object's caller, or stop inside it. backtrace() runs once at
+ * load so that its lazy load of the unwinder (a dlopen, which allocates)
+ * never happens inside the handler. If that unwind does not reach the
+ * interrupted instruction, the sample takes the frame-pointer walk.
  */
 #define _GNU_SOURCE
+#include <execinfo.h>
+#include <link.h>
 #include <signal.h>
 #include <stdint.h>
 #include <stdio.h>
@@ -50,6 +60,8 @@ static uint8_t depth[MAX_SAMPLES];
 static unsigned next_sample;
 static unsigned dropped;
 static pid_t self;
+/* The main program's executable segment. */
+static uintptr_t exe_lo, exe_hi;
 
 /* Read the (saved frame pointer, return address) pair at `fp`. */
 static int read_frame(uintptr_t fp, uintptr_t out[2]) {
@@ -59,6 +71,24 @@ static int read_frame(uintptr_t fp, uintptr_t out[2]) {
                    (ssize_t)(2 * sizeof(uintptr_t))
                ? 0
                : -1;
+}
+
+/* Unwind this handler's own stack from `.eh_frame` into `out`, starting
+ * at the interrupted instruction `pc`; past the handler and the signal
+ * trampoline, the unwinder steps into the interrupted frame. Returns the
+ * depth, or 0 if the unwind never reached `pc`. */
+static unsigned unwind_from(uintptr_t pc, uintptr_t *out) {
+    void *frames[MAX_DEPTH + 8];
+    int got = backtrace(frames, MAX_DEPTH + 8);
+    for (int k = 0; k < got; k++) {
+        if ((uintptr_t)frames[k] != pc)
+            continue;
+        unsigned n = 0;
+        while (k < got && n < MAX_DEPTH)
+            out[n++] = (uintptr_t)frames[k++];
+        return n;
+    }
+    return 0;
 }
 
 static void on_sigprof(int sig, siginfo_t *info, void *ctx) {
@@ -71,8 +101,16 @@ static void on_sigprof(int sig, siginfo_t *info, void *ctx) {
     }
     const mcontext_t *mc = &((const ucontext_t *)ctx)->uc_mcontext;
     uintptr_t *out = pcs[i];
+    uintptr_t pc = (uintptr_t)mc->gregs[REG_RIP];
+    if (pc < exe_lo || pc >= exe_hi) {
+        unsigned n = unwind_from(pc, out);
+        if (n > 0) {
+            depth[i] = (uint8_t)n;
+            return;
+        }
+    }
     unsigned n = 0;
-    out[n++] = (uintptr_t)mc->gregs[REG_RIP];
+    out[n++] = pc;
     uintptr_t fp = (uintptr_t)mc->gregs[REG_RBP];
     uintptr_t sp = (uintptr_t)mc->gregs[REG_RSP];
     /* Frames live above the stack pointer and each caller's frame above
@@ -116,8 +154,25 @@ static void dump(void) {
     fclose(f);
 }
 
+/* dl_iterate_phdr callback: the first object is the main program. */
+static int find_exe(struct dl_phdr_info *obj, size_t size, void *data) {
+    (void)size;
+    (void)data;
+    for (int k = 0; k < obj->dlpi_phnum; k++) {
+        const ElfW(Phdr) *ph = &obj->dlpi_phdr[k];
+        if (ph->p_type == PT_LOAD && (ph->p_flags & PF_X)) {
+            exe_lo = obj->dlpi_addr + ph->p_vaddr;
+            exe_hi = exe_lo + ph->p_memsz;
+        }
+    }
+    return 1;
+}
+
 __attribute__((constructor)) static void start(void) {
     self = getpid();
+    dl_iterate_phdr(find_exe, NULL);
+    void *warm[4];
+    backtrace(warm, 4);
     struct sigaction sa;
     memset(&sa, 0, sizeof sa);
     sa.sa_sigaction = on_sigprof;
